@@ -21,6 +21,7 @@ from .mc import (
     ks_uniform,
     reproduce_figure,
     run_experiment,
+    thread_limit,
 )
 from .model import AtomicMeasure, load_observation, save_observation, synthesize
 from .numerics import RngStream
@@ -333,6 +334,10 @@ def parse_and_dispatch(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        try:
+            thread_limit()
+        except ValueError as exc:
+            parser.error(str(exc))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

@@ -7,8 +7,18 @@ second knot is lambda1 + max g where
     g(y) = (X(y) - lambda1) / (1 - rho(y - z_hat)),
 
 the amount by which the regressed field X^{z_hat} falls short of lambda1.
-Near z_hat both numerator and denominator vanish quadratically, so there the
-ratio is evaluated through the integral remainder of Taylor's theorem:
+Write y - z_hat = (dt, dtheta) and let w be the Fourier data rotated so that
+Z(t_hat) is real (_aligned_coeffs).  Then X(y) = Re(e^{-i dtheta} a(dt)) with
+a(dt) = sum_k w_k e^{ik dt} / sqrt N, and rho = Gamma(dt) cos(dtheta), so at
+fixed dt the maximum of g over dtheta is the root of a quadratic
+(_theta_profile).  second_knot therefore searches dt alone.  As dt -> 0 the
+profile tends to the top eigenvalue of Lt^{-1/2} R Lt^{-1/2} minus lambda1
+(_profile_limit), the value of g along its best direction out of z_hat.
+
+_g_ratio evaluates g at arbitrary points; it is the oracle the profile is
+tested against.  Near z_hat both numerator and denominator vanish
+quadratically, so there the ratio is evaluated through the integral
+remainder of Taylor's theorem:
 
     Num(y) = integral_0^1 (1-h) u' X''(z_hat + h d) u dh        (Gauss-Legendre)
     Den(y) = (1/2N) sum_k c_k^2 sinc^2(r c_k / 2),   c_k = k cos(a) - sin(a)
@@ -37,7 +47,7 @@ from .model import (
     z_deriv,
     z_eval,
 )
-from .numerics import maximize_1d, maximize_2d
+from .numerics import maximize_1d
 
 RADIUS_SWITCH = 0.5
 
@@ -187,8 +197,8 @@ def _g_ratio(obs, z_hat, lambda1, w, dt, dth, n_gl=16):
     Vectorized over flat arrays.  For r > RADIUS_SWITCH the direct quotient is
     used; below it, Gauss-Legendre on the Taylor remainder over the sinc
     closed form of the denominator.  Points with r < 1e-9 get the theta-circle
-    floor -lambda1 (the true limit values there never exceed the nearby ring
-    maxima, which the caller seeds separately).
+    floor -lambda1 (the limit of g at z_hat depends on the direction; see
+    _profile_limit).
     """
     dt = np.atleast_1d(np.asarray(dt, dtype=float))
     dth = np.atleast_1d(np.asarray(dth, dtype=float))
@@ -222,83 +232,112 @@ def _g_ratio(obs, z_hat, lambda1, w, dt, dth, n_gl=16):
     return out
 
 
-def second_knot(obs, z_hat, lambda1, t_factor=16, n_theta=64):
+def _larger_root(u, q, e, f):
+    """Larger root of v m^2 + 2 u m + q = 0 (u > 0, q >= 0) whose
+    discriminant u^2 - v q equals e^2 + f^2, as -q / (u + hypot(e, f)).
+
+    Neither step cancels, not even at a double root (a noiseless spike)."""
+    return -q / (u + np.hypot(e, f))
+
+
+def _theta_profile(w, lambda1, dt):
+    """max over dtheta of g at fixed dt != 0, and the maximizing dtheta.
+
+    Vectorized over dt.  With a = a1 + i a2 = sum_k w_k e^{ik dt} / sqrt N and
+    c = Gamma(dt), the maximum m is the larger root of
+
+        (1 - c^2) m^2 + 2 (lambda1 - a1 c) m + (lambda1^2 - |a|^2) = 0,
+
+    whose discriminant is (lambda1 (1 - c) - (lambda1 - a1))^2 + a2^2 (1 - c^2);
+    it is attained at dtheta = atan2(a2, a1 + m c).  The coefficients vanish
+    like dt^2, so they are assembled from sin^2(k dt / 2) sums, which carry no
+    cancellation: lambda1 - a1, 1 - c (the sinc identity), and
+    lambda1^2 - |a|^2 = (lambda1 - a1)(lambda1 + a1) - a2^2.
+    """
+    n = w.size
+    k = np.arange(-(n // 2), n // 2 + 1)
+    sqrt_n = math.sqrt(n)
+    kdt = np.multiply.outer(dt, k)
+    s2 = np.sin(0.5 * kdt) ** 2
+    sn = np.sin(kdt)
+    one_minus_c = 2.0 * s2.sum(axis=-1) / n
+    c = 1.0 - one_minus_c
+    d1 = (2.0 * s2 @ w.real + sn @ w.imag) / sqrt_n           # lambda1 - a1
+    a1 = lambda1 - d1
+    a2 = ((1.0 - 2.0 * s2) @ w.imag + sn @ w.real) / sqrt_n
+    m = _larger_root(d1 + a1 * one_minus_c, d1 * (lambda1 + a1) - a2 * a2,
+                     lambda1 * one_minus_c - d1, a2 * np.sqrt(one_minus_c * (1.0 + c)))
+    return m, np.arctan2(a2, a1 + m * c)
+
+
+def _profile_limit(w, lambda1):
+    """The dt -> 0 limit of the profile: the top eigenvalue of
+    Lt^{-1/2} R Lt^{-1/2} minus lambda1.
+
+    It is the larger root of the dt^2 coefficients of the profile quadratic,
+    alpha1 m^2 + (beta + alpha1 lambda1) m + (lambda1 beta - alpha3^2) = 0 with
+    beta = alpha2 + alpha1 lambda1 = -X_tt(z_hat), which is the characteristic
+    equation of that matrix shifted by lambda1.
+    """
+    f_c = w.size // 2
+    k = np.arange(-f_c, f_c + 1)
+    sqrt_n = math.sqrt(w.size)
+    alpha1 = f_c * (f_c + 1) / 3.0
+    beta = float((k * k) @ w.real) / sqrt_n
+    alpha3 = float(k @ w.real) / sqrt_n
+    return float(_larger_root(0.5 * (beta + alpha1 * lambda1), lambda1 * beta - alpha3 * alpha3,
+                              0.5 * (alpha1 * lambda1 - beta), alpha3 * math.sqrt(alpha1)))
+
+
+def second_knot(obs, z_hat, lambda1):
     """The second knot: lambda2 = lambda1 + max_y g(y), y_hat the maximizer.
 
-    A coarse (t_factor*N) x n_theta sweep in displacement coordinates (the
-    dt = 0 column pins the theta-circle, where g = -lambda1 exactly) collects
-    local maxima; these, plus a ring of seeds around z_hat, are refined by
-    Nelder-Mead.  Ties within 1e-9 go to the smallest t.  The result is
+    The maximum over dtheta is closed-form (_theta_profile), so only dt is
+    searched: the profile on a uniform 16N-point dt grid, whose point dt = 0
+    holds the limit value (_profile_limit), brackets the local maxima; those
+    within 1e-2 max(1, lambda1) of the best (at most six) are polished by
+    bounded Brent search.  The profile is smooth through dt = 0, but there its
+    coefficients shrink to the rounding level of the first knot's
+    stationarity, so a bracket that holds 0 leaves out |dt| < 1e-3 of a grid
+    step and the limit stands in as one more candidate, attained at
+    y_hat = z_hat.  Ties within 1e-9 go to the smallest t.  The result is
     clamped to [0, lambda1]: g <= 0 always, and the theta-circle guarantees
     max g >= -lambda1, so any excursion is floating-point noise.
     """
     w = _aligned_coeffs(obs, z_hat)
-    n = obs.n_freq
-    n_t = t_factor * n
-    dt_grid = np.linspace(0.0, 2.0 * math.pi, n_t, endpoint=False)
-    dth_grid = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    dt2 = wrap_delta(np.repeat(dt_grid, n_theta))
-    dth2 = wrap_delta(np.tile(dth_grid, n_t))
-    g_grid = _g_ratio(obs, z_hat, lambda1, w, dt2, dth2).reshape(n_t, n_theta)
+    n_grid = 16 * obs.n_freq
+    h = 2.0 * math.pi / n_grid
+    j0 = n_grid // 2
+    dt_grid = h * (np.arange(n_grid) - j0)
+    prof = np.empty(n_grid)
+    off = dt_grid != 0.0
+    prof[off] = _theta_profile(w, lambda1, dt_grid[off])[0]
+    limit = _profile_limit(w, lambda1)
+    prof[j0] = limit
 
-    neighbors = [np.roll(np.roll(g_grid, di, axis=0), dj, axis=1)
-                 for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
-    is_max = np.ones_like(g_grid, dtype=bool)
-    for nb in neighbors:
-        is_max &= g_grid >= nb
-    gb = g_grid.max()
-    ii, jj = np.nonzero(is_max & (g_grid >= gb - 1e-2 * max(1.0, lambda1)))
-    order = np.argsort(-g_grid[ii, jj])[:6]
-    starts = [(wrap_delta(dt_grid[ii[q]]), wrap_delta(dth_grid[jj[q]])) for q in order]
+    is_max = (prof >= np.roll(prof, 1)) & (prof > np.roll(prof, -1))
+    is_max[int(np.argmax(prof))] = True  # a flat profile (noiseless spike) has no strict maximum
+    idx = np.nonzero(is_max & (prof >= prof.max() - 1e-2 * max(1.0, lambda1)))[0]
+    idx = idx[np.argsort(-prof[idx])[:6]]
 
-    # A maximizer hiding closer to z_hat than the grid spacing would be missed
-    # above; scan a small ring of directions and keep the best as one more seed.
-    ring_r = 0.05
-    ring_a = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    ring_g = _g_ratio(obs, z_hat, lambda1, w, ring_r * np.cos(ring_a), ring_r * np.sin(ring_a))
-    a_best = ring_a[int(np.argmax(ring_g))]
-    starts.append((ring_r * math.cos(a_best), ring_r * math.sin(a_best)))
+    def profile_at(x):
+        return float(_theta_profile(w, lambda1, np.array([x]))[0][0])
 
-    # Scalar twin of _g_ratio with the per-call array bookkeeping stripped out;
-    # the Nelder-Mead refinements below evaluate it a few hundred times each.
-    k = np.arange(-obs.f_c, obs.f_c + 1)
-    sqrt_n = math.sqrt(n)
-    nodes, weights = _gl_unit(16)
-    wts_1m = weights * (1.0 - nodes)
-    inv_2pi = 0.5 / math.pi
-
-    def g_scalar(p):
-        dt = float(p[0])
-        dth = float(p[1])
-        r = math.hypot(dt, dth)
-        if r < 1e-9:
-            return -lambda1
-        if r > RADIUS_SWITCH:
-            zv = np.exp(1j * ((z_hat.t + dt) * k)) @ obs.y / sqrt_n
-            xv = (np.exp(-1j * (z_hat.theta + dth)) * zv).real
-            s_half = math.sin(0.5 * dt)
-            if abs(s_half) < 1e-8:
-                gam = (1.0 + 2.0 * np.cos(dt * k[obs.f_c + 1:]).sum()) / n
-            else:
-                gam = math.sin(0.5 * n * dt) / s_half / n
-            return (xv - lambda1) / (1.0 - gam * math.cos(dth))
-        ck = k * (dt / r) - dth / r
-        beta = r * ck
-        sc = np.sinc(beta * inv_2pi)
-        den = (ck * ck * sc * sc).sum() / (2.0 * n)
-        phase = np.exp(1j * np.outer(nodes, beta))
-        integrand = -((ck * ck) * (phase * w).real).sum(axis=1) / sqrt_n
-        return float(wts_1m @ integrand / den)
-
-    h_t = dt_grid[1] - dt_grid[0]
-    h_th = dth_grid[1] - dth_grid[0]
-    refined = []
-    for s in starts:
-        p_star, g_star = maximize_2d(g_scalar, s, tol=1e-8, step=(0.5 * h_t, 0.5 * h_th))
-        refined.append((g_star, wrap_delta(p_star[0]), wrap_delta(p_star[1])))
-    g_best = max(rf[0] for rf in refined)
-    tied = [rf for rf in refined if rf[0] >= g_best - 1e-9 * max(1.0, lambda1)]
-    _, dt_star, dth_star = min(tied, key=lambda rf: (rf[1] + z_hat.t) % (2.0 * math.pi))
+    gap = 1e-3 * h
+    candidates = []
+    for j in idx:
+        lo, hi = dt_grid[j] - h, dt_grid[j] + h
+        brackets = [(lo, hi)]
+        if lo <= 0.0 <= hi:
+            candidates.append((limit, 0.0, 0.0))
+            brackets = [(a, b) for a, b in ((lo, -gap), (gap, hi)) if b > a]
+        for a, b in brackets:
+            x, _ = maximize_1d(profile_at, (a, b), tol=1e-10)
+            m, dth = _theta_profile(w, lambda1, np.array([x]))
+            candidates.append((float(m[0]), float(wrap_delta(x)), float(dth[0])))
+    g_best = max(cand[0] for cand in candidates)
+    tied = [cand for cand in candidates if cand[0] >= g_best - 1e-9 * max(1.0, lambda1)]
+    _, dt_star, dth_star = min(tied, key=lambda cand: (cand[1] + z_hat.t) % (2.0 * math.pi))
 
     g_final = min(max(g_best, -lambda1), 0.0)
     lambda2 = lambda1 + g_final
@@ -337,10 +376,10 @@ def hessian_and_alphas(obs, z_hat, lambda1):
     return big_r, alpha2, alpha3
 
 
-def compute_certificate(obs, grid_factor=32, t_factor=16, n_theta=64):
+def compute_certificate(obs, grid_factor=32):
     """Full knot computation: first knot, second knot, Hessian remainder."""
     z_hat, lambda1 = first_knot(obs, grid_factor=grid_factor)
-    y_hat, lambda2 = second_knot(obs, z_hat, lambda1, t_factor=t_factor, n_theta=n_theta)
+    y_hat, lambda2 = second_knot(obs, z_hat, lambda1)
     big_r, alpha2, alpha3 = hessian_and_alphas(obs, z_hat, lambda1)
     grad_norm = float(np.linalg.norm(x_grad(obs, z_hat)))
     return KnotCertificate(

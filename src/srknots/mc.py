@@ -122,10 +122,21 @@ class ExperimentTable:
         return len({rep for rep, _, _ in self.failures})
 
 
-def _thread_count(reps):
+def thread_limit():
+    """The replication pool size cap: SRKNOTS_THREADS if set, else the CPU count.
+
+    Raises ValueError naming the variable unless it is a positive integer.
+    """
     env = os.environ.get("SRKNOTS_THREADS", "").strip()
-    limit = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(limit, reps))
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError("SRKNOTS_THREADS must be a positive integer, got %r" % env)
+    return limit
 
 
 def _one_rep(config, rep):
@@ -200,7 +211,7 @@ def run_experiment(config):
     def fill(rep):
         return rep, _one_rep(config, rep)
 
-    threads = _thread_count(config.reps)
+    threads = min(thread_limit(), config.reps)
     if threads == 1:
         results = map(fill, range(config.reps))
         for rep, (out, fails) in results:

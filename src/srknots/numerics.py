@@ -1,4 +1,4 @@
-"""Special functions, semi-infinite quadrature, local maximizers, and RNG streams.
+"""Special functions, semi-infinite quadrature, a local maximizer, and RNG streams.
 
 Everything here is a pure function of its arguments.  The quadrature routine
 targets integrands of the form (polynomial of degree <= 2) x (Gaussian or
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 from scipy.special import erfc, gammaln, stdtr
-
-from .errors import Unconverged
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -145,27 +143,6 @@ def maximize_1d(f, bracket, tol=1e-10):
         options={"xatol": tol, "maxiter": 500},
     )
     return float(res.x), float(-res.fun)
-
-
-def maximize_2d(f, start, tol=1e-8, step=0.05, max_iter=800):
-    """Derivative-free local maximization in the plane (Nelder-Mead simplex).
-
-    Raises Unconverged when the iteration cap is hit before the simplex
-    shrinks below `tol`.  Returns (argmax as ndarray, max).
-    """
-    start = np.asarray(start, dtype=float)
-    hx, hy = np.broadcast_to(step, (2,)).astype(float)
-    simplex = np.array([start, start + [hx, 0.0], start + [0.0, hy]])
-    res = optimize.minimize(
-        lambda p: -f(p), start, method="Nelder-Mead",
-        options={
-            "xatol": tol, "fatol": 1e-14, "maxiter": max_iter,
-            "initial_simplex": simplex,
-        },
-    )
-    if not res.success:
-        raise Unconverged("simplex did not converge in %d iterations" % max_iter)
-    return np.asarray(res.x, dtype=float), float(-res.fun)
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,17 @@ def test_usage_errors_exit_2(obs_file, capsys):
     assert _run(capsys, "frobnicate")[0] == 2
 
 
+def test_malformed_thread_variable_is_a_usage_error(monkeypatch, capsys):
+    argv = ("calibrate", "--fc", "3", "--seed", "1", "--reps", "5", "--stat", "rice")
+    for bad in ("abc", "1.5", "0", "-2"):
+        monkeypatch.setenv("SRKNOTS_THREADS", bad)
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "SRKNOTS_THREADS" in err and repr(bad) in err
+    monkeypatch.setenv("SRKNOTS_THREADS", "2")
+    assert _run(capsys, *argv)[0] == 0
+
+
 def test_computation_errors_exit_1(tmp_path, capsys):
     # constant-modulus process: every phase shift ties, no isolated maximizer
     y = np.zeros(7, dtype=complex)

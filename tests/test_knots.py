@@ -10,6 +10,8 @@ from srknots.knots import (
     KnotCertificate,
     _aligned_coeffs,
     _g_ratio,
+    _profile_limit,
+    _theta_profile,
     compute_certificate,
     first_knot,
     hessian_and_alphas,
@@ -22,6 +24,7 @@ from srknots.model import (
     correlation,
     synthesize,
     torus_delta,
+    wrap_delta,
     x_eval,
     x_grad,
     x_hess,
@@ -151,6 +154,73 @@ def test_second_knot_scale_invariance():
     assert lambda1_c == pytest.approx(c * lambda1, rel=1e-12)
     assert z_hat_c.t == pytest.approx(z_hat.t, abs=1e-9)
     assert lambda2_c == pytest.approx(c * lambda2, abs=1e-9 * c)
+
+
+def _profile_instances():
+    """(obs, z_hat, lambda1, w): null draws at f_c = 3 and 7, and weight-50
+    spikes at f_c = 15."""
+    out = []
+    for f_c, seed, measure in (
+        (3, 42, AtomicMeasure.empty()),
+        (7, 2113, AtomicMeasure.empty()),
+        (15, 5, AtomicMeasure.from_atoms([(1.3, 50.0)])),
+        (15, 6, AtomicMeasure.from_atoms([(4.9, 50.0j)])),
+    ):
+        obs = synthesize(measure, f_c, 1.0, RngStream(seed, 0))
+        z_hat, lambda1 = first_knot(obs)
+        out.append((obs, z_hat, lambda1, _aligned_coeffs(obs, z_hat)))
+    return out
+
+
+def test_theta_profile_matches_g_ratio_oracle():
+    # at fixed dt the closed-form max over dtheta is the max of the Taylor /
+    # direct ratio over a 4096-point dtheta grid, up to the grid's error
+    rng = np.random.default_rng(12)
+    dth = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
+    step = dth[1] - dth[0]
+    for obs, z_hat, lambda1, w in _profile_instances():
+        dts = rng.uniform(0.05, math.pi, 6) * rng.choice([-1.0, 1.0], 6)
+        m, dth_star = _theta_profile(w, lambda1, dts)
+        for dt, m_dt, arg in zip(dts, m, dth_star):
+            g = _g_ratio(obs, z_hat, lambda1, w, np.full(dth.size, dt), dth)
+            j = int(np.argmax(g))
+            scale = max(1.0, lambda1)
+            assert g[j] - 1e-12 * scale <= m_dt <= g[j] + 1e-6 * scale
+            assert abs(wrap_delta(arg - dth[j])) <= step
+            # the closed-form angle attains the closed-form value
+            at_arg = _g_ratio(obs, z_hat, lambda1, w, np.array([dt]), np.array([arg]))[0]
+            assert at_arg == pytest.approx(m_dt, abs=1e-12 * scale)
+
+
+def test_theta_profile_tends_to_eigenvalue_limit():
+    # as dt -> 0 the profile tends to the top eigenvalue of
+    # Lt^{-1/2} R Lt^{-1/2} minus lambda1; its first-order term is odd in dt
+    for obs, z_hat, lambda1, w in _profile_instances():
+        big_r, _, _ = hessian_and_alphas(obs, z_hat, lambda1)
+        scale = np.diag(1.0 / np.sqrt(np.diag(obs.context().lambda_tilde())))
+        limit = float(np.linalg.eigvalsh(scale @ big_r @ scale)[-1]) - lambda1
+        assert _profile_limit(w, lambda1) == pytest.approx(
+            limit, abs=1e-12 * max(1.0, lambda1))
+        near = _theta_profile(w, lambda1, np.array([1e-4, -1e-4]))[0]
+        far = _theta_profile(w, lambda1, np.array([1e-3, -1e-3]))[0]
+        assert np.all(np.abs(near - limit) < 0.2 * np.abs(far - limit))
+        assert abs(0.5 * (near[0] + near[1]) - limit) < 1e-6 * max(1.0, lambda1)
+
+
+def test_second_knot_y_hat_attains_lambda2():
+    # the reported maximizer carries the reported value: the regressed field
+    # at y_hat equals lambda2 wherever y_hat is away from z_hat
+    observations = [_noisy_obs(300 + seed, f_c=(3, 7, 11)[seed % 3]) for seed in range(8)]
+    observations += [obs for obs, _, _, _ in _profile_instances()]
+    checked = 0
+    for obs in observations:
+        z_hat, lambda1 = first_knot(obs)
+        y_hat, lambda2 = second_knot(obs, z_hat, lambda1)
+        if 1.0 - correlation(obs.context(), torus_delta(y_hat, z_hat)) < 0.05:
+            continue
+        assert regressed_value(obs, z_hat, y_hat) == pytest.approx(lambda2, abs=1e-9)
+        checked += 1
+    assert checked >= 10
 
 
 def test_regressed_value_theta_circle(obs_seed42):

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from srknots.knots import compute_certificate
 from srknots.mc import (
     AlternativeSpec,
     EcdfTable,
@@ -20,7 +21,7 @@ from srknots.mc import (
     reproduce_figure,
     run_experiment,
 )
-from srknots.model import circular_distance
+from srknots.model import circular_distance, synthesize
 from srknots.numerics import RngStream
 
 TWO_PI = 2.0 * math.pi
@@ -190,3 +191,40 @@ def test_reproduce_figure_tiny(tmp_path):
         assert os.path.dirname(path) == str(tmp_path / "fig3")
     with pytest.raises(ValueError):
         reproduce_figure("fig9", seed=1, reps=2, out_dir=str(tmp_path))
+
+
+def _regressed_field_grid_max(obs, z_hat, lambda1, m_t=512, m_theta=128, min_gap=0.05):
+    """max of lambda1 + (X - lambda1) / (1 - rho) over an m_t x m_theta grid of
+    the torus where 1 - rho >= min_gap, from the model formulas alone."""
+    n = obs.n_freq
+    k = np.arange(-obs.f_c, obs.f_c + 1)
+    t = TWO_PI * np.arange(m_t) / m_t
+    theta = TWO_PI * np.arange(m_theta) / m_theta
+    z = np.exp(1j * np.outer(t, k)) @ obs.y / math.sqrt(n)
+    x = np.real(np.outer(z, np.exp(-1j * theta)))
+    gamma = (1.0 + 2.0 * np.cos(np.outer(t - z_hat.t, k[k > 0])).sum(axis=1)) / n
+    rho = np.outer(gamma, np.cos(theta - z_hat.theta))
+    away = 1.0 - rho >= min_gap
+    return float(np.max(lambda1 + (x[away] - lambda1) / (1.0 - rho[away])))
+
+
+@pytest.mark.parametrize("reps, seed, weight", [
+    (10, 1703765494, math.sqrt(31)),  # rep 3 used to fail
+    (30, 5, 50.0),                    # reps 6 and 22 used to fail
+])
+def test_high_snr_spike_excludes_no_replication(reps, seed, weight):
+    # the second knot of a strong spike used to come from a Nelder-Mead
+    # simplex that raised Unconverged on some reps, which dropped out of power
+    config = ExperimentConfig(f_c=15, reps=reps, seed=seed, statistics=("rice",),
+                              alternative=AlternativeSpec(1, (weight,)))
+    table = run_experiment(config)
+    assert table.n_excluded == 0
+    assert np.all(np.isfinite(table.values["rice"]))
+    for rep in range(reps):
+        rng = RngStream(seed, rep).generator()
+        measure = config.alternative.draw_measure(config.f_c, rng)
+        obs = synthesize(measure, config.f_c, config.sigma, rng)
+        cert = compute_certificate(obs)
+        assert cert.lambda2 <= cert.lambda1
+        grid_max = _regressed_field_grid_max(obs, cert.z_hat, cert.lambda1)
+        assert cert.lambda2 >= grid_max - 1e-9 * max(1.0, cert.lambda1)

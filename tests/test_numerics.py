@@ -1,4 +1,4 @@
-"""Special functions, the semi-infinite quadrature, maximizers and RNG streams."""
+"""Special functions, the semi-infinite quadrature, the 1-D maximizer and RNG streams."""
 
 import math
 
@@ -11,7 +11,6 @@ from srknots.numerics import (
     gamma_ratio_unknown_variance,
     integrate_upper,
     maximize_1d,
-    maximize_2d,
     normal_pdf,
     normal_sf,
     rng_normal,
@@ -137,20 +136,6 @@ def test_maximize_1d_x_exp():
 def test_maximize_1d_degenerate_bracket():
     with pytest.raises(ValueError):
         maximize_1d(math.cos, (1.0, 1.0))
-
-
-def test_maximize_2d_paraboloid():
-    argmax, val = maximize_2d(lambda p: -((p[0] - 1.0) ** 2 + (p[1] - 2.0) ** 2), (0.0, 0.0))
-    assert argmax[0] == pytest.approx(1.0, abs=1e-6)
-    assert argmax[1] == pytest.approx(2.0, abs=1e-6)
-    assert val == pytest.approx(0.0, abs=1e-10)
-
-
-def test_maximize_2d_cosine_product():
-    argmax, val = maximize_2d(lambda p: math.cos(p[0]) * math.cos(p[1]), (0.1, -0.1))
-    assert abs(argmax[0]) < 1e-5
-    assert abs(argmax[1]) < 1e-5
-    assert val == pytest.approx(1.0, abs=1e-10)
 
 
 def test_rng_stream_determinism():
