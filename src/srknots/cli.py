@@ -21,7 +21,6 @@ from .mc import (
     ks_uniform,
     reproduce_figure,
     run_experiment,
-    thread_limit,
 )
 from .model import AtomicMeasure, load_observation, save_observation, synthesize
 from .numerics import RngStream
@@ -208,7 +207,14 @@ def _cmd_lars(args):
     return 0
 
 
-def _run_level_summary(args, alternative):
+def _run_level_summary(args, alternative, failed_rejects):
+    """Level (or power) of one statistic over all `reps` replications.
+
+    A replication that failed is counted as a rejection at every level when
+    `failed_rejects` (calibration: a failure cannot hide excess level) and as
+    a non-rejection otherwise (power: it cannot add power).  The KS distance
+    is taken over the finite p-values; `excluded` counts the failed reps.
+    """
     stat = _stat_internal(args.stat, args.grid)
     config = ExperimentConfig(
         f_c=args.fc,
@@ -220,7 +226,8 @@ def _run_level_summary(args, alternative):
     )
     table = run_experiment(config)
     values = table.values[stat]
-    finite = values[np.isfinite(values)]
+    finite = np.isfinite(values)
+    counted = np.where(finite, values, 0.0 if failed_rejects else np.inf)
     payload = {
         "statistic": stat,
         "fc": args.fc,
@@ -228,11 +235,11 @@ def _run_level_summary(args, alternative):
         "reps": args.reps,
         "seed": args.seed,
         "alt_id": alternative.alt_id,
-        "ks_uniform": ks_uniform(finite),
+        "ks_uniform": ks_uniform(values[finite]),
         "level": {
-            "0.01": empirical_level(finite, 0.01),
-            "0.05": empirical_level(finite, 0.05),
-            "0.10": empirical_level(finite, 0.10),
+            "0.01": empirical_level(counted, 0.01),
+            "0.05": empirical_level(counted, 0.05),
+            "0.10": empirical_level(counted, 0.10),
         },
         "excluded": table.n_excluded,
     }
@@ -240,7 +247,7 @@ def _run_level_summary(args, alternative):
 
 
 def _cmd_calibrate(args):
-    _emit(_run_level_summary(args, AlternativeSpec()))
+    _emit(_run_level_summary(args, AlternativeSpec(), failed_rejects=True))
     return 0
 
 
@@ -251,7 +258,7 @@ def _cmd_power(args):
     if not weights:
         raise SchemaError("power needs at least one --spike WEIGHT")
     alternative = AlternativeSpec(n_spikes=len(weights), weights=weights)
-    payload = _run_level_summary(args, alternative)
+    payload = _run_level_summary(args, alternative, failed_rejects=False)
     payload["power_at_0.05"] = payload["level"]["0.05"]
     _emit(payload)
     return 0
@@ -334,10 +341,6 @@ def parse_and_dispatch(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        try:
-            thread_limit()
-        except ValueError as exc:
-            parser.error(str(exc))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

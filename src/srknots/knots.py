@@ -14,18 +14,6 @@ fixed dt the maximum of g over dtheta is the root of a quadratic
 (_theta_profile).  second_knot therefore searches dt alone.  As dt -> 0 the
 profile tends to the top eigenvalue of Lt^{-1/2} R Lt^{-1/2} minus lambda1
 (_profile_limit), the value of g along its best direction out of z_hat.
-
-_g_ratio evaluates g at arbitrary points; it is the oracle the profile is
-tested against.  Near z_hat both numerator and denominator vanish
-quadratically, so there the ratio is evaluated through the integral
-remainder of Taylor's theorem:
-
-    Num(y) = integral_0^1 (1-h) u' X''(z_hat + h d) u dh        (Gauss-Legendre)
-    Den(y) = (1/2N) sum_k c_k^2 sinc^2(r c_k / 2),   c_k = k cos(a) - sin(a)
-
-with d = y - z_hat = r (cos a, sin a).  The exact identity Den * r^2 =
-1 - rho(d) makes the two branches agree for every r, so the switch at
-r = 0.5 is seamless.
 """
 
 import math
@@ -34,22 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateProcess, NearSingular, NotAMaximum
-from .model import (
-    TorusPoint,
-    correlation,
-    correlation_grad,
-    kernel_gamma,
-    torus_delta,
-    wrap_delta,
-    x_grad,
-    x_hess,
-    z_deriv,
-    z_eval,
-)
+from .errors import DegenerateProcess, NotAMaximum
+from .model import TorusPoint, wrap_delta, x_grad, x_hess, z_deriv, z_eval
 from .numerics import maximize_1d
 
-RADIUS_SWITCH = 0.5
+# The first knot's coarse |Z| sweep takes this many points per frequency.
+FIRST_KNOT_GRID_FACTOR = 32
 
 
 @dataclass(frozen=True)
@@ -79,28 +57,21 @@ def _t_grid(f_c, n_points):
     return t, np.exp(1j * np.outer(t, k))
 
 
-@lru_cache(maxsize=4)
-def _gl_unit(n_nodes):
-    """Gauss-Legendre nodes/weights mapped to [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _local_max_mask_1d(vals):
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
     return (vals >= left) & (vals > right)
 
 
-def first_knot(obs, grid_factor=32):
+def first_knot(obs):
     """Locate the global maximizer of X: t_hat maximizes |Z|, theta_hat = arg Z(t_hat).
 
-    A coarse sweep on grid_factor*N points brackets every local maximum of
-    |Z|^2; each is polished by bounded Brent search to |dt| < 1e-10, and the
-    best polished value wins (ties go to the smallest t).
+    A coarse sweep on FIRST_KNOT_GRID_FACTOR * N points brackets every local
+    maximum of |Z|^2; each is polished by bounded Brent search to
+    |dt| < 1e-10, and the best polished value wins (ties go to the smallest t).
     """
     n = obs.n_freq
-    t_grid, emat = _t_grid(obs.f_c, grid_factor * n)
+    t_grid, emat = _t_grid(obs.f_c, FIRST_KNOT_GRID_FACTOR * n)
     zvals = emat @ obs.y / math.sqrt(n)
     f_grid = np.abs(zvals) ** 2
     top = math.sqrt(f_grid.max())
@@ -153,83 +124,11 @@ def first_knot(obs, grid_factor=32):
     return TorusPoint.make(t_hat, theta_hat), float(lambda1)
 
 
-def regressed_value(obs, z, y, mode="on_value"):
-    """Value at y of the field regressed on X(z) ("on_value") or on
-    (X(z), X'(z)) ("on_value_and_grad").
-
-    on_value:          X(z) + (X(y) - X(z)) / (1 - rho(y-z))
-    on_value_and_grad: (X(y) - rho X(z) + <rho'(y-z), Lt^{-1} X'(z)>) / (1 - rho)
-
-    Both are smooth in y away from z; near z use the robust ratio of
-    second_knot instead (NearSingular is raised when 1 - rho <= 1e-14).
-    """
-    ctx = obs.context()
-    d = torus_delta(y, z)
-    rho = correlation(ctx, d)
-    if not 1.0 - rho > 1e-14:
-        raise NearSingular(
-            "1 - rho(y-z) = %g is below 1e-14; use the Taylor-remainder ratio" % (1.0 - rho,)
-        )
-    from .model import x_eval  # local import to keep module header lean
-
-    xz = x_eval(obs, z)
-    xy = x_eval(obs, y)
-    if mode == "on_value":
-        return float(xz + (xy - xz) / (1.0 - rho))
-    if mode == "on_value_and_grad":
-        grad = x_grad(obs, z)
-        rp = correlation_grad(ctx, d)
-        corr = rp[0] * grad[0] / ctx.alpha1 + rp[1] * grad[1]
-        return float((xy - rho * xz + corr) / (1.0 - rho))
-    raise ValueError("mode must be 'on_value' or 'on_value_and_grad', got %r" % (mode,))
-
-
 def _aligned_coeffs(obs, z_hat):
     """w_k = y_k exp(i(k t_hat - theta_hat)): Fourier data rotated so that
     Z(t_hat) aligns with the positive real axis."""
     k = np.arange(-obs.f_c, obs.f_c + 1)
     return obs.y * np.exp(1j * (k * z_hat.t - z_hat.theta))
-
-
-def _g_ratio(obs, z_hat, lambda1, w, dt, dth, n_gl=16):
-    """g = (X(y) - lambda1)/(1 - rho(y - z_hat)) for displacements (dt, dth).
-
-    Vectorized over flat arrays.  For r > RADIUS_SWITCH the direct quotient is
-    used; below it, Gauss-Legendre on the Taylor remainder over the sinc
-    closed form of the denominator.  Points with r < 1e-9 get the theta-circle
-    floor -lambda1 (the limit of g at z_hat depends on the direction; see
-    _profile_limit).
-    """
-    dt = np.atleast_1d(np.asarray(dt, dtype=float))
-    dth = np.atleast_1d(np.asarray(dth, dtype=float))
-    n = obs.n_freq
-    k = np.arange(-obs.f_c, obs.f_c + 1)
-    r = np.hypot(dt, dth)
-    out = np.full(dt.shape, -lambda1)
-
-    far = r > RADIUS_SWITCH
-    if np.any(far):
-        zvals = np.exp(1j * np.outer(dt[far] + z_hat.t, k)) @ obs.y / math.sqrt(n)
-        xvals = np.real(np.exp(-1j * (dth[far] + z_hat.theta)) * zvals)
-        rho = kernel_gamma(obs.f_c, dt[far]) * np.cos(dth[far])
-        out[far] = (xvals - lambda1) / (1.0 - rho)
-
-    near = (~far) & (r > 1e-9)
-    if np.any(near):
-        rr = r[near]
-        ca = dt[near] / rr
-        sa = dth[near] / rr
-        ck = np.outer(ca, k) - sa[:, None]            # (M, N)
-        beta = rr[:, None] * ck                        # (M, N)
-        den = (ck**2 * np.sinc(beta / (2.0 * math.pi)) ** 2).sum(axis=1) / (2.0 * n)
-        nodes, weights = _gl_unit(n_gl)
-        # u' X''(z_hat + h d) u = -(1/sqrt N) sum_k c_k^2 Re(w_k e^{i h beta_k})
-        phase = np.exp(1j * beta[:, None, :] * nodes[None, :, None])  # (M, Q, N)
-        integrand = -(ck**2)[:, None, :] * np.real(w[None, None, :] * phase)
-        integrand = integrand.sum(axis=2) / math.sqrt(n)               # (M, Q)
-        num = integrand @ (weights * (1.0 - nodes))
-        out[near] = num / den
-    return out
 
 
 def _larger_root(u, q, e, f):
@@ -376,9 +275,9 @@ def hessian_and_alphas(obs, z_hat, lambda1):
     return big_r, alpha2, alpha3
 
 
-def compute_certificate(obs, grid_factor=32):
+def compute_certificate(obs):
     """Full knot computation: first knot, second knot, Hessian remainder."""
-    z_hat, lambda1 = first_knot(obs, grid_factor=grid_factor)
+    z_hat, lambda1 = first_knot(obs)
     y_hat, lambda2 = second_knot(obs, z_hat, lambda1)
     big_r, alpha2, alpha3 = hessian_and_alphas(obs, z_hat, lambda1)
     grad_norm = float(np.linalg.norm(x_grad(obs, z_hat)))

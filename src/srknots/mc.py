@@ -2,15 +2,14 @@
 ECDF/KS summaries, and the figure panels (CSV + SVG).
 
 Replication r of a run with seed s draws everything from RngStream(s, r), in
-the fixed order (spike locations, noise, Voronoi uniform), so results are
-identical across thread counts and any subset of statistics can be
+the fixed order (spike locations, noise, Voronoi uniform), so each
+replication can be recomputed alone and any subset of statistics can be
 recomputed in isolation.
 """
 
 import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -122,23 +121,6 @@ class ExperimentTable:
         return len({rep for rep, _, _ in self.failures})
 
 
-def thread_limit():
-    """The replication pool size cap: SRKNOTS_THREADS if set, else the CPU count.
-
-    Raises ValueError naming the variable unless it is a positive integer.
-    """
-    env = os.environ.get("SRKNOTS_THREADS", "").strip()
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        limit = int(env)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ValueError("SRKNOTS_THREADS must be a positive integer, got %r" % env)
-    return limit
-
-
 def _one_rep(config, rep):
     stream = RngStream(config.seed, rep)
     rng = stream.generator()
@@ -204,26 +186,15 @@ def _one_rep(config, rep):
 
 def run_experiment(config):
     """Evaluate every requested statistic on each of `reps` independent
-    observations; see the module docstring for the determinism contract."""
+    observations, one replication after another; see the module docstring
+    for the determinism contract."""
     values = {name: np.empty(config.reps) for name in config.statistics}
     failures = []
-
-    def fill(rep):
-        return rep, _one_rep(config, rep)
-
-    threads = min(thread_limit(), config.reps)
-    if threads == 1:
-        results = map(fill, range(config.reps))
-        for rep, (out, fails) in results:
-            for name in config.statistics:
-                values[name][rep] = out[name]
-            failures.extend(fails)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rep, (out, fails) in pool.map(fill, range(config.reps)):
-                for name in config.statistics:
-                    values[name][rep] = out[name]
-                failures.extend(fails)
+    for rep in range(config.reps):
+        out, fails = _one_rep(config, rep)
+        for name in config.statistics:
+            values[name][rep] = out[name]
+        failures.extend(fails)
     failures.sort()
     return ExperimentTable(config=config, values=values, failures=failures)
 
@@ -421,11 +392,12 @@ def reproduce_figure(fig_id, seed, reps=2000, out_dir="out"):
         finite = {
             name: vals[np.isfinite(vals)] for name, vals in table.values.items()
         }
-        title = "%s panel %d: fc=%d, %s" % (
+        title = "%s panel %d: fc=%d, %s, %d excluded" % (
             fig_id,
             k,
             config.f_c,
             config.alternative.alt_id,
+            table.n_excluded,
         )
         emit_svg(ecdf_multi(finite), svg_path, title=title)
         created.extend([csv_path, svg_path])

@@ -51,11 +51,6 @@ class TorusPoint(NamedTuple):
         return cls(float(wrap_angle(t)), float(wrap_angle(theta)))
 
 
-def torus_delta(z, y):
-    """Shortest displacement z - y on the 2-torus, components in [-pi, pi)."""
-    return wrap_delta(np.asarray(z, dtype=float) - np.asarray(y, dtype=float))
-
-
 @dataclass(frozen=True)
 class ModelContext:
     """Derived constants for a cutoff frequency f_c.
@@ -159,28 +154,6 @@ class Observation:
         return ModelContext(self.f_c)
 
 
-def dirichlet(f_c, t):
-    """The Dirichlet kernel D_N(t) = sin(Nt/2)/sin(t/2), N = 2 f_c + 1.
-
-    The removable singularity at t = 0 (mod 2*pi) evaluates to N; near it the
-    ratio form loses digits, so below |sin(t/2)| = 1e-8 the cosine-sum form
-    1 + 2 sum_{k<=f_c} cos(kt) is used instead.
-    """
-    n = 2 * f_c + 1
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    s = np.sin(0.5 * t)
-    out = np.empty_like(t)
-    near = np.abs(s) < 1e-8
-    if np.any(near):
-        k = np.arange(1, f_c + 1)
-        out[near] = 1.0 + 2.0 * np.cos(np.outer(t[near], k)).sum(axis=1)
-    far = ~near
-    out[far] = np.sin(0.5 * n * t[far]) / s[far]
-    return float(out[0]) if scalar else out
-
-
 def kernel_gamma(f_c, t, order=0):
     """Gamma(t) = D_N(t)/N and its derivatives, by term-wise differentiation.
 
@@ -202,30 +175,6 @@ def kernel_gamma(f_c, t, order=0):
     else:
         raise ValueError("order must be 0, 1 or 2")
     return float(out[0]) if scalar else out
-
-
-def correlation(ctx, dz):
-    """Correlation rho(dz) = Gamma(dt) cos(dtheta) of the field X under the null."""
-    dt, dth = float(dz[0]), float(dz[1])
-    return kernel_gamma(ctx.f_c, dt) * math.cos(dth)
-
-
-def correlation_grad(ctx, dz):
-    """Gradient of rho at dz: (Gamma'(dt) cos(dtheta), -Gamma(dt) sin(dtheta))."""
-    dt, dth = float(dz[0]), float(dz[1])
-    g = kernel_gamma(ctx.f_c, dt)
-    g1 = kernel_gamma(ctx.f_c, dt, order=1)
-    return np.array([g1 * math.cos(dth), -g * math.sin(dth)])
-
-
-def correlation_hess(ctx, dz):
-    """Hessian of rho at dz (2x2 symmetric)."""
-    dt, dth = float(dz[0]), float(dz[1])
-    g = kernel_gamma(ctx.f_c, dt)
-    g1 = kernel_gamma(ctx.f_c, dt, order=1)
-    g2 = kernel_gamma(ctx.f_c, dt, order=2)
-    c, s = math.cos(dth), math.sin(dth)
-    return np.array([[g2 * c, -g1 * s], [-g1 * s, -g * c]])
 
 
 def synthesize(measure, f_c, sigma, stream):

@@ -19,22 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonPositiveDenominator, OutOfRange, Unconverged
-from .model import TorusPoint, kernel_gamma, wrap_delta
-from .numerics import (
-    QuadratureSpec,
-    RngStream,
-    integrate_upper,
-    normal_pdf,
-    normal_sf,
-    student_pdf,
-    student_sf,
-)
-
-# Student tails are polynomial, not Gaussian: with 11-13 degrees of freedom
-# the mass beyond 12 still moves the h_bar integrals at the 1e-6 level, so the
-# unknown-variance quadratures integrate out to 600 (the doubling panels make
-# the wide window cost only a handful of extra panels).
-_HBAR_SPEC = QuadratureSpec(node_count=64, tail_cut=600.0)
+from .model import TorusPoint, kernel_gamma
+from .numerics import RngStream, normal_pdf, normal_sf, student_pdf, student_sf
 
 
 @dataclass(frozen=True)
@@ -67,22 +53,6 @@ def _alphas_from_r(big_r):
     return -float(big_r[0, 0]), float(big_r[0, 1])
 
 
-def g_bar(ell, big_r, sigma, ctx, spec=None):
-    """Integral of det(-Lambda-tilde u + R) phi(u/sigma) over [ell, inf).
-
-    With R = [[-a2, a3], [a3, 0]] the determinant is (a1 u + a2) u - a3^2.
-    Note the plain phi(u/sigma), no 1/sigma: the normalization cancels in
-    every ratio this feeds.
-    """
-    a1 = ctx.alpha1
-    a2, a3 = _alphas_from_r(big_r)
-
-    def integrand(u):
-        return ((a1 * u + a2) * u - a3 * a3) * normal_pdf(u / sigma)
-
-    return integrate_upper(integrand, ell, sigma, spec)
-
-
 def _g_bar_closed(ell, a1, a2, a3, sigma):
     x = ell / sigma
     return sigma * (
@@ -91,11 +61,14 @@ def _g_bar_closed(ell, a1, a2, a3, sigma):
     )
 
 
-def rice_known(cert, sigma, ctx, spec=None):
-    """S-Rice: the Kac-Rice survival ratio g_bar(lambda1)/g_bar(lambda2).
+def rice_known(cert, sigma, ctx):
+    """S-Rice: the Kac-Rice survival ratio g_bar(lambda1)/g_bar(lambda2), where
 
-    Evaluated in closed form (Gaussian moments) and cross-checked against the
-    quadrature on every call; the two routes must agree to 1e-8.
+        g_bar(ell) = integral over [ell, inf) of det(-Lambda-tilde u + R) phi(u/sigma) du
+
+    and det(-Lambda-tilde u + R) = (alpha1 u + alpha2) u - alpha3^2, evaluated
+    in closed form from the Gaussian moments.  The plain phi(u/sigma), with no
+    1/sigma, is harmless: the normalization cancels in the ratio.
     """
     a1 = ctx.alpha1
     a2, a3 = cert.alpha2, cert.alpha3
@@ -105,46 +78,23 @@ def rice_known(cert, sigma, ctx, spec=None):
         raise NonPositiveDenominator(
             "g_bar(lambda2) = %g; the certificate does not describe a maximum" % den
         )
-    value = num / den
-    q_num = g_bar(cert.lambda1, cert.R, sigma, ctx, spec)
-    q_den = g_bar(cert.lambda2, cert.R, sigma, ctx, spec)
-    if q_den > 0.0:
-        q_value = q_num / q_den
-        if abs(q_value - value) > 1e-8 * max(1.0, abs(q_value)):
-            raise Unconverged(
-                "closed form %.12g and quadrature %.12g disagree in rice_known"
-                % (value, q_value)
-            )
     aux = {
         "lambda1": cert.lambda1,
         "lambda2": cert.lambda2,
         "sigma": sigma,
         "alpha2": a2,
         "alpha3": a3,
-        "quadrature": q_num / q_den if q_den > 0 else float("nan"),
     }
-    return _checked("rice", value, aux)
-
-
-def h_bar(ell, r, m, ctx, spec=None):
-    """Student analogue of g_bar: integral over [ell, inf) of
-    det(-Lambda-tilde t + r) f_{m-1}(t c) dt with c = sqrt((m-1)/(m-3)).
-
-    r is the Hessian remainder already divided by sigma-hat.
-    """
-    a1 = ctx.alpha1
-    a2, a3 = _alphas_from_r(r)
-    c = math.sqrt((m - 1.0) / (m - 3.0))
-    dof = m - 1
-
-    def integrand(t):
-        return ((a1 * t + a2) * t - a3 * a3) * student_pdf(t * c, dof)
-
-    return integrate_upper(integrand, ell, 1.0, spec if spec is not None else _HBAR_SPEC)
+    return _checked("rice", num / den, aux)
 
 
 def h_bar_closed(ell, r, m, ctx):
-    """Closed form of h_bar from the Student moment identities:
+    """The Student analogue of g_bar,
+
+        h_bar(ell) = integral over [ell, inf) of det(-Lambda-tilde t + r) f_{m-1}(t c) dt,
+
+    c = sqrt((m-1)/(m-3)), with r the Hessian remainder already divided by
+    sigma-hat, in closed form from the Student moment identities:
 
         kappa [a1 (ell f_{m-3}(ell) + Fbar_{m-3}(ell)) + a2 f_{m-3}(ell)
                - a3^2 Fbar_{m-1}(ell c)],   kappa = 1/c = sqrt((m-3)/(m-1)),
@@ -163,11 +113,10 @@ def h_bar_closed(ell, r, m, ctx):
     )
 
 
-def rice_unknown(cert, var_est, ctx, spec=None):
+def rice_unknown(cert, var_est, ctx):
     """T-Rice: the studentized Kac-Rice ratio h_bar(T1)/h_bar(T2) with
-    T_i = lambda_i / sigma-hat and r = R / sigma-hat.
+    T_i = lambda_i / sigma-hat and r = R / sigma-hat (h_bar_closed).
 
-    The quadrature is the reported value; the closed form rides along in aux.
     Requires the conditional estimate (dof = 2N - 3 >= 5).
     """
     m = ctx.m
@@ -182,13 +131,10 @@ def rice_unknown(cert, var_est, ctx, spec=None):
     t1 = cert.lambda1 / s_hat
     t2 = cert.lambda2 / s_hat
     r = np.asarray(cert.R, dtype=float) / s_hat
-    num = h_bar(t1, r, m, ctx, spec)
-    den = h_bar(t2, r, m, ctx, spec)
+    num = h_bar_closed(t1, r, m, ctx)
+    den = h_bar_closed(t2, r, m, ctx)
     if not den > 0.0:
         raise NonPositiveDenominator("h_bar(T2) = %g is not positive" % den)
-    value = num / den
-    cl_num = h_bar_closed(t1, r, m, ctx)
-    cl_den = h_bar_closed(t2, r, m, ctx)
     aux = {
         "lambda1": cert.lambda1,
         "lambda2": cert.lambda2,
@@ -196,9 +142,8 @@ def rice_unknown(cert, var_est, ctx, spec=None):
         "dof": var_est.dof,
         "T1": t1,
         "T2": t2,
-        "closed_form": cl_num / cl_den if cl_den > 0 else float("nan"),
     }
-    return _checked("t_rice", value, aux)
+    return _checked("t_rice", num / den, aux)
 
 
 def spacing_statistic(lambda1, lambda2, sigma):

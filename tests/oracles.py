@@ -1,0 +1,296 @@
+"""Reference routes that the tests compare the package against.
+
+The package computes each quantity one way.  The second ways kept here are
+independent of it: numerical quadrature of the Kac-Rice integrals g_bar and
+h_bar, the gamma-function constant of the unknown-variance density, the
+regressed field and the ratio g at arbitrary points of the torus, the
+Dirichlet kernel in ratio form, and the correlation rho with its derivatives.
+
+g_ratio evaluates g(y) = (X(y) - lambda1) / (1 - rho(y - z_hat)).  Near z_hat
+both numerator and denominator vanish quadratically, so there the ratio is
+evaluated through the integral remainder of Taylor's theorem:
+
+    Num(y) = integral_0^1 (1-h) u' X''(z_hat + h d) u dh        (Gauss-Legendre)
+    Den(y) = (1/2N) sum_k c_k^2 sinc^2(r c_k / 2),   c_k = k cos(a) - sin(a)
+
+with d = y - z_hat = r (cos a, sin a).  The exact identity Den * r^2 =
+1 - rho(d) makes the two branches agree for every r, so the switch at
+r = RADIUS_SWITCH is seamless.
+"""
+
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+from scipy.special import gammaln
+
+from srknots.errors import NearSingular
+from srknots.model import kernel_gamma, wrap_delta, x_eval, x_grad
+from srknots.numerics import normal_pdf, student_pdf
+
+RADIUS_SWITCH = 0.5
+
+
+# ---------------------------------------------------------------- quadrature
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Settings for the semi-infinite integrator.
+
+    node_count: Gauss-Legendre nodes per panel.
+    tail_cut:   multiple of `scale` beyond which the integrand is treated as zero.
+                12 is ample for Gaussian tails; Student integrands with few
+                degrees of freedom need a much larger cut (see h_bar).
+    """
+
+    node_count: int = 64
+    tail_cut: float = 12.0
+
+    def __post_init__(self):
+        if self.node_count < 8:
+            raise ValueError("node_count must be >= 8")
+        if self.tail_cut <= 0:
+            raise ValueError("tail_cut must be positive")
+
+
+_DEFAULT_QUAD = QuadratureSpec()
+
+# Student tails are polynomial, not Gaussian: with 11-13 degrees of freedom
+# the mass beyond 12 still moves the h_bar integrals at the 1e-6 level, so the
+# unknown-variance quadratures integrate out to 600 (the doubling panels make
+# the wide window cost only a handful of extra panels).
+HBAR_SPEC = QuadratureSpec(node_count=64, tail_cut=600.0)
+
+
+@lru_cache(maxsize=8)
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def integrate_upper(f, lower, scale, spec=None):
+    """Integrate f over [lower, +infinity), truncated at lower + tail_cut*scale.
+
+    `f` must accept a 1-d ndarray of abscissae and return the matching values.
+    Panels start with width `scale` and double, so heavy (Student) tails are
+    resolved with O(log(tail_cut)) panels at full Gauss-Legendre accuracy.
+    """
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    spec = spec or _DEFAULT_QUAD
+    upper = lower + spec.tail_cut * scale
+
+    edges = [float(lower)]
+    width = float(scale)
+    while edges[-1] < upper:
+        edges.append(min(edges[-1] + width, upper))
+        width *= 2.0
+    edges = np.asarray(edges)
+
+    xs, ws = _leggauss(spec.node_count)
+    a = edges[:-1][:, None]
+    b = edges[1:][:, None]
+    nodes = 0.5 * (b - a) * xs[None, :] + 0.5 * (b + a)
+    weights = 0.5 * (b - a) * ws[None, :]
+    values = f(nodes.ravel())
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("integrand returned non-finite values")
+    return float(np.dot(weights.ravel(), values))
+
+
+def _alphas_from_r(big_r):
+    big_r = np.asarray(big_r, dtype=float)
+    return -float(big_r[0, 0]), float(big_r[0, 1])
+
+
+def g_bar(ell, big_r, sigma, ctx, spec=None):
+    """Integral of det(-Lambda-tilde u + R) phi(u/sigma) over [ell, inf).
+
+    With R = [[-a2, a3], [a3, 0]] the determinant is (a1 u + a2) u - a3^2.
+    Note the plain phi(u/sigma), no 1/sigma: the normalization cancels in
+    every ratio this feeds.
+    """
+    a1 = ctx.alpha1
+    a2, a3 = _alphas_from_r(big_r)
+
+    def integrand(u):
+        return ((a1 * u + a2) * u - a3 * a3) * normal_pdf(u / sigma)
+
+    return integrate_upper(integrand, ell, sigma, spec)
+
+
+def h_bar(ell, r, m, ctx, spec=HBAR_SPEC):
+    """Student analogue of g_bar: integral over [ell, inf) of
+    det(-Lambda-tilde t + r) f_{m-1}(t c) dt with c = sqrt((m-1)/(m-3)).
+
+    r is the Hessian remainder already divided by sigma-hat.
+    """
+    a1 = ctx.alpha1
+    a2, a3 = _alphas_from_r(r)
+    c = math.sqrt((m - 1.0) / (m - 3.0))
+    dof = m - 1
+
+    def integrand(t):
+        return ((a1 * t + a2) * t - a3 * a3) * student_pdf(t * c, dof)
+
+    return integrate_upper(integrand, ell, 1.0, spec)
+
+
+def gamma_ratio_unknown_variance(m):
+    """The constant ((m-3)/(m-2)) * Gamma(m/2)Gamma((m-3)/2) / (Gamma((m-1)/2)Gamma((m-2)/2)).
+
+    By the recurrence Gamma(x+1) = x Gamma(x) this equals 1 for every m > 3;
+    it is evaluated from log-gamma so that the identity is checked, not assumed.
+    """
+    if m <= 3:
+        raise ValueError("m must exceed 3, got %r" % (m,))
+    logval = (
+        np.log((m - 3.0) / (m - 2.0))
+        + gammaln(m / 2.0)
+        + gammaln((m - 3.0) / 2.0)
+        - gammaln((m - 1.0) / 2.0)
+        - gammaln((m - 2.0) / 2.0)
+    )
+    return float(np.exp(logval))
+
+
+def rng_normal(stream, size=None):
+    """Standard normal draws from the start of the stream (deterministic per stream)."""
+    return stream.generator().standard_normal(size)
+
+
+def rng_uniform(stream, size=None):
+    """Uniform [0,1) draws from the start of the stream (deterministic per stream)."""
+    return stream.generator().random(size)
+
+
+# ------------------------------------------------------------ model geometry
+
+
+def torus_delta(z, y):
+    """Shortest displacement z - y on the 2-torus, components in [-pi, pi)."""
+    return wrap_delta(np.asarray(z, dtype=float) - np.asarray(y, dtype=float))
+
+
+def dirichlet(f_c, t):
+    """The Dirichlet kernel D_N(t) = sin(Nt/2)/sin(t/2), N = 2 f_c + 1.
+
+    The removable singularity at t = 0 (mod 2*pi) evaluates to N; near it the
+    ratio form loses digits, so below |sin(t/2)| = 1e-8 the cosine-sum form
+    1 + 2 sum_{k<=f_c} cos(kt) is used instead.
+    """
+    n = 2 * f_c + 1
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t)
+    s = np.sin(0.5 * t)
+    out = np.empty_like(t)
+    near = np.abs(s) < 1e-8
+    if np.any(near):
+        k = np.arange(1, f_c + 1)
+        out[near] = 1.0 + 2.0 * np.cos(np.outer(t[near], k)).sum(axis=1)
+    far = ~near
+    out[far] = np.sin(0.5 * n * t[far]) / s[far]
+    return float(out[0]) if scalar else out
+
+
+def correlation(ctx, dz):
+    """Correlation rho(dz) = Gamma(dt) cos(dtheta) of the field X under the null."""
+    dt, dth = float(dz[0]), float(dz[1])
+    return kernel_gamma(ctx.f_c, dt) * math.cos(dth)
+
+
+def correlation_grad(ctx, dz):
+    """Gradient of rho at dz: (Gamma'(dt) cos(dtheta), -Gamma(dt) sin(dtheta))."""
+    dt, dth = float(dz[0]), float(dz[1])
+    g = kernel_gamma(ctx.f_c, dt)
+    g1 = kernel_gamma(ctx.f_c, dt, order=1)
+    return np.array([g1 * math.cos(dth), -g * math.sin(dth)])
+
+
+def correlation_hess(ctx, dz):
+    """Hessian of rho at dz (2x2 symmetric)."""
+    dt, dth = float(dz[0]), float(dz[1])
+    g = kernel_gamma(ctx.f_c, dt)
+    g1 = kernel_gamma(ctx.f_c, dt, order=1)
+    g2 = kernel_gamma(ctx.f_c, dt, order=2)
+    c, s = math.cos(dth), math.sin(dth)
+    return np.array([[g2 * c, -g1 * s], [-g1 * s, -g * c]])
+
+
+# ------------------------------------------------------- the regressed field
+
+
+def regressed_value(obs, z, y, mode="on_value"):
+    """Value at y of the field regressed on X(z) ("on_value") or on
+    (X(z), X'(z)) ("on_value_and_grad").
+
+    on_value:          X(z) + (X(y) - X(z)) / (1 - rho(y-z))
+    on_value_and_grad: (X(y) - rho X(z) + <rho'(y-z), Lt^{-1} X'(z)>) / (1 - rho)
+
+    Both are smooth in y away from z; near z use g_ratio instead
+    (NearSingular is raised when 1 - rho <= 1e-14).
+    """
+    ctx = obs.context()
+    d = torus_delta(y, z)
+    rho = correlation(ctx, d)
+    if not 1.0 - rho > 1e-14:
+        raise NearSingular(
+            "1 - rho(y-z) = %g is below 1e-14; use the Taylor-remainder ratio" % (1.0 - rho,)
+        )
+    xz = x_eval(obs, z)
+    xy = x_eval(obs, y)
+    if mode == "on_value":
+        return float(xz + (xy - xz) / (1.0 - rho))
+    if mode == "on_value_and_grad":
+        grad = x_grad(obs, z)
+        rp = correlation_grad(ctx, d)
+        corr = rp[0] * grad[0] / ctx.alpha1 + rp[1] * grad[1]
+        return float((xy - rho * xz + corr) / (1.0 - rho))
+    raise ValueError("mode must be 'on_value' or 'on_value_and_grad', got %r" % (mode,))
+
+
+def g_ratio(obs, z_hat, lambda1, w, dt, dth, n_gl=16):
+    """g = (X(y) - lambda1)/(1 - rho(y - z_hat)) for displacements (dt, dth),
+    with w the aligned Fourier data of srknots.knots._aligned_coeffs.
+
+    Vectorized over flat arrays.  For r > RADIUS_SWITCH the direct quotient is
+    used; below it, Gauss-Legendre on the Taylor remainder over the sinc
+    closed form of the denominator (module docstring).  Points with r < 1e-9
+    get the theta-circle floor -lambda1 (the limit of g at z_hat depends on
+    the direction).
+    """
+    dt = np.atleast_1d(np.asarray(dt, dtype=float))
+    dth = np.atleast_1d(np.asarray(dth, dtype=float))
+    n = obs.n_freq
+    k = np.arange(-obs.f_c, obs.f_c + 1)
+    r = np.hypot(dt, dth)
+    out = np.full(dt.shape, -lambda1)
+
+    far = r > RADIUS_SWITCH
+    if np.any(far):
+        zvals = np.exp(1j * np.outer(dt[far] + z_hat.t, k)) @ obs.y / math.sqrt(n)
+        xvals = np.real(np.exp(-1j * (dth[far] + z_hat.theta)) * zvals)
+        rho = kernel_gamma(obs.f_c, dt[far]) * np.cos(dth[far])
+        out[far] = (xvals - lambda1) / (1.0 - rho)
+
+    near = (~far) & (r > 1e-9)
+    if np.any(near):
+        rr = r[near]
+        ca = dt[near] / rr
+        sa = dth[near] / rr
+        ck = np.outer(ca, k) - sa[:, None]            # (M, N)
+        beta = rr[:, None] * ck                        # (M, N)
+        den = (ck**2 * np.sinc(beta / (2.0 * math.pi)) ** 2).sum(axis=1) / (2.0 * n)
+        xs, ws = _leggauss(n_gl)
+        nodes, weights = 0.5 * (xs + 1.0), 0.5 * ws   # mapped to [0, 1]
+        # u' X''(z_hat + h d) u = -(1/sqrt N) sum_k c_k^2 Re(w_k e^{i h beta_k})
+        phase = np.exp(1j * beta[:, None, :] * nodes[None, :, None])  # (M, Q, N)
+        integrand = -(ck**2)[:, None, :] * np.real(w[None, None, :] * phase)
+        integrand = integrand.sum(axis=2) / math.sqrt(n)               # (M, Q)
+        num = integrand @ (weights * (1.0 - nodes))
+        out[near] = num / den
+    return out

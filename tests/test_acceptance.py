@@ -13,23 +13,28 @@ import time
 import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES
+from oracles import (
+    QuadratureSpec,
+    correlation,
+    g_bar,
+    g_ratio,
+    gamma_ratio_unknown_variance,
+    h_bar,
+    integrate_upper,
+)
 from scipy import stats as sps
 
-from srknots.knots import _aligned_coeffs, _g_ratio, compute_certificate, first_knot, second_knot
+from srknots.knots import _aligned_coeffs, compute_certificate, first_knot, second_knot
 from srknots.lars import LarsOptions, lars_residual, lars_run
 from srknots.mc import AlternativeSpec, ExperimentConfig, empirical_level, ks_uniform
 from srknots.model import (
     AtomicMeasure,
     ModelContext,
-    correlation,
     synthesize,
     wrap_delta,
 )
 from srknots.numerics import (
-    QuadratureSpec,
     RngStream,
-    gamma_ratio_unknown_variance,
-    integrate_upper,
     normal_pdf,
     normal_sf,
     student_pdf,
@@ -124,9 +129,12 @@ def test_criterion_06_closed_vs_quadrature():
         ctx = obs.context()
         cert = compute_certificate(obs)
         s = rice_known(cert, 1.0, ctx)
-        worst_s = max(worst_s, abs(s.value - s.aux["quadrature"]))
+        s_quad = g_bar(cert.lambda1, cert.R, 1.0, ctx) / g_bar(cert.lambda2, cert.R, 1.0, ctx)
+        worst_s = max(worst_s, abs(s.value - s_quad))
         t = rice_unknown(cert, sigma_hat_cond(obs, cert.z_hat), ctx)
-        worst_t = max(worst_t, abs(t.value - t.aux["closed_form"]))
+        r = cert.R / t.aux["sigma_hat"]
+        t_quad = h_bar(t.aux["T1"], r, ctx.m, ctx) / h_bar(t.aux["T2"], r, ctx.m, ctx)
+        worst_t = max(worst_t, abs(t.value - t_quad))
     ok = worst_s < 1e-8 and worst_t < 1e-7
     _report(6, ok, "closed vs quadrature, 100 certs: S %.2e (<1e-8), T %.2e (<1e-7)"
             % (worst_s, worst_t))
@@ -156,7 +164,7 @@ def _brute_lambda2(obs, cert, p=2000, chunk=50):
         rows = dt_all[lo:lo + chunk]
         dt_c = np.repeat(rows, p)
         dth_c = np.tile(dth_all, rows.size)
-        g = _g_ratio(obs, cert.z_hat, cert.lambda1, w, dt_c, dth_c)
+        g = g_ratio(obs, cert.z_hat, cert.lambda1, w, dt_c, dth_c)
         g = np.where(np.hypot(dt_c, dth_c) >= 1e-3, g, -np.inf)
         best = max(best, float(np.max(g)))
     return cert.lambda1 + best

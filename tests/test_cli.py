@@ -9,9 +9,13 @@ import sys
 import numpy as np
 import pytest
 
+from srknots import mc
 from srknots.cli import parse_and_dispatch
+from srknots.errors import NotAMaximum
 from srknots.knots import compute_certificate, first_knot
-from srknots.model import Observation, load_observation, save_observation
+from srknots.mc import AlternativeSpec, ExperimentConfig, ks_uniform, run_experiment
+from srknots.model import Observation, load_observation, save_observation, synthesize
+from srknots.numerics import RngStream
 from srknots.stats import rice_known
 
 
@@ -127,17 +131,6 @@ def test_usage_errors_exit_2(obs_file, capsys):
     assert _run(capsys, "frobnicate")[0] == 2
 
 
-def test_malformed_thread_variable_is_a_usage_error(monkeypatch, capsys):
-    argv = ("calibrate", "--fc", "3", "--seed", "1", "--reps", "5", "--stat", "rice")
-    for bad in ("abc", "1.5", "0", "-2"):
-        monkeypatch.setenv("SRKNOTS_THREADS", bad)
-        code, out, err = _run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "SRKNOTS_THREADS" in err and repr(bad) in err
-    monkeypatch.setenv("SRKNOTS_THREADS", "2")
-    assert _run(capsys, *argv)[0] == 0
-
-
 def test_computation_errors_exit_1(tmp_path, capsys):
     # constant-modulus process: every phase shift ties, no isolated maximizer
     y = np.zeros(7, dtype=complex)
@@ -197,6 +190,46 @@ def test_power_takes_bare_weights(capsys):
     assert code == 2 and "bare weights" in err
     assert _run(capsys, "power", "--fc", "3", "--seed", "9", "--reps", "5",
                 "--stat", "rice")[0] == 2
+
+
+def test_failed_rep_stays_in_the_denominator(monkeypatch, capsys):
+    # a rep whose certificate raises counts as a rejection at every level in
+    # calibrate and as a non-rejection in power; the KS distance stays over
+    # the finite p-values
+    fc, seed, reps, failing = 3, 9, 6, 2
+    null, spike = AlternativeSpec(), AlternativeSpec(1, (4.0,))
+    finite, targets = {}, []
+    for alt in (null, spike):
+        config = ExperimentConfig(f_c=fc, reps=reps, seed=seed, statistics=("rice",),
+                                  alternative=alt)
+        finite[alt] = np.delete(run_experiment(config).values["rice"], failing)
+        rng = RngStream(seed, failing).generator()
+        targets.append(synthesize(alt.draw_measure(fc, rng), fc, 1.0, rng).y)
+    real = mc.compute_certificate
+
+    def flaky(obs):
+        if any(np.array_equal(obs.y, y) for y in targets):
+            raise NotAMaximum("injected failure")
+        return real(obs)
+
+    monkeypatch.setattr(mc, "compute_certificate", flaky)
+    argv = ("--fc", str(fc), "--seed", str(seed), "--reps", str(reps), "--stat", "rice")
+
+    code, out, _ = _run(capsys, "power", *argv, "--spike", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["excluded"] == 1
+    assert payload["power_at_0.05"] == np.count_nonzero(finite[spike] <= 0.05) / reps
+    assert payload["ks_uniform"] == ks_uniform(finite[spike])
+
+    code, out, _ = _run(capsys, "calibrate", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["excluded"] == 1
+    assert payload["ks_uniform"] == ks_uniform(finite[null])
+    for alpha in ("0.01", "0.05", "0.10"):
+        expected = (np.count_nonzero(finite[null] <= float(alpha)) + 1) / reps
+        assert payload["level"][alpha] == expected
 
 
 def test_reproduce_tiny(tmp_path, capsys):

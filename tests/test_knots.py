@@ -4,26 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from oracles import correlation, g_ratio, regressed_value, torus_delta
 
 from srknots.errors import DegenerateProcess, NearSingular, NotAMaximum
 from srknots.knots import (
     KnotCertificate,
     _aligned_coeffs,
-    _g_ratio,
     _profile_limit,
     _theta_profile,
     compute_certificate,
     first_knot,
     hessian_and_alphas,
-    regressed_value,
     second_knot,
 )
 from srknots.model import (
     AtomicMeasure,
     Observation,
-    correlation,
     synthesize,
-    torus_delta,
     wrap_delta,
     x_eval,
     x_grad,
@@ -182,13 +179,13 @@ def test_theta_profile_matches_g_ratio_oracle():
         dts = rng.uniform(0.05, math.pi, 6) * rng.choice([-1.0, 1.0], 6)
         m, dth_star = _theta_profile(w, lambda1, dts)
         for dt, m_dt, arg in zip(dts, m, dth_star):
-            g = _g_ratio(obs, z_hat, lambda1, w, np.full(dth.size, dt), dth)
+            g = g_ratio(obs, z_hat, lambda1, w, np.full(dth.size, dt), dth)
             j = int(np.argmax(g))
             scale = max(1.0, lambda1)
             assert g[j] - 1e-12 * scale <= m_dt <= g[j] + 1e-6 * scale
             assert abs(wrap_delta(arg - dth[j])) <= step
             # the closed-form angle attains the closed-form value
-            at_arg = _g_ratio(obs, z_hat, lambda1, w, np.array([dt]), np.array([arg]))[0]
+            at_arg = g_ratio(obs, z_hat, lambda1, w, np.array([dt]), np.array([arg]))[0]
             assert at_arg == pytest.approx(m_dt, abs=1e-12 * scale)
 
 
@@ -294,7 +291,7 @@ def test_g_ratio_branch_agreement(obs_seed42):
         ang = rng.uniform(0.0, TWO_PI)
         dt, dth = 0.5 * math.cos(ang), 0.5 * math.sin(ang)
         near = float(
-            _g_ratio(obs_seed42, z_hat, lambda1, w, np.array([dt]), np.array([dth]))[0]
+            g_ratio(obs_seed42, z_hat, lambda1, w, np.array([dt]), np.array([dth]))[0]
         )
         y = (z_hat.t + dt, z_hat.theta + dth)
         rho = correlation(ctx, torus_delta(y, (z_hat.t, z_hat.theta)))

@@ -23,6 +23,7 @@ from srknots.mc import (
 )
 from srknots.model import circular_distance, synthesize
 from srknots.numerics import RngStream
+from srknots.stats import grid_test_known, lambda2_bar, rice_known, voronoi_sample
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,14 +91,21 @@ def test_run_experiment_deterministic_and_subset_consistent():
     assert table1.n_excluded == 0
 
 
-def test_thread_count_invariance(monkeypatch):
+def test_rep_is_a_function_of_its_stream():
+    # replication r draws everything from RngStream(seed, r) in the fixed
+    # order (spike locations, noise, Voronoi uniform), so it can be redone alone
     config = ExperimentConfig(f_c=3, reps=8, seed=31, statistics=("rice", "grid"))
-    monkeypatch.setenv("SRKNOTS_THREADS", "1")
-    serial = run_experiment(config)
-    monkeypatch.setenv("SRKNOTS_THREADS", "2")
-    threaded = run_experiment(config)
-    for name in config.statistics:
-        assert np.array_equal(serial.values[name], threaded.values[name])
+    table = run_experiment(config)
+    for rep in (0, 5):
+        rng = RngStream(config.seed, rep).generator()
+        obs = synthesize(config.alternative.draw_measure(config.f_c, rng),
+                         config.f_c, config.sigma, rng)
+        ctx = obs.context()
+        cert = compute_certificate(obs)
+        hess = np.asarray(cert.R) - ctx.lambda_tilde() * cert.lambda1
+        l2_bar = lambda2_bar(cert.lambda1, cert.lambda2, hess, voronoi_sample(hess, rng), ctx)
+        assert rice_known(cert, config.sigma, ctx).value == table.values["rice"][rep]
+        assert grid_test_known(cert.lambda1, l2_bar, config.sigma).value == table.values["grid"][rep]
 
 
 def test_exact_statistics_uniform_null(mc_table):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import correlation, correlation_grad, correlation_hess, dirichlet, torus_delta
 from scipy.stats import kstest
 
 from srknots.errors import SchemaError
@@ -13,15 +14,10 @@ from srknots.model import (
     Observation,
     TorusPoint,
     circular_distance,
-    correlation,
-    correlation_grad,
-    correlation_hess,
-    dirichlet,
     kernel_gamma,
     load_observation,
     save_observation,
     synthesize,
-    torus_delta,
     wrap_delta,
     x_eval,
     x_grad,

@@ -1,20 +1,23 @@
-"""Special functions, the semi-infinite quadrature, the 1-D maximizer and RNG streams."""
+"""Special functions, the 1-D maximizer and RNG streams, and the quadrature
+oracle the Kac-Rice closed forms are checked against."""
 
 import math
 
 import numpy as np
 import pytest
-
-from srknots.numerics import (
+from oracles import (
     QuadratureSpec,
-    RngStream,
     gamma_ratio_unknown_variance,
     integrate_upper,
+    rng_normal,
+    rng_uniform,
+)
+
+from srknots.numerics import (
+    RngStream,
     maximize_1d,
     normal_pdf,
     normal_sf,
-    rng_normal,
-    rng_uniform,
     student_pdf,
     student_sf,
 )

@@ -4,19 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from oracles import g_bar, h_bar
 
 from srknots.errors import NonPositiveDenominator, OutOfRange
 from srknots.knots import KnotCertificate, compute_certificate, first_knot
+from srknots.mc import AlternativeSpec
 from srknots.model import AtomicMeasure, ModelContext, TorusPoint, synthesize
 from srknots.numerics import RngStream, normal_pdf, normal_sf
 from srknots.stats import (
+    _g_bar_closed,
     _voronoi_geometry,
-    g_bar,
     grid_knots,
     grid_spacing_test,
     grid_test_known,
     grid_test_unknown,
-    h_bar,
     h_bar_closed,
     lambda2_bar,
     rice_known,
@@ -48,12 +49,25 @@ def _noisy_obs(seed, f_c=3):
     return synthesize(AtomicMeasure.empty(), f_c, 1.0, RngStream(seed, 0))
 
 
-def _g_bar_reference(ell, a1, a2, a3, sigma):
-    x = ell / sigma
-    return sigma * (
-        sigma * (a1 * ell + a2) * normal_pdf(x)
-        + (a1 * sigma * sigma - a3 * a3) * normal_sf(x)
-    )
+def _certificate_cases():
+    """(obs, cert, sigma-hat) for null and one-spike draws at f_c 3, 7 and 15
+    with weights sqrt(N) and 3 sqrt(N), and a weight-50 spike at f_c = 15:
+    the knots and remainders the Kac-Rice ratios meet in the Monte-Carlo runs."""
+    alternatives = []
+    for f_c in (3, 7, 15):
+        root_n = math.sqrt(2 * f_c + 1)
+        alternatives += [(f_c, AlternativeSpec()), (f_c, AlternativeSpec(1, (root_n,))),
+                         (f_c, AlternativeSpec(1, (3.0 * root_n,)))]
+    alternatives.append((15, AlternativeSpec(1, (50.0,))))
+    cases = []
+    for f_c, alt in alternatives:
+        for rep in range(2):
+            rng = RngStream(1200 + f_c, rep).generator()
+            obs = synthesize(alt.draw_measure(f_c, rng), f_c, 1.0, rng)
+            cert = compute_certificate(obs)
+            s_hat = math.sqrt(sigma_hat_cond(obs, cert.z_hat).value)
+            cases.append((obs, cert, s_hat))
+    return cases
 
 
 def test_g_bar_zero_remainder():
@@ -72,8 +86,16 @@ def test_g_bar_matches_closed_form():
         sigma = rng.uniform(0.5, 2.0)
         big_r = np.array([[-a2, a3], [a3, 0.0]])
         quad = g_bar(ell, big_r, sigma, ctx)
-        closed = _g_bar_reference(ell, ctx.alpha1, a2, a3, sigma)
+        closed = _g_bar_closed(ell, ctx.alpha1, a2, a3, sigma)
         assert abs(quad - closed) < 1e-9 * max(1.0, abs(closed))
+    # at both knots of real certificates the two routes agree to 1e-12
+    # relative (both read exactly 0 where phi(lambda1) underflows)
+    for obs, cert, _ in _certificate_cases():
+        ctx = obs.context()
+        for ell in (cert.lambda1, cert.lambda2):
+            quad = g_bar(ell, cert.R, 1.0, ctx)
+            closed = _g_bar_closed(ell, ctx.alpha1, cert.alpha2, cert.alpha3, 1.0)
+            assert abs(quad - closed) <= 1e-12 * abs(closed)
 
 
 def test_rice_known_equal_knots_is_one():
@@ -133,6 +155,14 @@ def test_h_bar_matches_closed_form():
         quad = h_bar(ell, r, m, ctx)
         closed = h_bar_closed(ell, r, m, ctx)
         assert abs(quad - closed) < 1e-7 * max(1.0, abs(closed))
+    # at the studentized knots T_i = lambda_i / sigma-hat of real certificates
+    for obs, cert, s_hat in _certificate_cases():
+        ctx = obs.context()
+        r = cert.R / s_hat
+        for ell in (cert.lambda1 / s_hat, cert.lambda2 / s_hat):
+            quad = h_bar(ell, r, ctx.m, ctx)
+            closed = h_bar_closed(ell, r, ctx.m, ctx)
+            assert abs(quad - closed) <= 1e-12 * abs(closed)
 
 
 def test_rice_unknown_equal_knots_is_one():
@@ -162,7 +192,9 @@ def test_rice_unknown_on_observation(obs_seed42):
     est = sigma_hat_cond(obs_seed42, cert.z_hat)
     report = rice_unknown(cert, est, ctx)
     assert 0.0 <= report.value <= 1.0
-    assert report.aux["closed_form"] == pytest.approx(report.value, abs=1e-7)
+    r = cert.R / math.sqrt(est.value)
+    quad = h_bar(report.aux["T1"], r, ctx.m, ctx) / h_bar(report.aux["T2"], r, ctx.m, ctx)
+    assert quad == pytest.approx(report.value, abs=1e-7)
 
 
 def test_spacing_values():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import correlation, correlation_grad, torus_delta
 from scipy.stats import chi2
 
 from srknots.knots import first_knot
@@ -11,10 +12,7 @@ from srknots.model import (
     AtomicMeasure,
     ModelContext,
     Observation,
-    correlation,
-    correlation_grad,
     synthesize,
-    torus_delta,
     x_eval,
     x_grad,
 )
