@@ -13,10 +13,6 @@ class DegenerateProcess(SrknotsError):
     """The observed process is constant (or nearly so) and has no well-defined maximizer."""
 
 
-class NearSingular(SrknotsError):
-    """A regression denominator 1 - rho is below the safe threshold; use the robust ratio."""
-
-
 class Unconverged(SrknotsError):
     """An iterative routine hit its iteration cap without meeting its tolerance."""
 

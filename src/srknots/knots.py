@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateProcess, NotAMaximum
-from .model import TorusPoint, wrap_delta, x_grad, x_hess, z_deriv, z_eval
+from .model import TorusPoint, wrap_delta, x_grad, x_hess, z_eval
 from .numerics import maximize_1d
 
 # The first knot's coarse |Z| sweep takes this many points per frequency.
@@ -63,12 +63,48 @@ def _local_max_mask_1d(vals):
     return (vals >= left) & (vals > right)
 
 
+def _newton_peaks(obs, t0, radius):
+    """Newton on d|Z|^2/dt = 0 from every start in t0 at once.
+
+    Each iteration takes Z, Z' and Z'' at all points from one exp(i k t)
+    matrix times the (N, 3) block y * (ik)^(0, 1, 2), and steps by f'/f''.  A
+    point stops once its step is below 1e-14; at most 8 steps are taken.
+    Returns (t, ok): ok is False where f'' >= 0 was met, where t is not
+    finite, or where t ended more than `radius` from its start.
+    """
+    k = np.arange(-obs.f_c, obs.f_c + 1)
+    coef = obs.y[:, None] * (1j * k[:, None]) ** np.arange(3) / math.sqrt(obs.n_freq)
+    t = np.array(t0, dtype=float)
+    ok = np.ones(t.size, dtype=bool)
+    active = ok.copy()
+    for _ in range(8):
+        z0, z1, z2 = (np.exp(1j * np.outer(t[active], k)) @ coef).T
+        f1 = 2.0 * (z0.conj() * z1).real
+        f2 = 2.0 * (np.abs(z1) ** 2 + (z0.conj() * z2).real)
+        concave = f2 < 0.0
+        step = np.divide(f1, f2, out=np.zeros_like(f1), where=concave)
+        t[active] -= step
+        ok[active] &= concave
+        active[active] = concave & (np.abs(step) >= 1e-14)
+        if not active.any():
+            break
+    ok &= np.isfinite(t) & (np.abs(t - t0) <= radius)
+    return t, ok
+
+
 def first_knot(obs):
     """Locate the global maximizer of X: t_hat maximizes |Z|, theta_hat = arg Z(t_hat).
 
-    A coarse sweep on FIRST_KNOT_GRID_FACTOR * N points brackets every local
-    maximum of |Z|^2; each is polished by bounded Brent search to
-    |dt| < 1e-10, and the best polished value wins (ties go to the smallest t).
+    A sweep on FIRST_KNOT_GRID_FACTOR * N points (step h) brackets every
+    local maximum t0 of |Z|^2 in (t0 - h, t0 + h).  All of them are polished
+    together by Newton on d|Z|^2/dt = 0 (_newton_peaks), which reaches the
+    rounding floor of the gradient in two or three steps; Brent search alone
+    would stall at sqrt(eps), since it sees only values.  A candidate on
+    which Newton meets f'' >= 0, ends non-finite or leaves its bracket falls
+    back to bounded Brent search on the bracket, to |dt| < 1e-10, and then
+    to the same Newton polish, kept if it stays within h/4 of the Brent
+    point.  The best polished value wins, and ties within 1e-9 max(1, best)
+    go to the smallest t.
     """
     n = obs.n_freq
     t_grid, emat = _t_grid(obs.f_c, FIRST_KNOT_GRID_FACTOR * n)
@@ -81,43 +117,26 @@ def first_knot(obs):
         )
 
     h = t_grid[1] - t_grid[0]
+    t0 = t_grid[_local_max_mask_1d(f_grid)]
+    t_star, ok = _newton_peaks(obs, t0, h)
+    f_star = np.abs(z_eval(obs, t_star)) ** 2
 
     def f_scalar(t):
         return abs(z_eval(obs, t)) ** 2
 
-    def polish(t):
-        # Newton on d|Z|^2/dt = 0: Brent alone stalls at sqrt(eps) because it
-        # only sees function values; two or three derivative steps reach the
-        # rounding floor of the gradient itself.
-        for _ in range(8):
-            z0 = z_eval(obs, t)
-            z1 = z_deriv(obs, t, 1)
-            z2 = z_deriv(obs, t, 2)
-            f1 = 2.0 * (z0.conjugate() * z1).real
-            f2 = 2.0 * (abs(z1) ** 2 + (z0.conjugate() * z2).real)
-            if f2 >= 0.0:
-                return t
-            step = f1 / f2
-            t -= step
-            if abs(step) < 1e-14:
-                break
-        return t
-
-    candidates = []
-    for idx in np.nonzero(_local_max_mask_1d(f_grid))[0]:
-        t0 = t_grid[idx]
-        t_star, f_star = maximize_1d(f_scalar, (t0 - h, t0 + h), tol=1e-10)
-        t_new = polish(t_star)
+    for i in np.nonzero(~ok)[0]:
+        t_b, f_b = maximize_1d(f_scalar, (t0[i] - h, t0[i] + h), tol=1e-10)
+        t_n, ok_n = _newton_peaks(obs, np.array([t_b]), 0.25 * h)
         # Trust the Newton fixpoint whenever it stayed local: near the
         # optimum the value comparison is dominated by rounding noise while
         # the gradient residual is not.
-        if np.isfinite(t_new) and abs(t_new - t_star) < 0.25 * h:
-            t_star = t_new
-            f_star = max(f_star, f_scalar(t_new))
-        candidates.append((f_star, t_star % (2.0 * math.pi)))
-    best = max(c[0] for c in candidates)
-    tied = [c for c in candidates if c[0] >= best - 1e-9 * max(1.0, best)]
-    t_hat = min(t for _, t in tied)
+        if ok_n[0]:
+            t_star[i], f_star[i] = t_n[0], max(f_b, f_scalar(t_n[0]))
+        else:
+            t_star[i], f_star[i] = t_b, f_b
+    best = f_star.max()
+    tied = f_star >= best - 1e-9 * max(1.0, best)
+    t_hat = float(np.min(t_star[tied] % (2.0 * math.pi)))
     z_at = z_eval(obs, t_hat)
     lambda1 = abs(z_at)
     theta_hat = math.atan2(z_at.imag, z_at.real)

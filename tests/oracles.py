@@ -25,11 +25,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from srknots.errors import NearSingular
+from srknots.errors import SrknotsError
 from srknots.model import kernel_gamma, wrap_delta, x_eval, x_grad
 from srknots.numerics import normal_pdf, student_pdf
 
 RADIUS_SWITCH = 0.5
+
+
+class NearSingular(SrknotsError):
+    """A regression denominator 1 - rho is below 1e-14; use g_ratio instead."""
 
 
 # ---------------------------------------------------------------- quadrature

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from oracles import correlation, g_ratio, regressed_value, torus_delta
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import NearSingular, correlation, g_ratio, regressed_value, torus_delta
 
-from srknots.errors import DegenerateProcess, NearSingular, NotAMaximum
+from srknots import knots
+from srknots.errors import DegenerateProcess, NotAMaximum
 from srknots.knots import (
+    FIRST_KNOT_GRID_FACTOR,
     KnotCertificate,
     _aligned_coeffs,
+    _newton_peaks,
     _profile_limit,
     _theta_profile,
     compute_certificate,
@@ -90,6 +95,120 @@ def test_first_knot_degenerate():
     y[3] = 2.0  # k = 0 only: |Z| is constant
     with pytest.raises(DegenerateProcess):
         first_knot(Observation(f_c=3, y=y, sigma=1.0))
+
+
+def _spiky_obs(f_c, seed, weight, pair):
+    """A noisy draw at f_c with one spike of the given weight, or with a pair
+    of spikes (weight, 0.9 weight) a quarter of 2*pi/f_c apart."""
+    atoms = [(1.1, weight)]
+    if pair:
+        atoms.append((1.1 + 0.25 * TWO_PI / f_c, 0.9 * weight * 1j))
+    measure = AtomicMeasure.from_atoms(atoms) if weight else AtomicMeasure.empty()
+    return synthesize(measure, f_c, 1.0, RngStream(seed, f_c))
+
+
+def _circular_distance(a, b):
+    d = abs(a - b) % TWO_PI
+    return min(d, TWO_PI - d)
+
+
+@pytest.mark.parametrize("f_c", [1, 2, 15, 40])
+def test_first_knot_matches_zero_padded_fft(f_c):
+    # |Z|^2 is a trig polynomial of degree 2 f_c, so by Bernstein's inequality
+    # its maximum exceeds the maximum over a grid of step h by at most
+    # (1/2) (f_c h)^2 lambda1^2; the grid argmax lies within h of t_hat
+    for seed, weight, pair in ((1, 0.0, False), (2, 50.0, False), (3, 1e3, False),
+                               (4, 10.0, True), (5, 1e3, True)):
+        obs = _spiky_obs(f_c, seed, weight, pair)
+        z_hat, lambda1 = first_knot(obs)
+        m = 4096 * obs.n_freq
+        padded = np.zeros(m, dtype=complex)
+        padded[np.arange(-f_c, f_c + 1) % m] = obs.y
+        f_fft = np.abs(np.fft.ifft(padded) * m / math.sqrt(obs.n_freq)) ** 2
+        h = TWO_PI / m
+        gap = 1.0 - f_fft.max() / lambda1**2
+        assert -1e-12 <= gap <= 0.5 * (f_c * h) ** 2
+        assert _circular_distance(z_hat.t, h * int(np.argmax(f_fft))) <= h
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    f_c=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+    weight=st.sampled_from([0.0, 5.0, 50.0, 1e3]),
+    pair=st.booleans(),
+    shift=st.floats(0.0, TWO_PI),
+    phase=st.floats(0.0, TWO_PI),
+)
+def test_first_knot_translation_and_phase(f_c, seed, weight, pair, shift, phase):
+    # y_k -> y_k e^{-iks} e^{i phi} makes Z(t) -> e^{i phi} Z(t - s): t_hat moves
+    # by s, theta_hat by phi, and lambda1 stays
+    obs = _spiky_obs(f_c, seed, weight, pair)
+    k = np.arange(-f_c, f_c + 1)
+    moved = Observation(f_c=f_c, y=obs.y * np.exp(1j * (phase - k * shift)), sigma=obs.sigma)
+    z_hat, lambda1 = first_knot(obs)
+    z_moved, lambda1_moved = first_knot(moved)
+    assert lambda1_moved == pytest.approx(lambda1, rel=1e-12)
+    assert _circular_distance(z_moved.t, z_hat.t + shift) < 1e-9
+    assert _circular_distance(z_moved.theta, z_hat.theta + phase) < 1e-9
+
+
+def test_newton_peaks_rejects_a_convex_start():
+    # from a minimum of |Z|^2 the Newton step would climb towards no maximum
+    obs = _noisy_obs(77, f_c=7)
+    t = np.linspace(0.0, TWO_PI, FIRST_KNOT_GRID_FACTOR * obs.n_freq, endpoint=False)
+    f = np.abs(z_eval(obs, t)) ** 2
+    starts = np.array([t[np.argmin(f)], t[np.argmax(f)]])
+    _, ok = _newton_peaks(obs, starts, t[1])
+    assert ok.tolist() == [False, True]
+    # a step out of the bracket is refused too
+    _, ok = _newton_peaks(obs, starts[1:], 1e-12)
+    assert ok.tolist() == [False]
+
+
+def test_first_knot_tie_goes_to_smallest_t():
+    # two equal noiseless spikes: |Z| is symmetric about their midpoint, so
+    # its two maxima tie, and the one near the smaller location wins
+    obs = synthesize(AtomicMeasure.from_atoms([(1.0, 2.0), (4.0, 2.0)]), 7, 0.0, RngStream(0))
+    z_hat, _ = first_knot(obs)
+    assert z_hat.t == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("polish", [True, False])
+def test_first_knot_brent_fallback(monkeypatch, polish):
+    # Force every grid candidate onto the Brent fallback.  With the Newton
+    # polish after Brent the answer is the Newton answer to rounding; with
+    # the polish failing too it is the all-Brent answer, whose value is
+    # second-order close and whose location is good to Brent's tolerance
+    obs = _spiky_obs(15, 9, 10.0, True)
+    z_ref, lambda1_ref = first_knot(obs)
+    real_newton, real_brent = knots._newton_peaks, knots.maximize_1d
+    newton_calls, brent_calls = [], []
+
+    def newton(obs_, t0, radius):
+        t, ok = real_newton(obs_, t0, radius)
+        if not newton_calls or not polish:
+            ok[:] = False
+        newton_calls.append(t0.size)
+        return t, ok
+
+    def brent(f, bracket, tol):
+        brent_calls.append(bracket)
+        return real_brent(f, bracket, tol=tol)
+
+    monkeypatch.setattr(knots, "_newton_peaks", newton)
+    monkeypatch.setattr(knots, "maximize_1d", brent)
+    z_hat, lambda1 = first_knot(obs)
+    assert len(brent_calls) == newton_calls[0] == len(newton_calls) - 1
+    all_brent = max(abs(z_eval(obs, real_brent(
+        lambda t: abs(z_eval(obs, t)) ** 2, b, tol=1e-10)[0])) for b in brent_calls)
+    if polish:
+        assert lambda1 == pytest.approx(lambda1_ref, rel=1e-14)
+        assert _circular_distance(z_hat.t, z_ref.t) < 1e-14
+        assert lambda1 == pytest.approx(all_brent, rel=1e-12)
+    else:
+        assert lambda1 == pytest.approx(all_brent, rel=1e-14)
+        assert _circular_distance(z_hat.t, z_ref.t) < 1e-7
 
 
 def test_second_knot_noiseless_atom():
