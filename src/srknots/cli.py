@@ -69,6 +69,17 @@ def _emit(payload):
     sys.stdout.write(_fmt(payload) + "\n")
 
 
+def _finite_float(text):
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite, got %r" % text)
+    return value
+
+
 def _parse_spike(text, need_location):
     parts = text.split(":")
     try:
@@ -281,7 +292,7 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="draw an observation and write it as JSON")
     p.add_argument("--fc", type=int, required=True)
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--sigma", type=_finite_float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--spike", action="append",
                    help="WEIGHT:LOCATION[:PHASE], repeatable")
@@ -295,14 +306,14 @@ def _build_parser():
     p = sub.add_parser("test", help="run one hypothesis test on an observation")
     p.add_argument("--stat", choices=_STAT_NAMES, required=True)
     p.add_argument("--obs", required=True)
-    p.add_argument("--sigma", type=float)
+    p.add_argument("--sigma", type=_finite_float)
     p.add_argument("--grid", type=int, help="grid side p for grid-st")
     p.add_argument("--seed", type=int, help="seed for the randomized grid tests")
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("lars", help="continuation path of the first k_max knots")
     p.add_argument("--obs", required=True)
-    p.add_argument("--sigma", type=float)
+    p.add_argument("--sigma", type=_finite_float)
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--lambda-min", type=float, default=1e-3)
     p.add_argument("--out", help="also export the path as CSV")
@@ -310,7 +321,7 @@ def _build_parser():
 
     p = sub.add_parser("calibrate", help="null Monte-Carlo calibration summary")
     p.add_argument("--fc", type=int, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=_finite_float, default=1.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--stat", choices=_STAT_NAMES, required=True)
@@ -319,7 +330,7 @@ def _build_parser():
 
     p = sub.add_parser("power", help="power under a spike alternative")
     p.add_argument("--fc", type=int, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=_finite_float, default=1.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--stat", choices=_STAT_NAMES, required=True)

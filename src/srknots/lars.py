@@ -14,20 +14,25 @@ The active locations x(lambda) then follow the stationarity system
     h_j(lambda, x) = d/dt |Z(t) - sum_i a_i K(x_i, t)|^2 at t = x_j = 0,
 
 tracked by a predictor-corrector scheme: decrement lambda by a fixed
-fraction, re-solve h = 0 by Newton with a finite-difference Jacobian, halving
-the decrement when Newton fails.  The next knot is the largest lambda at
-which the off-support maximum of |Z^(lambda)| reaches lambda, located by a
-grid scan with local refinement and then bisection in lambda.
+fraction, re-solve h = 0 by Newton with the analytic Jacobian (_Leg.system,
+from Gamma and Z up to second order at the active points), halving the
+decrement when Newton fails.  The next knot is the largest lambda at which
+the off-support maximum of |Z^(lambda)| reaches lambda, found by bisection
+in lambda.  The residual Z^(lambda) is itself the Z of the Fourier data
+y_res = y - (2 sigma^2 / sqrt N) sum_i a_i e^{-ik x_i}, so that maximum is
+an event-grid sweep of y_res whose local maxima are all polished at once by
+the first knot's vectorized Newton (knots._newton_peaks).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .knots import _t_grid, first_knot, second_knot
-from .model import kernel_gamma, wrap_delta, z_deriv, z_eval
+from .knots import _newton_peaks, _t_grid, first_knot, second_knot
+from .model import Observation, kernel_gamma, wrap_delta, z_deriv, z_eval
 from .numerics import maximize_1d
 
 _MERGE_RADIUS = 1e-3
@@ -89,102 +94,93 @@ class _Leg:
         self.opts = opts
         self.two_s2 = 2.0 * sigma * sigma
         n_grid = opts.event_grid or 64 * obs.n_freq
-        self.t_grid, emat = _t_grid(obs.f_c, n_grid)
-        self.z_grid = emat @ obs.y / math.sqrt(obs.n_freq)
+        self.t_grid, self.emat = _t_grid(obs.f_c, n_grid)
 
-    def gram(self, x):
+    def system(self, lam, x):
+        """(h, dh/dx, a) of the stationarity system at (lambda, x).
+
+        With s = 2 sigma^2, G_m = [Gamma^(m)(x_i - x_j)], c p the scaled
+        previous residual values and W the residual, a = M^{-1}(Z(x) - c p)
+        and W'(x) = Z'(x) - s G_1 a; differentiating M a = Z(x) - c p gives
+
+            da/dx   = M^{-1} (diag(W') + s G_1 diag(a)),
+            dW'/dx  = diag(Z''(x) - s G_2 a) + s G_2 diag(a) - s G_1 da/dx,
+
+        and h = 2 Re(conj(c p) W'), since W(x_j) = c p_j for every x.  Raises
+        _PathStop when M is not finite or its condition number exceeds
+        _COND_LIMIT.
+        """
         d = x[:, None] - x[None, :]
-        m = self.two_s2 * kernel_gamma(self.obs.f_c, d.ravel()).reshape(d.shape)
+        g0, g1, g2 = (
+            kernel_gamma(self.obs.f_c, d.ravel(), order=order).reshape(d.shape)
+            for order in range(3)
+        )
+        s = self.two_s2
+        m = s * g0
         if not np.all(np.isfinite(m)) or np.linalg.cond(m) > _COND_LIMIT:
             raise _PathStop("path_stop_singular_gram")
-        return m
-
-    def weights_at(self, lam, x):
-        rhs = z_eval(self.obs, x) - (lam / self.lam_prev) * self.prev_vals
-        return np.linalg.solve(self.gram(x), rhs)
-
-    def h_vec(self, lam, x):
-        a = self.weights_at(lam, x)
-        w_at = (lam / self.lam_prev) * self.prev_vals
-        d = x[:, None] - x[None, :]
-        gp = kernel_gamma(self.obs.f_c, d.ravel(), order=1).reshape(d.shape)
-        w_prime = z_deriv(self.obs, x, 1) - self.two_s2 * (gp @ a)
-        return 2.0 * np.real(np.conj(w_at) * w_prime), a
+        cp = (lam / self.lam_prev) * self.prev_vals
+        z0, z1, z2 = (z_deriv(self.obs, x, order) for order in range(3))
+        a = np.linalg.solve(m, z0 - cp)
+        w1 = z1 - s * (g1 @ a)
+        da = np.linalg.solve(m, np.diag(w1) + s * g1 * a)
+        dw1 = np.diag(z2 - s * (g2 @ a)) + s * g2 * a - s * (g1 @ da)
+        return 2.0 * np.real(np.conj(cp) * w1), 2.0 * np.real(np.conj(cp)[:, None] * dw1), a
 
     def newton(self, lam, x0):
-        """Solve h(lambda, .) = 0 from x0; returns (x, a) or raises ValueError."""
+        """Solve h(lambda, .) = 0 from x0; returns (x, a) at the first x whose
+        Newton step is below newton_tol, or raises ValueError."""
         x = np.array(x0, dtype=float)
-        k = x.size
-        fd = 1e-6
         for _ in range(30):
-            h, a = self.h_vec(lam, x)
-            jac = np.empty((k, k))
-            for i in range(k):
-                xp = x.copy()
-                xp[i] += fd
-                xm = x.copy()
-                xm[i] -= fd
-                jac[:, i] = (self.h_vec(lam, xp)[0] - self.h_vec(lam, xm)[0]) / (2.0 * fd)
+            h, jac, a = self.system(lam, x)
             try:
                 delta = np.linalg.solve(jac, -h)
             except np.linalg.LinAlgError:
                 raise ValueError("singular Jacobian")
             if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 0.1:
                 raise ValueError("Newton step diverged")
-            x = x + delta
             if np.max(np.abs(delta)) < self.opts.newton_tol:
-                return x, self.weights_at(lam, x)
+                return x, a
+            x = x + delta
         raise ValueError("Newton did not converge")
 
     def off_support_max(self, x, a):
         """(value, location) of the maximum of |Z^(lambda)| outside the open
         merge discs around the active points.
 
-        Every grid-local maximum whose curvature-corrected upper bound can
-        beat the best grid value is refined (a peak straddling two grid
-        points can read below a disc-edge sample, so refining only the
-        argmax is not sound), and the disc boundary points are evaluated
-        exactly: the constrained maximum sits there when an active point is
-        about to split.
+        The residual is the Z of y_res = y - (s / sqrt N) sum_i a_i e^{-ik x_i},
+        so it is swept on the event grid by one matrix product, and every
+        grid-local maximum outside the discs is polished at once by Newton
+        (knots._newton_peaks); bounded Brent search runs only where Newton
+        fails.  No peak may be skipped: one straddling two grid points can
+        read below a disc-edge sample and still be the largest.  A peak that
+        lands inside a disc is dropped, and the disc boundary points are
+        candidates themselves: the constrained maximum sits there when an
+        active point is about to split.
         """
-
-        def f(t):
-            gam_t = kernel_gamma(self.obs.f_c, t - x)
-            return abs(z_eval(self.obs, t) - self.two_s2 * (gam_t @ a))
-
-        gam = kernel_gamma(
-            self.obs.f_c, (self.t_grid[:, None] - x[None, :]).ravel()
-        ).reshape(self.t_grid.size, x.size)
-        res = self.z_grid - self.two_s2 * (gam @ a)
-        vals = np.abs(res)
+        obs = self.obs
+        k = np.arange(-obs.f_c, obs.f_c + 1)
+        shift = np.exp(-1j * np.outer(k, x)) @ a
+        res = Observation(f_c=obs.f_c, y=obs.y - self.two_s2 * shift / math.sqrt(obs.n_freq))
+        vals = np.abs(self.emat @ res.y) / math.sqrt(obs.n_freq)
         dist = np.min(np.abs(wrap_delta(self.t_grid[:, None] - x[None, :])), axis=1)
         masked = np.where(dist >= _MERGE_RADIUS, vals, -np.inf)
+        is_peak = (
+            np.isfinite(masked) & (masked >= np.roll(masked, 1)) & (masked >= np.roll(masked, -1))
+        )
         h = self.t_grid[1] - self.t_grid[0]
-
-        up = np.roll(masked, -1)
-        dn = np.roll(masked, 1)
-        is_peak = np.isfinite(masked) & (masked >= up) & (masked >= dn)
-        # peak value can exceed the sample by ~|f''| h^2 / 8; the discrete
-        # second difference is that bound directly (generous default at the
-        # mask edges, where a neighbor is -inf)
-        d2 = np.abs(dn - 2.0 * masked + up)
-        d2_cap = float(np.max(d2[np.isfinite(d2)])) if np.any(np.isfinite(d2)) else 0.0
-        bound = np.where(np.isfinite(d2), d2, d2_cap) / 8.0
-
-        best_val, best_t = -np.inf, 0.0
-        floor = float(np.max(masked))
-        for idx in np.nonzero(is_peak & (masked + bound >= floor))[0]:
-            t0 = self.t_grid[idx]
-            t_ref, v_ref = maximize_1d(f, (t0 - h, t0 + h), tol=1e-12)
-            if np.min(np.abs(wrap_delta(t_ref - x))) < _MERGE_RADIUS:
-                continue  # constrained max on this side lives on the boundary
-            if v_ref > best_val:
-                best_val, best_t = float(v_ref), float(t_ref)
-        for tb in np.concatenate([x - _MERGE_RADIUS, x + _MERGE_RADIUS]):
-            vb = f(float(tb))
-            if vb > best_val:
-                best_val, best_t = float(vb), float(tb)
-        return best_val, best_t % (2.0 * math.pi)
+        t0 = self.t_grid[is_peak]
+        # A start next to a disc may converge to its active point, up to
+        # h + _MERGE_RADIUS away: that is a maximum too, dropped below.
+        t_peak, ok = _newton_peaks(res, t0, h + _MERGE_RADIUS)
+        for i in np.nonzero(~ok)[0]:
+            t_peak[i] = maximize_1d(lambda t: abs(z_eval(res, t)), (t0[i] - h, t0[i] + h),
+                                    tol=1e-12)[0]
+        outside = np.min(np.abs(wrap_delta(t_peak[:, None] - x[None, :])), axis=1) >= _MERGE_RADIUS
+        cand = np.concatenate([t_peak[outside], x - _MERGE_RADIUS, x + _MERGE_RADIUS])
+        cand_vals = np.abs(z_eval(res, cand))
+        best = int(np.argmax(cand_vals))
+        return float(cand_vals[best]), float(cand[best] % (2.0 * math.pi))
 
     def gap(self, lam, x, a):
         val, loc = self.off_support_max(x, a)
@@ -196,7 +192,6 @@ class _Leg:
         opts = self.opts
         lam_hi = self.lam_prev
         x_hi = self.x.copy()
-        _, a_hi = self.h_vec(lam_hi, x_hi)
         base_frac = opts.lambda_step_fraction
         frac = base_frac
         while True:
@@ -216,7 +211,7 @@ class _Leg:
             gap_lo, _ = self.gap(lam_lo, x_lo, a_lo)
             if gap_lo >= 0.0:
                 return self.bisect(lam_lo, x_lo, lam_hi, x_hi)
-            lam_hi, x_hi, a_hi = lam_lo, x_lo, a_lo
+            lam_hi, x_hi = lam_lo, x_lo
             frac = base_frac
             if lam_hi <= opts.lambda_min:
                 raise _PathStop("reached_lambda_min")
@@ -245,10 +240,10 @@ def lars_run(obs, sigma, opts=None):
     """The continuation path ((lambda_k, active_k, weights_k))_k; see module
     docstring.  sigma only rescales the kernel (the knots are invariant) but
     fixes the weight normalization of the printed algorithm."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    opts = opts or LarsOptions()
     two_s2 = 2.0 * sigma * sigma
+    if not (sigma > 0 and math.isfinite(two_s2) and two_s2 >= sys.float_info.min):
+        raise ValueError("sigma must be positive and finite, with 2 sigma^2 a normal float")
+    opts = opts or LarsOptions()
 
     z_hat, lambda1 = first_knot(obs)
     t1 = z_hat.t

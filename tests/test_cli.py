@@ -131,6 +131,24 @@ def test_usage_errors_exit_2(obs_file, capsys):
     assert _run(capsys, "frobnicate")[0] == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_sigma_is_a_usage_error(tmp_path, obs_file, capsys, value):
+    out_path = tmp_path / "never.json"
+    commands = [
+        ["simulate", "--fc", "3", "--seed", "1", "--out", str(out_path)],
+        ["test", "--stat", "rice", "--obs", obs_file],
+        ["lars", "--obs", obs_file],
+        ["calibrate", "--fc", "3", "--seed", "1", "--reps", "2", "--stat", "rice"],
+        ["power", "--fc", "3", "--seed", "1", "--reps", "2", "--stat", "rice",
+         "--spike", "2.0"],
+    ]
+    for argv in commands:
+        code, out, err = _run(capsys, *argv, "--sigma", value)
+        assert (code, out) == (2, ""), argv
+        assert "must be finite" in err
+    assert not out_path.exists()
+
+
 def test_computation_errors_exit_1(tmp_path, capsys):
     # constant-modulus process: every phase shift ties, no isolated maximizer
     y = np.zeros(7, dtype=complex)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from srknots import lars
 from srknots.knots import first_knot, second_knot
 from srknots.lars import LarsOptions, export_csv, lars_residual, lars_run
-from srknots.model import AtomicMeasure, Observation, synthesize
+from srknots.model import AtomicMeasure, Observation, kernel_gamma, synthesize, wrap_delta, z_eval
 from srknots.numerics import RngStream
 
 TWO_PI = 2.0 * math.pi
@@ -15,6 +16,19 @@ TWO_PI = 2.0 * math.pi
 
 def _noisy_obs(seed, f_c=3):
     return synthesize(AtomicMeasure.empty(), f_c, 1.0, RngStream(seed, 0))
+
+
+def _gaussian_obs(seed, index, f_c=3):
+    """y = N(0,1) + i N(0,1) in each coefficient, from SeedSequence([seed, index])."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    n = 2 * f_c + 1
+    return Observation(f_c=f_c, y=rng.standard_normal(n) + 1j * rng.standard_normal(n), sigma=1.0)
+
+
+# Null f_c = 3 paths on which a grid peak straddling two samples once read
+# below a disc-edge sample and was skipped, so the entering point of a later
+# knot missed |residual| = lambda_k by 4.7e-7 and 1.2e-7.
+_EXHIBITS = ((109, 20), (5220, 0))
 
 
 def _path_invariants(obs, path, tol=1e-7):
@@ -50,6 +64,106 @@ def test_path_invariants_noise_only():
         assert path.status == "reached_k_max"
         assert len(path.knots) == 4
         _path_invariants(obs, path)
+
+
+@pytest.mark.parametrize("seed, index", _EXHIBITS)
+def test_entering_point_on_exhibit_paths(seed, index):
+    obs = _gaussian_obs(seed, index)
+    path = lars_run(obs, 1.0, LarsOptions(k_max=4))
+    assert path.status == "reached_k_max"
+    _path_invariants(obs, path)
+
+
+def _leg_at_knot(obs, path, j):
+    """The leg that starts at knot j (j active points) of a computed path."""
+    knot = path.knots[j - 1]
+    active = np.array(knot.active)
+    prev_vals = lars_residual(obs, path, j, active)
+    return lars._Leg(obs, path.sigma, active, prev_vals, knot.lam, LarsOptions())
+
+
+def test_analytic_jacobian_matches_central_difference():
+    obs = _noisy_obs(42)
+    path = lars_run(obs, 1.0, LarsOptions(k_max=5))
+    assert len(path.knots) == 5
+    fd = 1e-6
+    for j in (2, 3, 4):
+        leg = _leg_at_knot(obs, path, j)
+        lam = 0.995 * leg.lam_prev
+        x_sol, _ = leg.newton(lam, leg.x)
+        for x in (x_sol, x_sol + 0.01 * np.cos(np.arange(j))):
+            _, jac, _ = leg.system(lam, x)
+            num = np.empty_like(jac)
+            for i in range(j):
+                step = np.zeros(j)
+                step[i] = fd
+                num[:, i] = (leg.system(lam, x + step)[0] - leg.system(lam, x - step)[0]) / (2 * fd)
+            assert np.max(np.abs(jac - num)) <= 1e-6 * np.max(np.abs(jac))
+
+
+def test_off_support_max_dominates_a_fine_grid(monkeypatch):
+    # Every event probe along a path against an independent residual
+    # (kernel sum) on 2^16 points, masked outside the merge discs.
+    calls = []
+    real = lars._Leg.off_support_max
+
+    def spy(leg, x, a):
+        out = real(leg, x, a)
+        calls.append((leg.two_s2, np.array(x), np.array(a), out))
+        return out
+
+    monkeypatch.setattr(lars._Leg, "off_support_max", spy)
+    t = np.linspace(0.0, TWO_PI, 2 ** 16, endpoint=False)
+    for seed, index in _EXHIBITS:
+        obs = _gaussian_obs(seed, index)
+        calls.clear()
+        lars_run(obs, 1.0, LarsOptions(k_max=4))
+        assert len(calls) > 30
+        z_t = z_eval(obs, t)
+        for two_s2, x, a, (val, loc) in calls:
+
+            def fit(u):
+                gam = kernel_gamma(obs.f_c, np.subtract.outer(u, x).ravel())
+                return two_s2 * (gam.reshape(u.size, x.size) @ a)
+
+            dist = np.min(np.abs(wrap_delta(np.subtract.outer(t, x))), axis=1)
+            grid_max = np.max(np.abs(z_t - fit(t))[dist >= lars._MERGE_RADIUS])
+            assert val >= grid_max - 1e-12
+            assert abs(abs(z_eval(obs, loc) - fit(np.array([loc]))[0]) - val) < 1e-12
+            assert np.min(np.abs(wrap_delta(loc - x))) >= lars._MERGE_RADIUS - 1e-12
+
+
+def test_off_support_max_brent_fallback(monkeypatch):
+    # With every Newton polish refused, bounded Brent search on each grid
+    # bracket must find the same maximum.
+    obs = _gaussian_obs(*_EXHIBITS[0])
+    leg = _leg_at_knot(obs, lars_run(obs, 1.0, LarsOptions(k_max=4)), 3)
+    x, a = leg.newton(0.995 * leg.lam_prev, leg.x)
+    ref_val, ref_loc = leg.off_support_max(x, a)
+    real_newton, real_brent = lars._newton_peaks, lars.maximize_1d
+    brackets = []
+
+    def refuse(res, t0, radius):
+        t, ok = real_newton(res, t0, radius)
+        return t, np.zeros_like(ok)
+
+    def brent(f, bracket, tol):
+        brackets.append(bracket)
+        return real_brent(f, bracket, tol=tol)
+
+    monkeypatch.setattr(lars, "_newton_peaks", refuse)
+    monkeypatch.setattr(lars, "maximize_1d", brent)
+    val, loc = leg.off_support_max(x, a)
+    assert len(brackets) >= 2
+    assert val == pytest.approx(ref_val, rel=1e-12)
+    assert abs(wrap_delta(loc - ref_loc)) < 1e-6
+
+
+@pytest.mark.parametrize("sigma", [math.inf, math.nan, 1e200, 1e-200, -1.0])
+def test_sigma_must_be_finite_with_a_normal_kernel_scale(sigma):
+    # 2 sigma^2 overflows at 1e200 and underflows to 0 at 1e-200
+    with pytest.raises(ValueError):
+        lars_run(_noisy_obs(0), sigma)
 
 
 def test_first_two_knots_match_knot_module():
