@@ -80,6 +80,22 @@ def _finite_float(text):
     return value
 
 
+def _noise_level(text):
+    """argparse type: a finite float >= 0 (0 draws a noiseless observation)."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %r" % text)
+    return value
+
+
+def _positive_float(text):
+    """argparse type: a finite float > 0."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be positive, got %r" % text)
+    return value
+
+
 def _parse_spike(text, need_location):
     parts = text.split(":")
     try:
@@ -292,7 +308,8 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="draw an observation and write it as JSON")
     p.add_argument("--fc", type=int, required=True)
-    p.add_argument("--sigma", type=_finite_float, required=True)
+    p.add_argument("--sigma", type=_noise_level, required=True,
+                   help="noise level; 0 draws a noiseless observation")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--spike", action="append",
                    help="WEIGHT:LOCATION[:PHASE], repeatable")
@@ -313,7 +330,7 @@ def _build_parser():
 
     p = sub.add_parser("lars", help="continuation path of the first k_max knots")
     p.add_argument("--obs", required=True)
-    p.add_argument("--sigma", type=_finite_float)
+    p.add_argument("--sigma", type=_positive_float)
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--lambda-min", type=float, default=1e-3)
     p.add_argument("--out", help="also export the path as CSV")

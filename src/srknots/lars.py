@@ -15,13 +15,18 @@ The active locations x(lambda) then follow the stationarity system
 
 tracked by a predictor-corrector scheme: decrement lambda by a fixed
 fraction, re-solve h = 0 by Newton with the analytic Jacobian (_Leg.system,
-from Gamma and Z up to second order at the active points), halving the
-decrement when Newton fails.  The next knot is the largest lambda at which
-the off-support maximum of |Z^(lambda)| reaches lambda, found by bisection
-in lambda.  The residual Z^(lambda) is itself the Z of the Fourier data
+from Gamma and Z up to second order at the active points) from the secant
+prediction, halving the decrement when Newton fails.  The next knot is the
+largest lambda at which the off-support maximum of |Z^(lambda)| reaches
+lambda.  The residual Z^(lambda) is itself the Z of the Fourier data
 y_res = y - (2 sigma^2 / sqrt N) sum_i a_i e^{-ik x_i}, so that maximum is
 an event-grid sweep of y_res whose local maxima are all polished at once by
-the first knot's vectorized Newton (knots._newton_peaks).
+the first knot's vectorized Newton (knots._newton_peaks).  Once a step
+brackets the knot, Illinois false position on the gap of the one candidate
+that crosses (a peak re-polished at each lambda, or a disc-boundary point)
+locates it to a width of 1e-9 max(1, lambda), and one sweep at the final
+upper end confirms it; bisection in lambda on the global gap is the
+fallback (_Leg.locate).
 """
 
 import math
@@ -37,6 +42,7 @@ from .numerics import maximize_1d
 
 _MERGE_RADIUS = 1e-3
 _COND_LIMIT = 1e14
+_EDGE_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,9 @@ class _Leg:
         self.two_s2 = 2.0 * sigma * sigma
         n_grid = opts.event_grid or 64 * obs.n_freq
         self.t_grid, self.emat = _t_grid(obs.f_c, n_grid)
+        # A tracked peak may move this far between two lambdas of a bracket:
+        # a quarter of the Fourier node spacing 2 pi / N.
+        self.track_radius = 0.5 * math.pi / obs.n_freq
 
     def system(self, lam, x):
         """(h, dh/dx, a) of the stationarity system at (lambda, x).
@@ -144,6 +153,13 @@ class _Leg:
             x = x + delta
         raise ValueError("Newton did not converge")
 
+    def residual(self, x, a):
+        """The Observation whose Z is the residual Z^(lambda) of weights a at x."""
+        obs = self.obs
+        k = np.arange(-obs.f_c, obs.f_c + 1)
+        shift = np.exp(-1j * np.outer(k, x)) @ a
+        return Observation(f_c=obs.f_c, y=obs.y - self.two_s2 * shift / math.sqrt(obs.n_freq))
+
     def off_support_max(self, x, a):
         """(value, location) of the maximum of |Z^(lambda)| outside the open
         merge discs around the active points.
@@ -158,11 +174,8 @@ class _Leg:
         candidates themselves: the constrained maximum sits there when an
         active point is about to split.
         """
-        obs = self.obs
-        k = np.arange(-obs.f_c, obs.f_c + 1)
-        shift = np.exp(-1j * np.outer(k, x)) @ a
-        res = Observation(f_c=obs.f_c, y=obs.y - self.two_s2 * shift / math.sqrt(obs.n_freq))
-        vals = np.abs(self.emat @ res.y) / math.sqrt(obs.n_freq)
+        res = self.residual(x, a)
+        vals = np.abs(self.emat @ res.y) / math.sqrt(self.obs.n_freq)
         dist = np.min(np.abs(wrap_delta(self.t_grid[:, None] - x[None, :])), axis=1)
         masked = np.where(dist >= _MERGE_RADIUS, vals, -np.inf)
         is_peak = (
@@ -186,12 +199,38 @@ class _Leg:
         val, loc = self.off_support_max(x, a)
         return val - lam, loc
 
+    def candidate_gap(self, lam, x, a, cand):
+        """(|Z^(lambda)(t_c)| - lambda, cand) for the crossing candidate cand =
+        (t_c, edge) at the solved state (x, a), or None where it is lost.
+
+        A peak (edge None) is re-polished from its last location t_c by
+        Newton; it is lost when the polish fails, moves by more than
+        track_radius or lands inside a merge disc.  A disc-boundary point
+        (edge (i, +-1)) is x_i +- _MERGE_RADIUS and moves with x.
+        """
+        t, edge = cand
+        res = self.residual(x, a)
+        if edge is None:
+            t_new, ok = _newton_peaks(res, np.array([t]), self.track_radius)
+            t = float(t_new[0] % (2.0 * math.pi))
+            if not ok[0] or np.min(np.abs(wrap_delta(t - x))) < _MERGE_RADIUS:
+                return None
+        else:
+            i, sign = edge
+            t = float((x[i] + sign * _MERGE_RADIUS) % (2.0 * math.pi))
+        return abs(z_eval(res, t)) - lam, (t, edge)
+
     def run(self):
         """Track the leg until the next knot; returns (lam_k, x, a, t_new)
-        or raises _PathStop."""
+        or raises _PathStop.
+
+        Each 1% step starts Newton from the secant through the last two
+        solved points, scaled to the step."""
         opts = self.opts
         lam_hi = self.lam_prev
         x_hi = self.x.copy()
+        a_hi = self.system(lam_hi, x_hi)[2]
+        lam_prev = x_prev = None
         base_frac = opts.lambda_step_fraction
         frac = base_frac
         while True:
@@ -201,23 +240,95 @@ class _Leg:
                     lam_lo = opts.lambda_min
                 else:
                     raise _PathStop("reached_lambda_min")
+            x0 = x_hi
+            if x_prev is not None:
+                x0 = x_hi + (x_hi - x_prev) * (lam_lo - lam_hi) / (lam_hi - lam_prev)
             try:
-                x_lo, a_lo = self.newton(lam_lo, x_hi)
+                x_lo, a_lo = self.newton(lam_lo, x0)
             except ValueError:
                 frac *= 0.5
                 if frac < 1e-6:
                     raise _PathStop("path_stop_singular_jacobian")
                 continue
-            gap_lo, _ = self.gap(lam_lo, x_lo, a_lo)
+            gap_lo, t_lo = self.gap(lam_lo, x_lo, a_lo)
             if gap_lo >= 0.0:
-                return self.bisect(lam_lo, x_lo, lam_hi, x_hi)
-            lam_hi, x_hi = lam_lo, x_lo
+                return self.locate((lam_lo, x_lo, a_lo, gap_lo, t_lo), (lam_hi, x_hi, a_hi))
+            lam_prev, x_prev = lam_hi, x_hi
+            lam_hi, x_hi, a_hi = lam_lo, x_lo, a_lo
             frac = base_frac
             if lam_hi <= opts.lambda_min:
                 raise _PathStop("reached_lambda_min")
 
-    def bisect(self, lam_lo, x_lo, lam_hi, x_hi):
-        """The gap is >= 0 at lam_lo and < 0 at lam_hi; refine the crossing."""
+    def locate(self, lo, hi):
+        """The knot in [lam_lo, lam_hi): returns (lam_k, x, a, t_new).
+
+        lo = (lambda, x, a, gap, t) is a solved state whose off-support gap
+        is >= 0 with argmax t, hi = (lambda, x, a) one whose gap is < 0.  The
+        global gap has a kink at the knot (above it a flat disc-boundary
+        value can lead), so the search runs Illinois false position on the
+        smooth gap of the one candidate that crosses, the argmax at lo
+        (candidate_gap).  Newton for x(lambda) starts from the linear
+        interpolation between the bracket ends.  Each point keeps 0.45 of the
+        bisection width 1e-9 max(1, lambda) from both ends, so the step that
+        lands next to the root also closes the bracket to that width.  One
+        full off_support_max at the final hi end must confirm a gap < 0
+        there.  If the confirmation fails, the candidate is lost (or does not
+        read < 0 at hi) or Newton fails, the search falls back to bisection
+        on the rest of the bracket whose hi end is confirmed.
+        """
+        lam_lo, x_lo, a_lo, g_lo, t_lo = lo
+        lam_hi, x_hi, a_hi = hi
+        on_edge = np.abs(wrap_delta(t_lo - (x_lo[:, None] + _EDGE_SIGNS * _MERGE_RADIUS))) < 1e-12
+        edge = None
+        if on_edge.any():
+            i, j = np.argwhere(on_edge)[0]
+            edge = (int(i), float(_EDGE_SIGNS[j]))
+        cand = (t_lo, edge)
+        tracked = self.candidate_gap(lam_hi, x_hi, a_hi, cand)
+        if tracked is None or not tracked[0] < 0.0:
+            return self.bisect((lam_lo, x_lo, a_lo, t_lo), hi)
+        g_hi, cand = tracked
+        # The end the last step replaced (+1 lo, -1 hi): replacing the same
+        # end twice in a row halves the gap kept at the other (Illinois).
+        moved = 0
+        for _ in range(30):
+            tol = 1e-9 * max(1.0, lam_hi)
+            if lam_hi - lam_lo < tol:
+                break
+            lam = (lam_lo * g_hi - lam_hi * g_lo) / (g_hi - g_lo)
+            lam = min(max(lam, lam_lo + 0.45 * tol), lam_hi - 0.45 * tol)
+            w = (lam - lam_lo) / (lam_hi - lam_lo)
+            try:
+                x, a = self.newton(lam, x_lo + w * (x_hi - x_lo))
+            except ValueError:
+                return self.bisect((lam_lo, x_lo, a_lo, t_lo), hi)
+            tracked = self.candidate_gap(lam, x, a, cand)
+            if tracked is None:
+                return self.bisect((lam_lo, x_lo, a_lo, t_lo), hi)
+            g, cand = tracked
+            if g >= 0.0:
+                lam_lo, x_lo, a_lo, g_lo, t_lo = lam, x, a, g, cand[0]
+                if moved == 1:
+                    g_hi *= 0.5
+                moved = 1
+            else:
+                lam_hi, x_hi, a_hi, g_hi = lam, x, a, g
+                if moved == -1:
+                    g_lo *= 0.5
+                moved = -1
+        else:
+            return self.bisect((lam_lo, x_lo, a_lo, t_lo), hi)
+        gap_hi, t_hi = self.gap(lam_hi, x_hi, a_hi)
+        if gap_hi >= 0.0:
+            return self.bisect((lam_hi, x_hi, a_hi, t_hi), hi)
+        return lam_lo, x_lo, a_lo, t_lo
+
+    def bisect(self, lo, hi):
+        """Bisection in lambda between a solved state lo = (lambda, x, a, t)
+        whose gap is >= 0 with argmax t and one hi = (lambda, x, ...) whose
+        gap is < 0; returns (lam_k, x, a, t_new) at the final lo end."""
+        lam_lo, x_lo, a_lo, t_lo = lo
+        lam_hi, x_hi = hi[:2]
         for _ in range(80):
             if lam_hi - lam_lo < 1e-9 * max(1.0, lam_hi):
                 break
@@ -226,14 +337,12 @@ class _Leg:
                 x_mid, a_mid = self.newton(lam_mid, 0.5 * (x_lo + x_hi))
             except ValueError:
                 raise _PathStop("path_stop_singular_jacobian")
-            gap_mid, _ = self.gap(lam_mid, x_mid, a_mid)
+            gap_mid, t_mid = self.gap(lam_mid, x_mid, a_mid)
             if gap_mid >= 0.0:
-                lam_lo, x_lo = lam_mid, x_mid
+                lam_lo, x_lo, a_lo, t_lo = lam_mid, x_mid, a_mid, t_mid
             else:
                 lam_hi, x_hi = lam_mid, x_mid
-        x_k, a_k = self.newton(lam_lo, x_lo)
-        _, t_new = self.off_support_max(x_k, a_k)
-        return lam_lo, x_k, a_k, t_new
+        return lam_lo, x_lo, a_lo, t_lo
 
 
 def lars_run(obs, sigma, opts=None):

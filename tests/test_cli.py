@@ -149,6 +149,28 @@ def test_non_finite_sigma_is_a_usage_error(tmp_path, obs_file, capsys, value):
     assert not out_path.exists()
 
 
+def test_negative_noise_level_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "never.json"
+    argv = ["simulate", "--fc", "3", "--seed", "1", "--out", str(out_path)]
+    code, out, err = _run(capsys, *argv, "--sigma", "-1")
+    assert (code, out) == (2, "")
+    assert "must be >= 0" in err
+    assert not out_path.exists()
+    # 0 stays allowed: it draws the noiseless observation
+    code, out, _ = _run(capsys, *argv, "--sigma", "0")
+    assert code == 0 and json.loads(out)["sigma"] == 0.0
+    obs = load_observation(str(out_path))
+    assert obs.sigma is None
+    assert np.array_equal(obs.y, np.zeros(7, dtype=complex))
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "-0.0"])
+def test_lars_non_positive_sigma_is_a_usage_error(obs_file, capsys, value):
+    code, out, err = _run(capsys, "lars", "--obs", obs_file, "--sigma", value)
+    assert (code, out) == (2, "")
+    assert "must be positive" in err
+
+
 def test_computation_errors_exit_1(tmp_path, capsys):
     # constant-modulus process: every phase shift ties, no isolated maximizer
     y = np.zeros(7, dtype=complex)

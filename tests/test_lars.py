@@ -103,33 +103,46 @@ def test_analytic_jacobian_matches_central_difference():
 
 def test_off_support_max_dominates_a_fine_grid(monkeypatch):
     # Every event probe along a path against an independent residual
-    # (kernel sum) on 2^16 points, masked outside the merge discs.
-    calls = []
+    # (kernel sum) on 2^16 points, masked outside the merge discs: the full
+    # off_support_max sweeps, and the candidate gaps the knot search reads.
+    calls, tracked = [], []
     real = lars._Leg.off_support_max
+    real_candidate = lars._Leg.candidate_gap
 
     def spy(leg, x, a):
         out = real(leg, x, a)
         calls.append((leg.two_s2, np.array(x), np.array(a), out))
         return out
 
+    def spy_candidate(leg, lam, x, a, cand):
+        out = real_candidate(leg, lam, x, a, cand)
+        if out is not None:
+            tracked.append((leg.two_s2, np.array(x), np.array(a), out[0] + lam, out[1][0]))
+        return out
+
     monkeypatch.setattr(lars._Leg, "off_support_max", spy)
+    monkeypatch.setattr(lars._Leg, "candidate_gap", spy_candidate)
     t = np.linspace(0.0, TWO_PI, 2 ** 16, endpoint=False)
     for seed, index in _EXHIBITS:
         obs = _gaussian_obs(seed, index)
         calls.clear()
+        tracked.clear()
         lars_run(obs, 1.0, LarsOptions(k_max=4))
-        assert len(calls) > 30
+        assert tracked and len(calls) + len(tracked) > 30
         z_t = z_eval(obs, t)
+
+        def fit(u, two_s2, x, a):
+            gam = kernel_gamma(obs.f_c, np.subtract.outer(u, x).ravel())
+            return two_s2 * (gam.reshape(u.size, x.size) @ a)
+
         for two_s2, x, a, (val, loc) in calls:
-
-            def fit(u):
-                gam = kernel_gamma(obs.f_c, np.subtract.outer(u, x).ravel())
-                return two_s2 * (gam.reshape(u.size, x.size) @ a)
-
             dist = np.min(np.abs(wrap_delta(np.subtract.outer(t, x))), axis=1)
-            grid_max = np.max(np.abs(z_t - fit(t))[dist >= lars._MERGE_RADIUS])
+            grid_max = np.max(np.abs(z_t - fit(t, two_s2, x, a))[dist >= lars._MERGE_RADIUS])
             assert val >= grid_max - 1e-12
-            assert abs(abs(z_eval(obs, loc) - fit(np.array([loc]))[0]) - val) < 1e-12
+            assert abs(abs(z_eval(obs, loc) - fit(np.array([loc]), two_s2, x, a)[0]) - val) < 1e-12
+            assert np.min(np.abs(wrap_delta(loc - x))) >= lars._MERGE_RADIUS - 1e-12
+        for two_s2, x, a, val, loc in tracked:
+            assert abs(abs(z_eval(obs, loc) - fit(np.array([loc]), two_s2, x, a)[0]) - val) < 1e-12
             assert np.min(np.abs(wrap_delta(loc - x))) >= lars._MERGE_RADIUS - 1e-12
 
 
@@ -157,6 +170,132 @@ def test_off_support_max_brent_fallback(monkeypatch):
     assert len(brackets) >= 2
     assert val == pytest.approx(ref_val, rel=1e-12)
     assert abs(wrap_delta(loc - ref_loc)) < 1e-6
+
+
+def _agreement_obs():
+    return (
+        [_gaussian_obs(seed, index) for seed, index in _EXHIBITS]
+        + [_gaussian_obs(0, j) for j in range(10)]
+        + [_noisy_obs(seed) for seed in (42, 7, 101, 555)]
+    )
+
+
+def _spy_event_search(monkeypatch):
+    """Per call of _Leg.locate, the number of full off_support_max probes
+    and of candidate_gap evaluations it makes."""
+    probes, evals = [], []
+    real_locate = lars._Leg.locate
+    real_probe = lars._Leg.off_support_max
+    real_candidate = lars._Leg.candidate_gap
+    inside = [False]
+
+    def locate(leg, lo, hi):
+        probes.append(0)
+        evals.append(0)
+        inside[0] = True
+        try:
+            return real_locate(leg, lo, hi)
+        finally:
+            inside[0] = False
+
+    def probe(leg, x, a):
+        if inside[0]:
+            probes[-1] += 1
+        return real_probe(leg, x, a)
+
+    def candidate(leg, lam, x, a, cand):
+        evals[-1] += 1
+        return real_candidate(leg, lam, x, a, cand)
+
+    monkeypatch.setattr(lars._Leg, "locate", locate)
+    monkeypatch.setattr(lars._Leg, "off_support_max", probe)
+    monkeypatch.setattr(lars._Leg, "candidate_gap", candidate)
+    return probes, evals
+
+
+def _assert_same_knots(paths, reference, rel=2e-9, loc=1e-7):
+    for path, ref in zip(paths, reference):
+        assert path.status == ref.status
+        assert len(path.knots) == len(ref.knots)
+        for knot, ref_knot in zip(path.knots, ref.knots):
+            assert abs(knot.lam - ref_knot.lam) <= rel * ref_knot.lam
+            shift = wrap_delta(np.array(knot.active) - np.array(ref_knot.active))
+            assert np.max(np.abs(shift)) <= loc
+
+
+def test_event_search_matches_bisection(monkeypatch):
+    # The false-position search on the crossing candidate against plain
+    # bisection on the global gap, forced by losing the candidate at once.
+    observations = _agreement_obs()
+    opts = LarsOptions(k_max=4)
+    probes, _ = _spy_event_search(monkeypatch)
+    fast = [lars_run(obs, 1.0, opts) for obs in observations]
+    # One probe per knot confirms the search; a leg on which the entering
+    # peak is born inside the bracket, as on (5220, 0), falls back.
+    assert len(probes) == 32
+    assert sum(n == 1 for n in probes) >= len(probes) - 2
+    assert all(n >= 1 for n in probes)
+
+    probes.clear()
+    monkeypatch.setattr(lars._Leg, "candidate_gap", lambda leg, lam, x, a, cand: None)
+    slow = [lars_run(obs, 1.0, opts) for obs in observations]
+    assert min(probes) >= 20
+    _assert_same_knots(fast, slow)
+
+
+@pytest.mark.parametrize("route", ["refused_polish", "failed_confirmation"])
+def test_event_search_falls_back_to_bisection(monkeypatch, route):
+    observations = [_gaussian_obs(seed, index) for seed, index in _EXHIBITS] + [_noisy_obs(42)]
+    probes, _ = _spy_event_search(monkeypatch)
+    if route == "refused_polish":
+        # Every Newton polish refused: the candidate is lost at the hi end,
+        # and off_support_max polishes its peaks by Brent search.
+        real_newton = lars._newton_peaks
+
+        def refuse(res, t0, radius):
+            t, ok = real_newton(res, t0, radius)
+            return t, np.zeros_like(ok)
+
+        monkeypatch.setattr(lars, "_newton_peaks", refuse)
+    else:
+        # A candidate gap read 1e-4 low crosses zero below the knot, where
+        # the global gap is still >= 0: the confirmation must catch it.
+        spied = lars._Leg.candidate_gap
+
+        def low(leg, lam, x, a, cand):
+            out = spied(leg, lam, x, a, cand)
+            return None if out is None else (out[0] - 1e-4, out[1])
+
+        monkeypatch.setattr(lars._Leg, "candidate_gap", low)
+    for obs in observations:
+        path = lars_run(obs, 1.0, LarsOptions(k_max=4))
+        assert path.status == "reached_k_max"
+        _path_invariants(obs, path)
+    # about log2(0.01 lambda / 1e-9) = 24 bisection probes per knot
+    assert len(probes) == 6
+    assert all(18 <= n <= 30 for n in probes)
+
+
+def test_event_search_converges_on_a_curved_gap(monkeypatch):
+    # A sign-preserving concave transform of the candidate gap keeps every
+    # knot but flattens the gap on the lo side: plain false position then
+    # creeps from that end, and only the Illinois halving of the retained
+    # end's value gets the search to the bisection width in a few steps.
+    observations = _agreement_obs()
+    opts = LarsOptions(k_max=4)
+    reference = [lars_run(obs, 1.0, opts) for obs in observations]
+    probes, evals = _spy_event_search(monkeypatch)
+    spied = lars._Leg.candidate_gap
+
+    def curved(leg, lam, x, a, cand):
+        out = spied(leg, lam, x, a, cand)
+        return None if out is None else (-math.expm1(-300.0 * out[0]) / 300.0, out[1])
+
+    monkeypatch.setattr(lars._Leg, "candidate_gap", curved)
+    paths = [lars_run(obs, 1.0, opts) for obs in observations]
+    assert sum(n == 1 for n in probes) >= len(probes) - 2
+    assert sum(evals) <= 12 * len(evals)
+    _assert_same_knots(paths, reference)
 
 
 @pytest.mark.parametrize("sigma", [math.inf, math.nan, 1e200, 1e-200, -1.0])
