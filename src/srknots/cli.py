@@ -18,25 +18,18 @@ from .mc import (
     AlternativeSpec,
     ExperimentConfig,
     empirical_level,
+    evaluate_statistics,
     ks_uniform,
     reproduce_figure,
     run_experiment,
+    statistic_needs,
 )
 from .model import AtomicMeasure, load_observation, save_observation, synthesize
 from .numerics import RngStream
-from .stats import (
-    grid_spacing_test,
-    grid_test_known,
-    grid_test_unknown,
-    lambda2_bar,
-    rice_known,
-    rice_unknown,
-    spacing_statistic,
-    voronoi_sample,
-)
-from .variance import sigma_hat_cond, sigma_hat_grid
 
-_STAT_NAMES = ("rice", "t-rice", "st", "grid", "t-grid", "grid-st")
+# CLI spelling -> library name; grid-st maps to grid_spacing_<--grid>.
+_STAT_NAMES = {"rice": "rice", "t-rice": "t_rice", "st": "spacing",
+               "grid": "grid", "t-grid": "t_grid", "grid-st": None}
 
 
 def _fmt(value):
@@ -96,6 +89,18 @@ def _positive_float(text):
     return value
 
 
+def _int_at_least(low):
+    """argparse type: an integer >= low."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %r" % (low, text))
+        return value
+
+    return integer
+
+
 def _parse_spike(text, need_location):
     parts = text.split(":")
     try:
@@ -128,8 +133,7 @@ def _stat_internal(name, grid_size):
         if grid_size is None:
             raise SchemaError("--stat grid-st requires --grid P")
         return "grid_spacing_%d" % grid_size
-    return {"rice": "rice", "t-rice": "t_rice", "st": "spacing",
-            "grid": "grid", "t-grid": "t_grid"}[name]
+    return _STAT_NAMES[name]
 
 
 def _cmd_simulate(args):
@@ -164,45 +168,18 @@ def _cmd_knots(args):
 def _cmd_test(args):
     obs = load_observation(args.obs)
     sigma = args.sigma if args.sigma is not None else obs.sigma
-    stat = args.stat
-    if sigma is None:
+    stat = _stat_internal(args.stat, args.grid)
+    needs = statistic_needs(stat)
+    if sigma is None and needs.studentized:
         # no noise level anywhere: studentize where a T-variant exists
-        promoted = {"rice": "t-rice", "grid": "t-grid"}
-        if stat in promoted:
-            stat = promoted[stat]
-        elif stat in ("st", "grid-st"):
-            raise SrknotsError(
-                "statistic %r needs a noise level; pass --sigma or use a "
-                "t-statistic" % stat
-            )
-    ctx = obs.context()
-    if stat == "grid-st":
-        if args.grid is None:
-            raise SchemaError("--stat grid-st requires --grid P")
-        report = grid_spacing_test(obs, args.grid, sigma)
-    else:
-        cert = compute_certificate(obs)
-        if stat == "rice":
-            report = rice_known(cert, sigma, ctx)
-        elif stat == "st":
-            report = spacing_statistic(cert.lambda1, cert.lambda2, sigma)
-        elif stat == "t-rice":
-            report = rice_unknown(cert, sigma_hat_cond(obs, cert.z_hat), ctx)
-        else:
-            if args.seed is None:
-                raise SchemaError("randomized grid tests need --seed for the cell draw")
-            hess = np.asarray(cert.R) - ctx.lambda_tilde() * cert.lambda1
-            u_draw = voronoi_sample(hess, RngStream(args.seed))
-            l2_bar = lambda2_bar(cert.lambda1, cert.lambda2, hess, u_draw, ctx)
-            if stat == "grid":
-                report = grid_test_known(cert.lambda1, l2_bar, sigma)
-            else:
-                report = grid_test_unknown(
-                    cert.lambda1, l2_bar, sigma_hat_grid(obs, cert.z_hat), ctx
-                )
-    payload = {"name": report.name, "value": report.value}
-    payload.update(report.aux)
-    _emit(payload)
+        stat = needs.studentized
+    if needs.randomized and args.seed is None:
+        raise SchemaError("randomized grid tests need --seed for the cell draw")
+    rng = None if args.seed is None else RngStream(args.seed).generator()
+    report = evaluate_statistics(obs, (stat,), sigma, rng)[stat]
+    if isinstance(report, str):
+        raise SrknotsError(report)
+    _emit({"name": report.name, "value": report.value, **report.aux})
     return 0
 
 
@@ -255,7 +232,7 @@ def _run_level_summary(args, alternative, failed_rejects):
     values = table.values[stat]
     finite = np.isfinite(values)
     counted = np.where(finite, values, 0.0 if failed_rejects else np.inf)
-    payload = {
+    return {
         "statistic": stat,
         "fc": args.fc,
         "sigma": args.sigma,
@@ -270,7 +247,6 @@ def _run_level_summary(args, alternative, failed_rejects):
         },
         "excluded": table.n_excluded,
     }
-    return payload
 
 
 def _cmd_calibrate(args):
@@ -307,7 +283,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="draw an observation and write it as JSON")
-    p.add_argument("--fc", type=int, required=True)
+    p.add_argument("--fc", type=_int_at_least(1), required=True)
     p.add_argument("--sigma", type=_noise_level, required=True,
                    help="noise level; 0 draws a noiseless observation")
     p.add_argument("--seed", type=int, required=True)
@@ -323,35 +299,35 @@ def _build_parser():
     p = sub.add_parser("test", help="run one hypothesis test on an observation")
     p.add_argument("--stat", choices=_STAT_NAMES, required=True)
     p.add_argument("--obs", required=True)
-    p.add_argument("--sigma", type=_finite_float)
-    p.add_argument("--grid", type=int, help="grid side p for grid-st")
+    p.add_argument("--sigma", type=_positive_float)
+    p.add_argument("--grid", type=_int_at_least(2), help="grid side p for grid-st")
     p.add_argument("--seed", type=int, help="seed for the randomized grid tests")
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("lars", help="continuation path of the first k_max knots")
     p.add_argument("--obs", required=True)
     p.add_argument("--sigma", type=_positive_float)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--lambda-min", type=float, default=1e-3)
+    p.add_argument("--kmax", type=_int_at_least(2), default=4)
+    p.add_argument("--lambda-min", type=_positive_float, default=1e-3)
     p.add_argument("--out", help="also export the path as CSV")
     p.set_defaults(func=_cmd_lars)
 
     p = sub.add_parser("calibrate", help="null Monte-Carlo calibration summary")
-    p.add_argument("--fc", type=int, required=True)
-    p.add_argument("--sigma", type=_finite_float, default=1.0)
+    p.add_argument("--fc", type=_int_at_least(1), required=True)
+    p.add_argument("--sigma", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--reps", type=int, default=2000)
+    p.add_argument("--reps", type=_int_at_least(1), default=2000)
     p.add_argument("--stat", choices=_STAT_NAMES, required=True)
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", type=_int_at_least(2))
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("power", help="power under a spike alternative")
-    p.add_argument("--fc", type=int, required=True)
-    p.add_argument("--sigma", type=_finite_float, default=1.0)
+    p.add_argument("--fc", type=_int_at_least(1), required=True)
+    p.add_argument("--sigma", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--reps", type=int, default=2000)
+    p.add_argument("--reps", type=_int_at_least(1), default=2000)
     p.add_argument("--stat", choices=_STAT_NAMES, required=True)
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", type=_int_at_least(2))
     p.add_argument("--spike", action="append",
                    help="bare WEIGHT, repeatable; locations are drawn uniformly")
     p.set_defaults(func=_cmd_power)
@@ -359,7 +335,7 @@ def _build_parser():
     p = sub.add_parser("reproduce", help="reproduce one figure's panels (CSV+SVG)")
     p.add_argument("figure", choices=("fig3", "fig4", "fig5", "fig6"))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--reps", type=int, default=2000)
+    p.add_argument("--reps", type=_int_at_least(1), default=2000)
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_reproduce)
     return parser

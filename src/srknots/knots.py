@@ -63,22 +63,32 @@ def _local_max_mask_1d(vals):
     return (vals >= left) & (vals > right)
 
 
+def _z_block(obs):
+    """(k, the (N, 3) block y * (ik)^(0, 1, 2) / sqrt N)."""
+    k = np.arange(-obs.f_c, obs.f_c + 1)
+    return k, obs.y[:, None] * (1j * k[:, None]) ** np.arange(3) / math.sqrt(obs.n_freq)
+
+
+def _z012(k, block, t):
+    """Z, Z' and Z'' at all of t from one exp(i k t) matrix times the block."""
+    return (np.exp(1j * np.outer(t, k)) @ block).T
+
+
 def _newton_peaks(obs, t0, radius):
     """Newton on d|Z|^2/dt = 0 from every start in t0 at once.
 
-    Each iteration takes Z, Z' and Z'' at all points from one exp(i k t)
-    matrix times the (N, 3) block y * (ik)^(0, 1, 2), and steps by f'/f''.  A
-    point stops once its step is below 1e-14; at most 8 steps are taken.
-    Returns (t, ok): ok is False where f'' >= 0 was met, where t is not
-    finite, or where t ended more than `radius` from its start.
+    Each iteration takes Z, Z' and Z'' at all points from one product
+    (_z012) and steps by f'/f''.  A point stops once its step is below
+    1e-14; at most 8 steps are taken.  Returns (t, ok): ok is False where
+    f'' >= 0 was met, where t is not finite, or where t ended more than
+    `radius` from its start.
     """
-    k = np.arange(-obs.f_c, obs.f_c + 1)
-    coef = obs.y[:, None] * (1j * k[:, None]) ** np.arange(3) / math.sqrt(obs.n_freq)
+    k, block = _z_block(obs)
     t = np.array(t0, dtype=float)
     ok = np.ones(t.size, dtype=bool)
     active = ok.copy()
     for _ in range(8):
-        z0, z1, z2 = (np.exp(1j * np.outer(t[active], k)) @ coef).T
+        z0, z1, z2 = _z012(k, block, t[active])
         f1 = 2.0 * (z0.conj() * z1).real
         f2 = 2.0 * (np.abs(z1) ** 2 + (z0.conj() * z2).real)
         concave = f2 < 0.0

@@ -32,37 +32,35 @@ fallback (_Leg.locate).
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .knots import _newton_peaks, _t_grid, first_knot, second_knot
-from .model import Observation, kernel_gamma, wrap_delta, z_deriv, z_eval
+from .knots import _newton_peaks, _t_grid, _z012, _z_block, first_knot, second_knot
+from .model import Observation, kernel_gamma, wrap_delta, z_eval
 from .numerics import maximize_1d
 
 _MERGE_RADIUS = 1e-3
 _COND_LIMIT = 1e14
 _EDGE_SIGNS = np.array([-1.0, 1.0])
+_LAMBDA_STEP_FRACTION = 1e-2  # each march step lowers lambda by 1%
+_NEWTON_TOL = 1e-10  # Newton stops at a step below this
+_EVENT_GRID_FACTOR = 64  # event grid points per frequency
+_GAP_ROUNDING = 1e-12  # two routes to one |Z^(lambda)| peak agree to this
 
 
 @dataclass(frozen=True)
 class LarsOptions:
-    """Continuation controls; the defaults follow the module conventions
-    (1% lambda steps, Newton to 1e-10, event grid of 64N points)."""
+    """Continuation controls: the number of knots and the lowest lambda."""
 
     k_max: int = 4
     lambda_min: float = 1e-3
-    lambda_step_fraction: float = 1e-2
-    newton_tol: float = 1e-10
-    event_grid: Optional[int] = None
 
     def __post_init__(self):
         if self.k_max < 2:
             raise ValueError("k_max must be >= 2")
-        if not (self.lambda_min > 0 and self.lambda_step_fraction > 0 and self.newton_tol > 0):
-            raise ValueError("lambda_min, lambda_step_fraction and newton_tol must be positive")
-        if self.event_grid is not None and self.event_grid < 8:
-            raise ValueError("event_grid must be at least 8 points")
+        if not self.lambda_min > 0:
+            raise ValueError("lambda_min must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,8 @@ class _Leg:
         self.lam_prev = float(lam_prev)
         self.opts = opts
         self.two_s2 = 2.0 * sigma * sigma
-        n_grid = opts.event_grid or 64 * obs.n_freq
-        self.t_grid, self.emat = _t_grid(obs.f_c, n_grid)
+        self.t_grid, self.emat = _t_grid(obs.f_c, _EVENT_GRID_FACTOR * obs.n_freq)
+        self.k, self.z_block = _z_block(obs)
         # A tracked peak may move this far between two lambdas of a bracket:
         # a quarter of the Fourier node spacing 2 pi / N.
         self.track_radius = 0.5 * math.pi / obs.n_freq
@@ -129,7 +127,7 @@ class _Leg:
         if not np.all(np.isfinite(m)) or np.linalg.cond(m) > _COND_LIMIT:
             raise _PathStop("path_stop_singular_gram")
         cp = (lam / self.lam_prev) * self.prev_vals
-        z0, z1, z2 = (z_deriv(self.obs, x, order) for order in range(3))
+        z0, z1, z2 = _z012(self.k, self.z_block, x)
         a = np.linalg.solve(m, z0 - cp)
         w1 = z1 - s * (g1 @ a)
         da = np.linalg.solve(m, np.diag(w1) + s * g1 * a)
@@ -138,7 +136,7 @@ class _Leg:
 
     def newton(self, lam, x0):
         """Solve h(lambda, .) = 0 from x0; returns (x, a) at the first x whose
-        Newton step is below newton_tol, or raises ValueError."""
+        Newton step is below _NEWTON_TOL, or raises ValueError."""
         x = np.array(x0, dtype=float)
         for _ in range(30):
             h, jac, a = self.system(lam, x)
@@ -148,7 +146,7 @@ class _Leg:
                 raise ValueError("singular Jacobian")
             if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 0.1:
                 raise ValueError("Newton step diverged")
-            if np.max(np.abs(delta)) < self.opts.newton_tol:
+            if np.max(np.abs(delta)) < _NEWTON_TOL:
                 return x, a
             x = x + delta
         raise ValueError("Newton did not converge")
@@ -231,8 +229,7 @@ class _Leg:
         x_hi = self.x.copy()
         a_hi = self.system(lam_hi, x_hi)[2]
         lam_prev = x_prev = None
-        base_frac = opts.lambda_step_fraction
-        frac = base_frac
+        frac = _LAMBDA_STEP_FRACTION
         while True:
             lam_lo = lam_hi * (1.0 - frac)
             if lam_lo < opts.lambda_min:
@@ -255,7 +252,7 @@ class _Leg:
                 return self.locate((lam_lo, x_lo, a_lo, gap_lo, t_lo), (lam_hi, x_hi, a_hi))
             lam_prev, x_prev = lam_hi, x_hi
             lam_hi, x_hi, a_hi = lam_lo, x_lo, a_lo
-            frac = base_frac
+            frac = _LAMBDA_STEP_FRACTION
             if lam_hi <= opts.lambda_min:
                 raise _PathStop("reached_lambda_min")
 
@@ -271,10 +268,11 @@ class _Leg:
         interpolation between the bracket ends.  Each point keeps 0.45 of the
         bisection width 1e-9 max(1, lambda) from both ends, so the step that
         lands next to the root also closes the bracket to that width.  One
-        full off_support_max at the final hi end must confirm a gap < 0
-        there.  If the confirmation fails, the candidate is lost (or does not
-        read < 0 at hi) or Newton fails, the search falls back to bisection
-        on the rest of the bracket whose hi end is confirmed.
+        full off_support_max at the final hi end must confirm a gap below
+        _GAP_ROUNDING max(1, lambda) there (an end on the root reads +-1e-16
+        by either route).  If the confirmation fails, the candidate is lost
+        (or does not read < 0 at hi) or Newton fails, the search falls back
+        to bisection on the rest of the bracket whose hi end is confirmed.
         """
         lam_lo, x_lo, a_lo, g_lo, t_lo = lo
         lam_hi, x_hi, a_hi = hi
@@ -319,7 +317,7 @@ class _Leg:
         else:
             return self.bisect((lam_lo, x_lo, a_lo, t_lo), hi)
         gap_hi, t_hi = self.gap(lam_hi, x_hi, a_hi)
-        if gap_hi >= 0.0:
+        if gap_hi >= _GAP_ROUNDING * max(1.0, lam_hi):
             return self.bisect((lam_hi, x_hi, a_hi, t_hi), hi)
         return lam_lo, x_lo, a_lo, t_lo
 

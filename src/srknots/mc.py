@@ -1,6 +1,10 @@
 """Monte-Carlo harness: null calibration, power under spike alternatives,
 ECDF/KS summaries, and the figure panels (CSV + SVG).
 
+STATISTICS records what each statistic needs, and evaluate_statistics is the
+one route from statistic names to p-values: run_experiment calls it once per
+replication, and `srknots test` once on its observation.
+
 Replication r of a run with seed s draws everything from RngStream(s, r), in
 the fixed order (spike locations, noise, Voronoi uniform), so each
 replication can be recomputed alone and any subset of statistics can be
@@ -33,8 +37,95 @@ from .variance import sigma_hat_cond, sigma_hat_grid
 
 DEFAULT_GRID_SIZES = (3, 10, 32, 50)
 
+
+@dataclass(frozen=True)
+class StatisticNeeds:
+    """What a statistic takes besides the observation, and the statistic
+    that replaces it when the noise level is unknown."""
+
+    certificate: bool
+    randomized: bool
+    known_sigma: bool
+    studentized: Optional[str] = None
+
+
+# grid_spacing stands for every grid_spacing_P, P >= 2.
+STATISTICS = {
+    "rice": StatisticNeeds(True, False, True, "t_rice"),
+    "t_rice": StatisticNeeds(True, False, False),
+    "spacing": StatisticNeeds(True, False, True),
+    "grid": StatisticNeeds(True, True, True, "t_grid"),
+    "t_grid": StatisticNeeds(True, True, False),
+    "grid_spacing": StatisticNeeds(False, False, True),
+}
+
 _GRID_SPACING_RE = re.compile(r"^grid_spacing_(\d+)$")
-_KNOWN_SIGMA_STATS = {"rice", "spacing", "grid"}
+
+
+def _grid_side(name):
+    """P of grid_spacing_P, or None for any other name."""
+    match = _GRID_SPACING_RE.match(name)
+    return int(match.group(1)) if match else None
+
+
+def statistic_needs(name):
+    """The StatisticNeeds of a statistic name; ValueError when it is unknown."""
+    side = _grid_side(name)
+    needs = STATISTICS.get(name if side is None else "grid_spacing")
+    if needs is None or (side is not None and side < 2):
+        raise ValueError("unknown statistic %r" % name)
+    return needs
+
+
+def evaluate_statistics(obs, statistics, sigma, rng):
+    """{name: TestReport, or the message of the SrknotsError that stopped it}
+    for each statistic on obs.  sigma (None allowed where no statistic reads
+    it) is the known noise level; rng draws the Voronoi uniform.
+
+    The certificate is computed once, then the Voronoi draw and lambda2-bar
+    once if grid or t_grid is asked for; if either fails, so does every
+    statistic that needs the certificate.  Layer functions are looked up by
+    their module-level names on each call, so replacing a name reroutes it.
+    """
+    needs = {name: statistic_needs(name) for name in statistics}
+    for name, need in needs.items():
+        if need.known_sigma and not (sigma is not None and sigma > 0):
+            raise ValueError("statistic %r needs a positive known noise level" % name)
+    ctx = obs.context()
+    cert = l2_bar = cert_error = None
+    if any(n.certificate for n in needs.values()):
+        try:
+            cert = compute_certificate(obs)
+            if any(n.randomized for n in needs.values()):
+                hess = np.asarray(cert.R) - ctx.lambda_tilde() * cert.lambda1
+                u_draw = voronoi_sample(hess, rng)
+                l2_bar = lambda2_bar(cert.lambda1, cert.lambda2, hess, u_draw, ctx)
+        except SrknotsError as exc:
+            cert_error = str(exc)
+
+    out = {}
+    for name in statistics:
+        if cert_error is not None and needs[name].certificate:
+            out[name] = cert_error
+            continue
+        try:
+            if name == "rice":
+                out[name] = rice_known(cert, sigma, ctx)
+            elif name == "t_rice":
+                out[name] = rice_unknown(cert, sigma_hat_cond(obs, cert.z_hat), ctx)
+            elif name == "spacing":
+                out[name] = spacing_statistic(cert.lambda1, cert.lambda2, sigma)
+            elif name == "grid":
+                out[name] = grid_test_known(cert.lambda1, l2_bar, sigma)
+            elif name == "t_grid":
+                out[name] = grid_test_unknown(
+                    cert.lambda1, l2_bar, sigma_hat_grid(obs, cert.z_hat), ctx
+                )
+            else:
+                out[name] = grid_spacing_test(obs, _grid_side(name), sigma)
+        except SrknotsError as exc:
+            out[name] = str(exc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -99,15 +190,8 @@ class ExperimentConfig:
         if not self.statistics:
             raise ValueError("at least one statistic is required")
         for name in self.statistics:
-            base = name if _GRID_SPACING_RE.match(name) is None else "grid_spacing"
-            if base not in ("rice", "t_rice", "spacing", "grid", "t_grid", "grid_spacing"):
-                raise ValueError("unknown statistic %r" % name)
-            if self.sigma_mode == "unknown" and (
-                base in _KNOWN_SIGMA_STATS or base == "grid_spacing"
-            ):
-                raise ValueError(
-                    "statistic %r needs the known noise level; use sigma_mode='known'" % name
-                )
+            if statistic_needs(name).known_sigma and self.sigma_mode == "unknown":
+                raise ValueError("statistic %r needs sigma_mode='known'" % name)
 
 
 @dataclass
@@ -122,66 +206,10 @@ class ExperimentTable:
 
 
 def _one_rep(config, rep):
-    stream = RngStream(config.seed, rep)
-    rng = stream.generator()
+    rng = RngStream(config.seed, rep).generator()
     measure = config.alternative.draw_measure(config.f_c, rng)
     obs = synthesize(measure, config.f_c, config.sigma, rng)
-    ctx = obs.context()
-
-    grid_sizes = []
-    needs_cert = False
-    needs_randomized = False
-    for name in config.statistics:
-        match = _GRID_SPACING_RE.match(name)
-        if match:
-            grid_sizes.append(int(match.group(1)))
-        else:
-            needs_cert = True
-            if name in ("grid", "t_grid"):
-                needs_randomized = True
-
-    out = {}
-    failures = []
-    cert = None
-    l2_bar = None
-    if needs_cert:
-        try:
-            cert = compute_certificate(obs)
-            if needs_randomized:
-                hess = np.asarray(cert.R) - ctx.lambda_tilde() * cert.lambda1
-                u_draw = voronoi_sample(hess, rng)
-                l2_bar = lambda2_bar(cert.lambda1, cert.lambda2, hess, u_draw, ctx)
-        except SrknotsError as exc:
-            for name in config.statistics:
-                if not _GRID_SPACING_RE.match(name):
-                    out[name] = float("nan")
-                    failures.append((rep, name, str(exc)))
-            cert = None
-
-    for name in config.statistics:
-        if name in out:
-            continue
-        try:
-            match = _GRID_SPACING_RE.match(name)
-            if match:
-                report = grid_spacing_test(obs, int(match.group(1)), config.sigma)
-            elif name == "rice":
-                report = rice_known(cert, config.sigma, ctx)
-            elif name == "t_rice":
-                report = rice_unknown(cert, sigma_hat_cond(obs, cert.z_hat), ctx)
-            elif name == "spacing":
-                report = spacing_statistic(cert.lambda1, cert.lambda2, config.sigma)
-            elif name == "grid":
-                report = grid_test_known(cert.lambda1, l2_bar, config.sigma)
-            else:  # t_grid
-                report = grid_test_unknown(
-                    cert.lambda1, l2_bar, sigma_hat_grid(obs, cert.z_hat), ctx
-                )
-            out[name] = report.value
-        except SrknotsError as exc:
-            out[name] = float("nan")
-            failures.append((rep, name, str(exc)))
-    return out, failures
+    return evaluate_statistics(obs, config.statistics, config.sigma, rng)
 
 
 def run_experiment(config):
@@ -191,10 +219,12 @@ def run_experiment(config):
     values = {name: np.empty(config.reps) for name in config.statistics}
     failures = []
     for rep in range(config.reps):
-        out, fails = _one_rep(config, rep)
-        for name in config.statistics:
-            values[name][rep] = out[name]
-        failures.extend(fails)
+        for name, report in _one_rep(config, rep).items():
+            if isinstance(report, str):
+                values[name][rep] = np.nan
+                failures.append((rep, name, report))
+            else:
+                values[name][rep] = report.value
     failures.sort()
     return ExperimentTable(config=config, values=values, failures=failures)
 

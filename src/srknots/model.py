@@ -81,9 +81,6 @@ class ModelContext:
     def lambda_tilde(self):
         return np.diag([self.alpha1, 1.0])
 
-    def k_range(self):
-        return np.arange(-self.f_c, self.f_c + 1)
-
 
 @dataclass(frozen=True)
 class AtomicMeasure:
@@ -137,6 +134,8 @@ class Observation:
     sigma: Optional[float] = None
 
     def __post_init__(self):
+        if self.f_c < 1:
+            raise ValueError("f_c must be >= 1, got %r" % (self.f_c,))
         y = np.asarray(self.y, dtype=complex)
         if y.shape != (2 * self.f_c + 1,):
             raise ValueError(

@@ -32,16 +32,6 @@ class TestReport:
     aux: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class RandomizedAux:
-    """The randomization behind a grid statistic: U uniform on the Voronoi
-    cell of Z^2 under the metric -X''(z_hat), and the resulting lambda2_bar."""
-
-    U: np.ndarray
-    lambda2_bar: float
-    K_window: int
-
-
 def _checked(name, value, aux):
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise OutOfRange("statistic %s = %.17g is outside [0, 1]" % (name, value))

@@ -20,7 +20,6 @@ matrices and their pseudo-inverses are computed once per cutoff frequency.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
 
 import numpy as np
 
@@ -36,7 +35,6 @@ class VarianceEstimate:
 
     value: float
     dof: int
-    design: Tuple[TorusPoint, ...]
 
 
 def design_points(z, f_c):
@@ -69,9 +67,8 @@ def _design_cache(f_c):
     ctx = ModelContext(f_c)
     n = ctx.n_freq
     m = 2 * n
-    shifts = 2.0 * math.pi * np.arange(n) / n
-    off_t = np.concatenate([shifts, shifts])
-    off_th = np.concatenate([np.zeros(n), np.full(n, 0.5 * math.pi)])
+    # offsets w_i = z_i - z, the same for every z: the design at the origin
+    off_t, off_th = np.array(design_points((0.0, 0.0), f_c)).T
 
     # rho(w_i) and rho'(w_i) at the offsets w_i = z_i - z
     rho = kernel_gamma(f_c, off_t) * np.cos(off_th)
@@ -91,7 +88,7 @@ def _design_cache(f_c):
     c_cond = c_grid - cross
 
     k = np.arange(-f_c, f_c + 1)
-    e_off = np.exp(1j * np.outer(shifts, k))
+    e_off = np.exp(1j * np.outer(off_t[:n], k))
 
     return {
         "rho": rho,
@@ -119,7 +116,7 @@ def sigma_hat_grid(obs, z):
     v = vals[1:] - cache["rho"][1:] * vals[0]
     dof = 2 * obs.n_freq - 1
     value = float(np.sum((cache["w_grid"] @ v) ** 2) / dof)
-    return VarianceEstimate(value=value, dof=dof, design=tuple(design_points(z, obs.f_c)))
+    return VarianceEstimate(value=value, dof=dof)
 
 
 def sigma_hat_cond(obs, z):
@@ -136,4 +133,4 @@ def sigma_hat_cond(obs, z):
     v = vals[1:] - cache["rho"][1:] * vals[0] + correction[1:]
     dof = 2 * obs.n_freq - 3
     value = float(np.sum((cache["w_cond"] @ v) ** 2) / dof)
-    return VarianceEstimate(value=value, dof=dof, design=tuple(design_points(z, obs.f_c)))
+    return VarianceEstimate(value=value, dof=dof)

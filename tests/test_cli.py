@@ -16,7 +16,17 @@ from srknots.knots import compute_certificate, first_knot
 from srknots.mc import AlternativeSpec, ExperimentConfig, ks_uniform, run_experiment
 from srknots.model import Observation, load_observation, save_observation, synthesize
 from srknots.numerics import RngStream
-from srknots.stats import rice_known
+from srknots.stats import (
+    grid_spacing_test,
+    grid_test_known,
+    grid_test_unknown,
+    lambda2_bar,
+    rice_known,
+    rice_unknown,
+    spacing_statistic,
+    voronoi_sample,
+)
+from srknots.variance import sigma_hat_cond, sigma_hat_grid
 
 
 def _run(capsys, *argv):
@@ -71,15 +81,50 @@ def test_knots_payload(obs_file, capsys):
     assert payload["R"][0][1] == pytest.approx(payload["alpha3"], rel=1e-12)
 
 
-def test_test_rice_matches_library(obs_file, capsys):
-    code, out, _ = _run(capsys, "test", "--stat", "rice", "--obs", obs_file)
+def _library_report(obs, stat, sigma):
+    """The report of one statistic by direct library calls, seed 1 for the
+    Voronoi draw as in the CLI cases below (on this observation it moves
+    lambda2-bar above lambda2)."""
+    ctx = obs.context()
+    if stat == "grid_spacing_10":
+        return grid_spacing_test(obs, 10, sigma)
+    cert = compute_certificate(obs)
+    if stat == "rice":
+        return rice_known(cert, sigma, ctx)
+    if stat == "t_rice":
+        return rice_unknown(cert, sigma_hat_cond(obs, cert.z_hat), ctx)
+    if stat == "spacing":
+        return spacing_statistic(cert.lambda1, cert.lambda2, sigma)
+    hess = np.asarray(cert.R) - ctx.lambda_tilde() * cert.lambda1
+    u_draw = voronoi_sample(hess, RngStream(1))
+    l2_bar = lambda2_bar(cert.lambda1, cert.lambda2, hess, u_draw, ctx)
+    if stat == "grid":
+        return grid_test_known(cert.lambda1, l2_bar, sigma)
+    return grid_test_unknown(cert.lambda1, l2_bar, sigma_hat_grid(obs, cert.z_hat), ctx)
+
+
+@pytest.mark.parametrize("argv, stat, blind", [
+    (("rice",), "rice", False),
+    (("t-rice",), "t_rice", False),
+    (("st",), "spacing", False),
+    (("grid", "--seed", "1"), "grid", False),
+    (("t-grid", "--seed", "1"), "t_grid", False),
+    (("grid-st", "--grid", "10"), "grid_spacing_10", False),
+    (("rice",), "t_rice", True),
+], ids=["rice", "t-rice", "st", "grid", "t-grid", "grid-st", "rice-promoted"])
+def test_test_rice_matches_library(tmp_path, obs_file, capsys, argv, stat, blind):
+    # the CLI's value and aux fields equal the direct library calls bit for bit
+    # (17g round-trips exactly); without a noise level rice runs as t_rice
+    obs = load_observation(obs_file)
+    path = obs_file
+    if blind:
+        path = str(tmp_path / "blind.json")
+        save_observation(Observation(f_c=obs.f_c, y=obs.y, sigma=None), path)
+    code, out, _ = _run(capsys, "test", "--stat", argv[0], "--obs", path, *argv[1:])
     assert code == 0
     payload = json.loads(out)
-    obs = load_observation(obs_file)
-    report = rice_known(compute_certificate(obs), 1.0, obs.context())
-    assert payload["name"] == "rice"
-    assert payload["value"] == report.value  # 17g round-trips exactly
-    assert payload["sigma"] == 1.0
+    report = _library_report(obs, stat, obs.sigma)
+    assert payload == {"name": stat, "value": report.value, **report.aux}
 
 
 def test_test_idempotent_output(obs_file, capsys):
@@ -169,6 +214,46 @@ def test_lars_non_positive_sigma_is_a_usage_error(obs_file, capsys, value):
     code, out, err = _run(capsys, "lars", "--obs", obs_file, "--sigma", value)
     assert (code, out) == (2, "")
     assert "must be positive" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("stat", ["rice", "st", "grid", "grid-st"])
+def test_test_non_positive_sigma_is_a_usage_error(obs_file, capsys, stat, value):
+    extra = {"grid": ["--seed", "3"], "grid-st": ["--grid", "10"]}.get(stat, [])
+    code, out, err = _run(capsys, "test", "--stat", stat, "--obs", obs_file,
+                          "--sigma", value, *extra)
+    assert (code, out) == (2, "")
+    assert "must be positive" in err
+
+
+def test_out_of_bound_arguments_are_usage_errors(tmp_path, obs_file, capsys):
+    out_path = tmp_path / "never.json"
+    mc_args = ["--seed", "1", "--stat", "rice"]
+    cases = [
+        (["lars", "--obs", obs_file, "--lambda-min", "nan"], "must be finite"),
+        (["lars", "--obs", obs_file, "--lambda-min", "0"], "must be positive"),
+        (["lars", "--obs", obs_file, "--kmax", "1"], "must be >= 2"),
+        (["test", "--stat", "grid-st", "--obs", obs_file, "--grid", "1"], "must be >= 2"),
+        (["simulate", "--fc", "0", "--sigma", "1", "--seed", "1", "--out", str(out_path)],
+         "must be >= 1"),
+        (["reproduce", "fig3", "--seed", "1", "--reps", "0", "--out", str(tmp_path)],
+         "must be >= 1"),
+    ]
+    for command, extra in (("calibrate", []), ("power", ["--spike", "2.0"])):
+        base = [command] + mc_args + extra
+        cases += [
+            (base + ["--fc", "3", "--reps", "0"], "must be >= 1"),
+            (base + ["--fc", "0", "--reps", "2"], "must be >= 1"),
+            (base + ["--fc", "3", "--reps", "2", "--sigma", "0"], "must be positive"),
+            (base + ["--fc", "3", "--reps", "2", "--sigma", "-1"], "must be positive"),
+            ([command, "--fc", "3", "--reps", "2", "--seed", "1", "--stat", "grid-st",
+              "--grid", "1"] + extra, "must be >= 2"),
+        ]
+    for argv, message in cases:
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err, argv
+    assert not out_path.exists()
 
 
 def test_computation_errors_exit_1(tmp_path, capsys):

@@ -50,10 +50,6 @@ def test_options_validation():
     with pytest.raises(ValueError):
         LarsOptions(lambda_min=0.0)
     with pytest.raises(ValueError):
-        LarsOptions(lambda_step_fraction=-0.1)
-    with pytest.raises(ValueError):
-        LarsOptions(event_grid=4)
-    with pytest.raises(ValueError):
         lars_run(_noisy_obs(0), 0.0)
 
 

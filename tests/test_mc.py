@@ -69,6 +69,8 @@ def test_experiment_config_validation():
         ExperimentConfig(**{**ok, "statistics": ("rice", "bogus")})
     with pytest.raises(ValueError):
         ExperimentConfig(**{**ok, "statistics": ("grid_spacing_x",)})
+    with pytest.raises(ValueError):
+        ExperimentConfig(**{**ok, "statistics": ("grid_spacing_1",)})
     # statistics that consume the true noise level are refused when it is
     # treated as unknown
     for name in ("rice", "spacing", "grid", "grid_spacing_10"):

@@ -50,7 +50,7 @@ def test_model_context_constants():
         n = 2 * f_c + 1
         assert ctx.n_freq == n
         assert ctx.m == 2 * n
-        k = ctx.k_range()
+        k = np.arange(-f_c, f_c + 1)
         assert ctx.alpha1 == pytest.approx(np.sum(k**2) / n, rel=1e-15)
         assert np.array_equal(ctx.lambda_tilde(), np.diag([ctx.alpha1, 1.0]))
     with pytest.raises(ValueError):
@@ -70,6 +70,9 @@ def test_observation_validation():
         Observation(f_c=3, y=np.zeros(5, dtype=complex))
     with pytest.raises(ValueError):
         Observation(f_c=1, y=np.zeros(3, dtype=complex), sigma=-1.0)
+    # f_c = 0 would write a file that load_observation rejects
+    with pytest.raises(ValueError, match="f_c must be >= 1"):
+        Observation(f_c=0, y=np.zeros(1, dtype=complex))
 
 
 def test_dirichlet_values():

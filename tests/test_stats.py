@@ -167,7 +167,7 @@ def test_h_bar_matches_closed_form():
 
 def test_rice_unknown_equal_knots_is_one():
     ctx = ModelContext(3)
-    est = VarianceEstimate(value=0.8, dof=ctx.m - 3, design=())
+    est = VarianceEstimate(value=0.8, dof=ctx.m - 3)
     report = rice_unknown(_cert(1.7, 1.7, alpha2=0.3), est, ctx)
     assert report.value == pytest.approx(1.0, abs=1e-12)
     assert report.name == "t_rice"
@@ -177,11 +177,11 @@ def test_rice_unknown_equal_knots_is_one():
 def test_rice_unknown_validation():
     ctx = ModelContext(3)
     with pytest.raises(ValueError):
-        rice_unknown(_cert(2.0, 1.0), VarianceEstimate(value=1.0, dof=13, design=()), ctx)
+        rice_unknown(_cert(2.0, 1.0), VarianceEstimate(value=1.0, dof=13), ctx)
     with pytest.raises(ValueError):
         rice_unknown(
             _cert(2.0, 1.0),
-            VarianceEstimate(value=1.0, dof=3, design=()),
+            VarianceEstimate(value=1.0, dof=3),
             ModelContext(1),
         )
 
@@ -348,10 +348,10 @@ def test_grid_test_known_values():
 
 def test_grid_test_unknown_dof_validation():
     ctx = ModelContext(3)
-    est_wrong = VarianceEstimate(value=1.0, dof=11, design=())
+    est_wrong = VarianceEstimate(value=1.0, dof=11)
     with pytest.raises(ValueError):
         grid_test_unknown(2.0, 1.0, est_wrong, ctx)
-    est = VarianceEstimate(value=1.0, dof=13, design=())
+    est = VarianceEstimate(value=1.0, dof=13)
     report = grid_test_unknown(2.0, 1.0, est, ctx)
     assert report.name == "t_grid"
     assert 0.0 <= report.value <= 1.0

@@ -105,8 +105,14 @@ def test_estimator_dof_and_design():
     n = obs.n_freq
     assert est_g.dof == 2 * n - 1
     assert est_c.dof == 2 * n - 3
-    assert len(est_g.design) == 2 * n
-    assert est_g.design[0].t == 0.0 and est_g.design[0].theta == 0.0
+    # the grid estimate is the quadratic form of the residuals at design_points(z)
+    pts, rho, grads, c_cond = _conditional_correlation(z, obs.f_c)
+    lam_inv = np.array([1.0 / obs.context().alpha1, 1.0])
+    c_grid = c_cond + (grads[1:] * lam_inv) @ grads[1:].T
+    vals = np.array([x_eval(obs, p) for p in pts])
+    v = vals[1:] - rho[1:] * vals[0]
+    expected = float(v @ np.linalg.solve(c_grid, v)) / est_g.dof
+    assert est_g.value == pytest.approx(expected, rel=1e-10)
     assert est_g.value > 0 and est_c.value > 0
 
 
