@@ -220,14 +220,18 @@ def _run_level_summary(args, alternative, failed_rejects):
     is taken over the finite p-values; `excluded` counts the failed reps.
     """
     stat = _stat_internal(args.stat, args.grid)
-    config = ExperimentConfig(
-        f_c=args.fc,
-        reps=args.reps,
-        seed=args.seed,
-        statistics=(stat,),
-        alternative=alternative,
-        sigma=args.sigma,
-    )
+    try:
+        config = ExperimentConfig(
+            f_c=args.fc,
+            reps=args.reps,
+            seed=args.seed,
+            statistics=(stat,),
+            alternative=alternative,
+            sigma=args.sigma,
+        )
+    except ValueError as exc:
+        # a configuration the run cannot start from is a usage error
+        raise SchemaError(str(exc))
     table = run_experiment(config)
     values = table.values[stat]
     finite = np.isfinite(values)

@@ -21,10 +21,6 @@ class NotAMaximum(SrknotsError):
     """The Hessian at the claimed maximizer is not negative definite."""
 
 
-class RankDeficient(SrknotsError):
-    """A model covariance matrix does not have the rank the theory requires."""
-
-
 class NonPositiveDenominator(SrknotsError):
     """A survival-ratio denominator is non-positive; the certificate is invalid."""
 

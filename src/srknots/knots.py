@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateProcess, NotAMaximum
-from .model import TorusPoint, wrap_delta, x_grad, x_hess, z_eval
+from .model import TorusPoint, _aligned_coeffs, wrap_delta, x_grad, z_eval
 from .numerics import maximize_1d
 
 # The first knot's coarse |Z| sweep takes this many points per frequency.
@@ -153,13 +153,6 @@ def first_knot(obs):
     return TorusPoint.make(t_hat, theta_hat), float(lambda1)
 
 
-def _aligned_coeffs(obs, z_hat):
-    """w_k = y_k exp(i(k t_hat - theta_hat)): Fourier data rotated so that
-    Z(t_hat) aligns with the positive real axis."""
-    k = np.arange(-obs.f_c, obs.f_c + 1)
-    return obs.y * np.exp(1j * (k * z_hat.t - z_hat.theta))
-
-
 def _larger_root(u, q, e, f):
     """Larger root of v m^2 + 2 u m + q = 0 (u > 0, q >= 0) whose
     discriminant u^2 - v q equals e^2 + f^2, as -q / (u + hypot(e, f)).
@@ -276,10 +269,18 @@ def second_knot(obs, z_hat, lambda1):
 def hessian_and_alphas(obs, z_hat, lambda1):
     """alpha2, alpha3 and the remainder R = X''(z_hat) + Lambda-tilde*lambda1.
 
-    alpha2 = (1/sqrt N) sum (k^2 - alpha1) Re(w_k),
-    alpha3 = (1/sqrt N) sum k Re(w_k),       w_k = y_k e^{i(k t_hat - theta_hat)};
-    R = [[-alpha2, alpha3], [alpha3, 0]].  Cross-checked against the analytic
-    Hessian to 1e-9, and -X''(z_hat) must be positive definite.
+    With w_k = y_k e^{i(k t_hat - theta_hat)} (_aligned_coeffs),
+
+        alpha2 = (1/sqrt N) sum (k^2 - alpha1) Re(w_k),
+        alpha3 = (1/sqrt N) sum k Re(w_k),       R = [[-alpha2, alpha3], [alpha3, 0]].
+
+    The Hessian is read off the same coefficients: with x0 = X(z_hat) =
+    sum Re(w_k) / sqrt N and beta = -X_tt(z_hat) = sum k^2 Re(w_k) / sqrt N,
+    -X''(z_hat) = [[beta, -alpha3], [-alpha3, x0]].  So R equals
+    X''(z_hat) + Lambda-tilde*lambda1 up to max(1, alpha1) |x0 - lambda1|,
+    which must not exceed 1e-9 (z_hat and lambda1 belong together), and
+    -X''(z_hat) is positive definite iff x0 > 0 and beta x0 > alpha3^2.
+    Either failure raises NotAMaximum.
     """
     ctx = obs.context()
     n = obs.n_freq
@@ -289,17 +290,17 @@ def hessian_and_alphas(obs, z_hat, lambda1):
     alpha3 = float(k @ re_w / math.sqrt(n))
     big_r = np.array([[-alpha2, alpha3], [alpha3, 0.0]])
 
-    hess = x_hess(obs, z_hat)
-    evals = np.linalg.eigvalsh(hess)
-    if not np.all(evals < 0):
+    x0 = float(re_w.sum() / math.sqrt(n))
+    beta = float((k * k) @ re_w / math.sqrt(n))
+    if not (x0 > 0.0 and beta * x0 > alpha3 * alpha3):
         raise NotAMaximum(
-            "X''(z_hat) has eigenvalues %s; z_hat is not a strict maximum" % (evals,)
+            "-X''(z_hat) = [[%g, %g], [%g, %g]] is not positive definite; "
+            "z_hat is not a strict maximum" % (beta, -alpha3, -alpha3, x0)
         )
-    check = hess + ctx.lambda_tilde() * lambda1
-    if np.max(np.abs(big_r - check)) > 1e-9:
+    mismatch = max(1.0, ctx.alpha1) * abs(x0 - lambda1)
+    if mismatch > 1e-9:
         raise NotAMaximum(
-            "alpha formulas disagree with the analytic Hessian by %g"
-            % (np.max(np.abs(big_r - check)),)
+            "alpha formulas disagree with the analytic Hessian by %g" % (mismatch,)
         )
     return big_r, alpha2, alpha3
 

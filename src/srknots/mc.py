@@ -40,19 +40,22 @@ DEFAULT_GRID_SIZES = (3, 10, 32, 50)
 
 @dataclass(frozen=True)
 class StatisticNeeds:
-    """What a statistic takes besides the observation, and the statistic
-    that replaces it when the noise level is unknown."""
+    """What a statistic takes besides the observation, the statistic that
+    replaces it when the noise level is unknown, and the smallest cutoff
+    frequency it supports."""
 
     certificate: bool
     randomized: bool
     known_sigma: bool
     studentized: Optional[str] = None
+    min_fc: int = 1
 
 
-# grid_spacing stands for every grid_spacing_P, P >= 2.
+# grid_spacing stands for every grid_spacing_P, P >= 2.  t_rice needs
+# 2N - 3 >= 5 degrees of freedom in its variance estimate (stats.rice_unknown).
 STATISTICS = {
     "rice": StatisticNeeds(True, False, True, "t_rice"),
-    "t_rice": StatisticNeeds(True, False, False),
+    "t_rice": StatisticNeeds(True, False, False, min_fc=2),
     "spacing": StatisticNeeds(True, False, True),
     "grid": StatisticNeeds(True, True, True, "t_grid"),
     "t_grid": StatisticNeeds(True, True, False),
@@ -183,15 +186,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ValueError("sigma must be positive and finite")
         if self.sigma_mode not in ("known", "unknown"):
             raise ValueError("sigma_mode must be 'known' or 'unknown'")
         if not self.statistics:
             raise ValueError("at least one statistic is required")
         for name in self.statistics:
-            if statistic_needs(name).known_sigma and self.sigma_mode == "unknown":
+            needs = statistic_needs(name)
+            if needs.known_sigma and self.sigma_mode == "unknown":
                 raise ValueError("statistic %r needs sigma_mode='known'" % name)
+            if self.f_c < needs.min_fc:
+                raise ValueError("statistic %r needs f_c >= %d, got %d"
+                                 % (name, needs.min_fc, self.f_c))
 
 
 @dataclass

@@ -141,8 +141,10 @@ class Observation:
             raise ValueError(
                 "y must have length 2*f_c+1 = %d, got %r" % (2 * self.f_c + 1, y.shape)
             )
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("sigma must be positive when given")
+        if not np.isfinite(y).all():
+            raise ValueError("y must be finite")
+        if self.sigma is not None and not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ValueError("sigma must be positive and finite when given")
         object.__setattr__(self, "y", y)
 
     @property
@@ -216,11 +218,6 @@ def z_deriv(obs, t, order=1):
     return complex(vals[0]) if scalar else vals
 
 
-def x_eval(obs, z):
-    """X(z) = Re(e^{-i theta} Z(t))."""
-    return float(np.real(np.exp(-1j * z[1]) * z_eval(obs, z[0])))
-
-
 def x_grad(obs, z):
     """Gradient of X at z = (t, theta): (Re(e^{-i th} Z'), Im(e^{-i th} Z))."""
     ph = np.exp(-1j * z[1])
@@ -230,13 +227,11 @@ def x_grad(obs, z):
     ])
 
 
-def x_hess(obs, z):
-    """Hessian of X at z: [[Re(e Z''), Im(e Z')], [Im(e Z'), -Re(e Z)]] with e = e^{-i theta}."""
-    ph = np.exp(-1j * z[1])
-    xtt = np.real(ph * z_deriv(obs, z[0], order=2))
-    xtth = np.imag(ph * z_deriv(obs, z[0], order=1))
-    xthth = -np.real(ph * z_eval(obs, z[0]))
-    return np.array([[xtt, xtth], [xtth, xthth]])
+def _aligned_coeffs(obs, z):
+    """w_k = y_k exp(i(k t - theta)) at z = (t, theta): the Fourier data rotated
+    so that X(z + (dt, dtheta)) = Re(e^{-i dtheta} sum_k w_k e^{ik dt}) / sqrt N."""
+    k = np.arange(-obs.f_c, obs.f_c + 1)
+    return obs.y * np.exp(1j * (k * z[0] - z[1]))
 
 
 def _fmt17(x):
@@ -278,8 +273,8 @@ def load_observation(path):
         raise SchemaError("fc must be an integer >= 1, got %r" % (fc,))
     sigma = doc.get("sigma", None)
     if sigma is not None:
-        if not isinstance(sigma, (int, float)) or not sigma > 0:
-            raise SchemaError("sigma must be a positive number or null, got %r" % (sigma,))
+        if not isinstance(sigma, (int, float)) or not (sigma > 0 and math.isfinite(sigma)):
+            raise SchemaError("sigma must be a positive finite number or null, got %r" % (sigma,))
         sigma = float(sigma)
     rows = doc["y"]
     if not isinstance(rows, list) or len(rows) != 2 * fc + 1:

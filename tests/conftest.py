@@ -8,6 +8,7 @@ sample at the pinned base point is likewise shared.
 
 import numpy as np
 import pytest
+from oracles import x_eval
 
 from srknots import (
     AtomicMeasure,
@@ -16,7 +17,6 @@ from srknots import (
     sigma_hat_cond,
     sigma_hat_grid,
     synthesize,
-    x_eval,
 )
 
 _TABLE_CACHE = {}

@@ -3,7 +3,9 @@
 The package computes each quantity one way.  The second ways kept here are
 independent of it: numerical quadrature of the Kac-Rice integrals g_bar and
 h_bar, the gamma-function constant of the unknown-variance density, the
-regressed field and the ratio g at arbitrary points of the torus, the
+field X and its Hessian from the derivatives of Z, the regressed field and
+the ratio g at arbitrary points of the torus, the Karhunen-Loeve variance
+estimators through the design correlation and its pseudo-inverse, the
 Dirichlet kernel in ratio form, and the correlation rho with its derivatives.
 
 g_ratio evaluates g(y) = (X(y) - lambda1) / (1 - rho(y - z_hat)).  Near z_hat
@@ -26,7 +28,15 @@ import numpy as np
 from scipy.special import gammaln
 
 from srknots.errors import SrknotsError
-from srknots.model import kernel_gamma, wrap_delta, x_eval, x_grad
+from srknots.model import (
+    ModelContext,
+    TorusPoint,
+    kernel_gamma,
+    wrap_delta,
+    x_grad,
+    z_deriv,
+    z_eval,
+)
 from srknots.numerics import normal_pdf, student_pdf
 
 RADIUS_SWITCH = 0.5
@@ -174,6 +184,20 @@ def rng_uniform(stream, size=None):
 # ------------------------------------------------------------ model geometry
 
 
+def x_eval(obs, z):
+    """X(z) = Re(e^{-i theta} Z(t))."""
+    return float(np.real(np.exp(-1j * z[1]) * z_eval(obs, z[0])))
+
+
+def x_hess(obs, z):
+    """Hessian of X at z: [[Re(e Z''), Im(e Z')], [Im(e Z'), -Re(e Z)]] with e = e^{-i theta}."""
+    ph = np.exp(-1j * z[1])
+    xtt = np.real(ph * z_deriv(obs, z[0], order=2))
+    xtth = np.imag(ph * z_deriv(obs, z[0], order=1))
+    xthth = -np.real(ph * z_eval(obs, z[0]))
+    return np.array([[xtt, xtth], [xtth, xthth]])
+
+
 def torus_delta(z, y):
     """Shortest displacement z - y on the 2-torus, components in [-pi, pi)."""
     return wrap_delta(np.asarray(z, dtype=float) - np.asarray(y, dtype=float))
@@ -298,3 +322,93 @@ def g_ratio(obs, z_hat, lambda1, w, dt, dth, n_gl=16):
         num = integrand @ (weights * (1.0 - nodes))
         out[near] = num / den
     return out
+
+
+# ------------------------------------------------- the variance design route
+
+
+def design_points(z, f_c):
+    """The 2N sampling points: t + 2*pi*(j-1)/N at theta and at theta + pi/2."""
+    n = 2 * f_c + 1
+    shifts = 2.0 * math.pi * np.arange(n) / n
+    pts = [TorusPoint.make(z[0] + s, z[1]) for s in shifts]
+    pts += [TorusPoint.make(z[0] + s, z[1] + 0.5 * math.pi) for s in shifts]
+    return pts
+
+
+def _whitener(c_mat, expected_rank):
+    """Rows W such that v -> ||W v||^2 is the quadratic form v' C^+ v.
+
+    Asserts that the numerical rank (singular values above 1e-8 of the
+    largest) equals the expected one, then truncates there.
+    """
+    u, s, _ = np.linalg.svd(c_mat, hermitian=True)
+    rank = int(np.sum(s > 1e-8 * s[0]))
+    assert rank == expected_rank, "design correlation has rank %d, expected %d" % (
+        rank, expected_rank)
+    return (u[:, :expected_rank] / np.sqrt(s[:expected_rank])).T
+
+
+@lru_cache(maxsize=16)
+def _design_cache(f_c):
+    """Geometry shared by every base point z at this cutoff frequency.
+
+    The grid residual v_i = X(z_i) - rho_i X(z) and the conditional residual
+    v_i + <rho'(z_i - z), Lt^{-1} X'(z)> (i >= 2, rho_i = rho(z_i - z)) are
+    weighed by the pseudo-inverses of their model correlations, of ranks
+    2N - 1 and 2N - 3.
+    """
+    ctx = ModelContext(f_c)
+    n = ctx.n_freq
+    m = 2 * n
+    # offsets w_i = z_i - z, the same for every z: the design at the origin
+    off_t, off_th = np.array(design_points((0.0, 0.0), f_c)).T
+
+    rho = kernel_gamma(f_c, off_t) * np.cos(off_th)
+    g0 = kernel_gamma(f_c, off_t)
+    g1 = kernel_gamma(f_c, off_t, order=1)
+    rho_grad = np.stack([g1 * np.cos(off_th), -g0 * np.sin(off_th)], axis=1)
+
+    ddt = off_t[:, None] - off_t[None, :]
+    ddth = off_th[:, None] - off_th[None, :]
+    full = kernel_gamma(f_c, ddt.ravel()).reshape(m, m) * np.cos(ddth)
+
+    idx = np.arange(1, m)
+    c_grid = full[np.ix_(idx, idx)] - np.outer(rho[idx], rho[idx])
+    lam_inv = np.array([1.0 / ctx.alpha1, 1.0])
+    c_cond = c_grid - (rho_grad[idx] * lam_inv) @ rho_grad[idx].T
+
+    k = np.arange(-f_c, f_c + 1)
+    return {
+        "rho": rho,
+        "rho_grad": rho_grad,
+        "w_grid": _whitener(c_grid, m - 1),
+        "w_cond": _whitener(c_cond, m - 3),
+        "e_off": np.exp(1j * np.outer(off_t[:n], k)),
+        "lam_inv": lam_inv,
+    }
+
+
+def _design_values(obs, z, cache):
+    """X at the 2N design points, ordered theta row then theta + pi/2 row."""
+    k = np.arange(-obs.f_c, obs.f_c + 1)
+    z_vals = cache["e_off"] @ (obs.y * np.exp(1j * k * z[0])) / math.sqrt(obs.n_freq)
+    rotated = np.exp(-1j * z[1]) * z_vals
+    return np.concatenate([np.real(rotated), np.imag(rotated)])
+
+
+def design_sigma_hat_grid(obs, z):
+    """sigma_hat_grid through the design correlation: ||W_grid v||^2 / (2N - 1)."""
+    cache = _design_cache(obs.f_c)
+    vals = _design_values(obs, z, cache)
+    v = vals[1:] - cache["rho"][1:] * vals[0]
+    return float(np.sum((cache["w_grid"] @ v) ** 2) / (2 * obs.n_freq - 1))
+
+
+def design_sigma_hat_cond(obs, z):
+    """sigma_hat_cond through the design correlation: ||W_cond v||^2 / (2N - 3)."""
+    cache = _design_cache(obs.f_c)
+    vals = _design_values(obs, z, cache)
+    correction = cache["rho_grad"] @ (cache["lam_inv"] * x_grad(obs, z))
+    v = vals[1:] - cache["rho"][1:] * vals[0] + correction[1:]
+    return float(np.sum((cache["w_cond"] @ v) ** 2) / (2 * obs.n_freq - 3))

@@ -24,12 +24,13 @@ from oracles import (
 )
 from scipy import stats as sps
 
-from srknots.knots import _aligned_coeffs, compute_certificate, first_knot, second_knot
+from srknots.knots import compute_certificate, first_knot, second_knot
 from srknots.lars import LarsOptions, lars_residual, lars_run
 from srknots.mc import AlternativeSpec, ExperimentConfig, empirical_level, ks_uniform
 from srknots.model import (
     AtomicMeasure,
     ModelContext,
+    _aligned_coeffs,
     synthesize,
     wrap_delta,
 )

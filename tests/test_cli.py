@@ -194,6 +194,25 @@ def test_non_finite_sigma_is_a_usage_error(tmp_path, obs_file, capsys, value):
     assert not out_path.exists()
 
 
+def test_non_finite_sigma_in_observation_file_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text('{"fc": 3, "sigma": Infinity, "y": %s}' % ([[1.0, 0.5]] * 7,))
+    code, out, err = _run(capsys, "test", "--stat", "rice", "--obs", str(path))
+    assert (code, out) == (2, "")
+    assert "positive finite number" in err
+
+
+@pytest.mark.parametrize("command, extra", [("calibrate", []), ("power", ["--spike", "2.0"])])
+def test_t_rice_below_its_smallest_cutoff_is_a_usage_error(capsys, command, extra):
+    argv = [command, "--fc", "1", "--seed", "1", "--reps", "3", *extra]
+    code, out, err = _run(capsys, *argv, "--stat", "t-rice")
+    assert (code, out) == (2, "")
+    assert "needs f_c >= 2" in err
+    # t_grid has no such bound
+    code, out, _ = _run(capsys, *argv, "--stat", "t-grid")
+    assert code == 0 and json.loads(out)["excluded"] == 0
+
+
 def test_negative_noise_level_is_a_usage_error(tmp_path, capsys):
     out_path = tmp_path / "never.json"
     argv = ["simulate", "--fc", "3", "--seed", "1", "--out", str(out_path)]

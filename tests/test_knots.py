@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import NearSingular, correlation, g_ratio, regressed_value, torus_delta
+from oracles import (
+    NearSingular,
+    correlation,
+    g_ratio,
+    regressed_value,
+    torus_delta,
+    x_eval,
+    x_hess,
+)
 
 from srknots import knots
 from srknots.errors import DegenerateProcess, NotAMaximum
 from srknots.knots import (
     FIRST_KNOT_GRID_FACTOR,
     KnotCertificate,
-    _aligned_coeffs,
     _newton_peaks,
     _profile_limit,
     _theta_profile,
@@ -25,14 +32,13 @@ from srknots.knots import (
 from srknots.model import (
     AtomicMeasure,
     Observation,
+    _aligned_coeffs,
     synthesize,
     wrap_delta,
-    x_eval,
     x_grad,
-    x_hess,
     z_eval,
 )
-from srknots.numerics import RngStream
+from srknots.numerics import RngStream, maximize_1d
 
 TWO_PI = 2.0 * math.pi
 
@@ -446,14 +452,15 @@ def test_hessian_and_alphas_pinned(obs_seed42):
 
 def test_hessian_identity_loop():
     # R = X''(z_hat) + Lambda-tilde * lambda1, theta-theta entry exactly zero
-    for seed in range(8):
-        obs = _noisy_obs(1200 + seed)
-        ctx = obs.context()
-        z_hat, lambda1 = first_knot(obs)
-        big_r, _, _ = hessian_and_alphas(obs, z_hat, lambda1)
-        check = x_hess(obs, z_hat) + ctx.lambda_tilde() * lambda1
-        assert np.max(np.abs(big_r - check)) < 1e-9
-        assert big_r[1, 1] == 0.0
+    for f_c in (1, 3, 7, 15, 30):
+        for seed in range(8):
+            obs = _noisy_obs(1200 + seed, f_c=f_c)
+            ctx = obs.context()
+            z_hat, lambda1 = first_knot(obs)
+            big_r, _, _ = hessian_and_alphas(obs, z_hat, lambda1)
+            check = x_hess(obs, z_hat) + ctx.lambda_tilde() * lambda1
+            assert np.max(np.abs(big_r - check)) < 1e-9
+            assert big_r[1, 1] == 0.0
 
 
 def test_hessian_rejects_non_maximum(obs_seed42):
@@ -462,6 +469,25 @@ def test_hessian_rejects_non_maximum(obs_seed42):
     _, lambda1 = first_knot(obs_seed42)
     with pytest.raises(NotAMaximum):
         hessian_and_alphas(obs_seed42, TorusPoint.make(0.123, 4.0), lambda1)
+
+
+def test_hessian_rejects_aligned_minimum_of_modulus():
+    # at a local minimizer t of |Z| with theta = arg Z(t) and lambda = |Z(t)|
+    # the consistency check passes, but det(-X'') = -|Z| |Z|'' < 0
+    from srknots.model import TorusPoint
+
+    obs = _noisy_obs(77, f_c=7)
+    t = np.linspace(0.0, TWO_PI, 32 * obs.n_freq, endpoint=False)
+    mod = np.abs(z_eval(obs, t))
+    j = int(np.nonzero((mod < np.roll(mod, 1)) & (mod <= np.roll(mod, -1)))[0][0])
+    h = t[1] - t[0]
+    t_min, _ = maximize_1d(lambda u: -abs(z_eval(obs, u)), (t[j] - h, t[j] + h), tol=1e-12)
+    z_min = z_eval(obs, t_min)
+    z_pt = TorusPoint.make(t_min, math.atan2(z_min.imag, z_min.real))
+    assert x_hess(obs, z_pt)[1, 1] == pytest.approx(-abs(z_min), abs=1e-12)
+    assert np.linalg.det(x_hess(obs, z_pt)) < 0
+    with pytest.raises(NotAMaximum, match="not positive definite"):
+        hessian_and_alphas(obs, z_pt, abs(z_min))
 
 
 def test_compute_certificate_fields(obs_seed42):

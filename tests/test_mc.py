@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from srknots import mc
 from srknots.knots import compute_certificate
 from srknots.mc import (
     AlternativeSpec,
@@ -77,6 +78,25 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError):
             ExperimentConfig(**{**ok, "statistics": (name,), "sigma_mode": "unknown"})
     ExperimentConfig(**{**ok, "statistics": ("t_rice", "t_grid"), "sigma_mode": "unknown"})
+
+
+@pytest.mark.parametrize("sigma", [math.inf, math.nan])
+def test_experiment_config_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        run_experiment(ExperimentConfig(f_c=3, reps=2, seed=1,
+                                        statistics=("rice", "grid_spacing_10"), sigma=sigma))
+
+
+def test_statistics_record_their_smallest_cutoff():
+    # t_rice needs 2N - 3 >= 5 degrees of freedom; t_grid runs at f_c = 1
+    assert mc.STATISTICS["t_rice"].min_fc == 2
+    assert all(needs.min_fc == 1 for name, needs in mc.STATISTICS.items() if name != "t_rice")
+    with pytest.raises(ValueError, match="needs f_c >= 2"):
+        ExperimentConfig(f_c=1, reps=2, seed=1, statistics=("t_rice",))
+    ExperimentConfig(f_c=2, reps=2, seed=1, statistics=("t_rice",))
+    table = run_experiment(ExperimentConfig(f_c=1, reps=3, seed=1, statistics=("t_grid",)))
+    assert not table.failures
+    assert np.all((table.values["t_grid"] >= 0.0) & (table.values["t_grid"] <= 1.0))
 
 
 def test_run_experiment_deterministic_and_subset_consistent():

@@ -4,7 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import correlation, correlation_grad, correlation_hess, dirichlet, torus_delta
+from oracles import (
+    correlation,
+    correlation_grad,
+    correlation_hess,
+    dirichlet,
+    torus_delta,
+    x_eval,
+    x_hess,
+)
 from scipy.stats import kstest
 
 from srknots.errors import SchemaError
@@ -19,9 +27,7 @@ from srknots.model import (
     save_observation,
     synthesize,
     wrap_delta,
-    x_eval,
     x_grad,
-    x_hess,
     z_deriv,
     z_eval,
 )
@@ -73,6 +79,26 @@ def test_observation_validation():
     # f_c = 0 would write a file that load_observation rejects
     with pytest.raises(ValueError, match="f_c must be >= 1"):
         Observation(f_c=0, y=np.zeros(1, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_observation_rejects_non_finite_input(bad):
+    y = np.ones(3, dtype=complex)
+    y[0] = bad
+    with pytest.raises(ValueError, match="y must be finite"):
+        Observation(f_c=1, y=y, sigma=1.0)
+    with pytest.raises(ValueError, match="y must be finite"):
+        Observation(f_c=1, y=np.array([1.0, complex(1.0, bad), 1.0]), sigma=1.0)
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        Observation(f_c=1, y=np.ones(3, dtype=complex), sigma=bad)
+
+
+@pytest.mark.parametrize("token", ["Infinity", "NaN"])
+def test_load_rejects_non_finite_sigma(tmp_path, token):
+    path = tmp_path / "obs.json"
+    path.write_text('{"fc": 1, "sigma": %s, "y": [[1, 0], [0, 1], [1, 1]]}' % token)
+    with pytest.raises(SchemaError, match="positive finite number"):
+        load_observation(path)
 
 
 def test_dirichlet_values():

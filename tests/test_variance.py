@@ -4,7 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import correlation, correlation_grad, torus_delta
+from oracles import (
+    correlation,
+    correlation_grad,
+    design_points,
+    design_sigma_hat_cond,
+    design_sigma_hat_grid,
+    torus_delta,
+    x_eval,
+)
 from scipy.stats import chi2
 
 from srknots.knots import first_knot
@@ -12,12 +20,12 @@ from srknots.model import (
     AtomicMeasure,
     ModelContext,
     Observation,
+    kernel_gamma,
     synthesize,
-    x_eval,
     x_grad,
 )
 from srknots.numerics import RngStream
-from srknots.variance import design_points, sigma_hat_cond, sigma_hat_grid
+from srknots.variance import sigma_hat_cond, sigma_hat_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,6 +105,31 @@ def test_conditional_correlation_rank():
         assert rank == 2 * (2 * f_c + 1) - 3
 
 
+def _oracle_cases():
+    """(obs, z) at f_c 1, 2, 3, 7, 15 and 30: a null draw and one spike of
+    weight 1, sqrt N and 1e3, each at a random z and at z_hat."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for f_c in (1, 2, 3, 7, 15, 30):
+        n = 2 * f_c + 1
+        for sub, weight in enumerate((0.0, 1.0, math.sqrt(n), 1e3)):
+            atoms = [(rng.uniform(0.0, TWO_PI), weight)] if weight else []
+            obs = synthesize(AtomicMeasure.from_atoms(atoms), f_c, 1.0, RngStream(700 + f_c, sub))
+            z_hat, _ = first_knot(obs)
+            cases.append((obs, tuple(rng.uniform(0.0, TWO_PI, 2))))
+            cases.append((obs, (z_hat.t, z_hat.theta)))
+    return cases
+
+
+def test_design_correlation_is_white():
+    # rho(z_i - z_j) = delta_ij on the design: the identity behind the closed form
+    for f_c in (1, 2, 3, 7, 15, 30):
+        pts = np.array(design_points((0.0, 0.0), f_c))
+        d = pts[:, None, :] - pts[None, :, :]
+        full = kernel_gamma(f_c, d[..., 0].ravel()).reshape(d.shape[:2]) * np.cos(d[..., 1])
+        assert np.max(np.abs(full - np.eye(len(pts)))) < 1e-13
+
+
 def test_estimator_dof_and_design():
     obs = _noisy_obs(1)
     z = (0.0, 0.0)
@@ -114,6 +147,10 @@ def test_estimator_dof_and_design():
     expected = float(v @ np.linalg.solve(c_grid, v)) / est_g.dof
     assert est_g.value == pytest.approx(expected, rel=1e-10)
     assert est_g.value > 0 and est_c.value > 0
+    # and the design route's SVD pseudo-inverse, over f_c, base points and SNR
+    for case_obs, case_z in _oracle_cases():
+        assert sigma_hat_grid(case_obs, case_z).value == pytest.approx(
+            design_sigma_hat_grid(case_obs, case_z), rel=1e-10)
 
 
 def test_scaling_quadratic():
@@ -155,6 +192,10 @@ def test_conditional_estimator_matches_independent_route():
     pinv = (u[:, keep] / w[keep]) @ u[:, keep].T
     expected = float(v @ pinv @ v) / dof
     assert sigma_hat_cond(obs, z).value == pytest.approx(expected, rel=1e-10)
+    # and through the design route's SVD pseudo-inverse, over f_c, base points and SNR
+    for obs, z in _oracle_cases():
+        assert sigma_hat_cond(obs, z).value == pytest.approx(
+            design_sigma_hat_cond(obs, z), rel=1e-10)
 
 
 def test_gradient_correction_negligible_at_maximizer():
