@@ -17,6 +17,7 @@ from .lars import LarsOptions, export_csv, lars_run
 from .mc import (
     AlternativeSpec,
     ExperimentConfig,
+    check_cutoff,
     empirical_level,
     evaluate_statistics,
     ks_uniform,
@@ -173,6 +174,10 @@ def _cmd_test(args):
     if sigma is None and needs.studentized:
         # no noise level anywhere: studentize where a T-variant exists
         stat = needs.studentized
+    try:
+        check_cutoff(stat, obs.f_c)
+    except ValueError as exc:
+        raise SchemaError(str(exc))
     if needs.randomized and args.seed is None:
         raise SchemaError("randomized grid tests need --seed for the cell draw")
     rng = None if args.seed is None else RngStream(args.seed).generator()

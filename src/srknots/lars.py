@@ -13,20 +13,25 @@ The active locations x(lambda) then follow the stationarity system
 
     h_j(lambda, x) = d/dt |Z(t) - sum_i a_i K(x_i, t)|^2 at t = x_j = 0,
 
-tracked by a predictor-corrector scheme: decrement lambda by a fixed
-fraction, re-solve h = 0 by Newton with the analytic Jacobian (_Leg.system,
-from Gamma and Z up to second order at the active points) from the secant
+tracked by a predictor-corrector scheme: decrement lambda by a predicted
+step, half the distance to the crossing that the secant of the off-support
+gap over the last two solved points predicts, kept within 1% and 10% of
+lambda (1% on a leg's first step and wherever the gap did not rise), and
+re-solve h = 0 by Newton with the analytic Jacobian (_Leg.system, from
+Gamma and Z up to second order at the active points) from the secant
 prediction, halving the decrement when Newton fails.  The next knot is the
 largest lambda at which the off-support maximum of |Z^(lambda)| reaches
 lambda.  The residual Z^(lambda) is itself the Z of the Fourier data
 y_res = y - (2 sigma^2 / sqrt N) sum_i a_i e^{-ik x_i}, so that maximum is
 an event-grid sweep of y_res whose local maxima are all polished at once by
-the first knot's vectorized Newton (knots._newton_peaks).  Once a step
-brackets the knot, Illinois false position on the gap of the one candidate
-that crosses (a peak re-polished at each lambda, or a disc-boundary point)
-locates it to a width of 1e-9 max(1, lambda), and one sweep at the final
-upper end confirms it; bisection in lambda on the global gap is the
-fallback (_Leg.locate).
+the first knot's vectorized Newton (knots._newton_peaks).  Every step ends
+with that sweep.  Once a step's sweep reads a gap >= 0, it brackets the
+knot, and Illinois false position on the gap of the one candidate that crosses (a
+peak re-polished at each lambda, or a disc-boundary point) locates it to a
+width of 1e-9 lambda, and one sweep at the final upper end confirms it.
+Where the candidate is born inside the bracket, halving the bracket on the
+global gap finds an upper end where it exists, and false position resumes
+there; bisection in lambda on the global gap is the fallback (_Leg.locate).
 """
 
 import math
@@ -43,7 +48,8 @@ from .numerics import maximize_1d
 _MERGE_RADIUS = 1e-3
 _COND_LIMIT = 1e14
 _EDGE_SIGNS = np.array([-1.0, 1.0])
-_LAMBDA_STEP_FRACTION = 1e-2  # each march step lowers lambda by 1%
+_STEP_FLOOR = 1e-2  # a march step lowers lambda by at least 1%
+_STEP_CAP = 1e-1  # and by at most 10%
 _NEWTON_TOL = 1e-10  # Newton stops at a step below this
 _EVENT_GRID_FACTOR = 64  # event grid points per frequency
 _GAP_ROUNDING = 1e-12  # two routes to one |Z^(lambda)| peak agree to this
@@ -222,14 +228,19 @@ class _Leg:
         """Track the leg until the next knot; returns (lam_k, x, a, t_new)
         or raises _PathStop.
 
-        Each 1% step starts Newton from the secant through the last two
-        solved points, scaled to the step."""
+        Each step starts Newton from the secant through the last two solved
+        points, scaled to the step.  Its size is a fraction of lambda: half
+        the distance to the crossing that the secant of the off-support gap
+        over the last two solved points predicts, within [_STEP_FLOOR,
+        _STEP_CAP], and _STEP_FLOOR on the first step and after a step on
+        which the gap did not rise.  Each step ends with a full sweep, and the
+        first that reads a gap >= 0 brackets the knot (locate)."""
         opts = self.opts
         lam_hi = self.lam_prev
         x_hi = self.x.copy()
         a_hi = self.system(lam_hi, x_hi)[2]
-        lam_prev = x_prev = None
-        frac = _LAMBDA_STEP_FRACTION
+        lam_prev = x_prev = gap_hi = None
+        frac = _STEP_FLOOR
         while True:
             lam_lo = lam_hi * (1.0 - frac)
             if lam_lo < opts.lambda_min:
@@ -250,9 +261,12 @@ class _Leg:
             gap_lo, t_lo = self.gap(lam_lo, x_lo, a_lo)
             if gap_lo >= 0.0:
                 return self.locate((lam_lo, x_lo, a_lo, gap_lo, t_lo), (lam_hi, x_hi, a_hi))
+            frac = _STEP_FLOOR
+            if gap_hi is not None and gap_lo > gap_hi:
+                ahead = -gap_lo * (lam_hi - lam_lo) / (gap_lo - gap_hi)
+                frac = min(max(0.5 * ahead / lam_lo, _STEP_FLOOR), _STEP_CAP)
             lam_prev, x_prev = lam_hi, x_hi
-            lam_hi, x_hi, a_hi = lam_lo, x_lo, a_lo
-            frac = _LAMBDA_STEP_FRACTION
+            lam_hi, x_hi, a_hi, gap_hi = lam_lo, x_lo, a_lo, gap_lo
             if lam_hi <= opts.lambda_min:
                 raise _PathStop("reached_lambda_min")
 
@@ -266,31 +280,43 @@ class _Leg:
         smooth gap of the one candidate that crosses, the argmax at lo
         (candidate_gap).  Newton for x(lambda) starts from the linear
         interpolation between the bracket ends.  Each point keeps 0.45 of the
-        bisection width 1e-9 max(1, lambda) from both ends, so the step that
-        lands next to the root also closes the bracket to that width.  One
-        full off_support_max at the final hi end must confirm a gap below
-        _GAP_ROUNDING max(1, lambda) there (an end on the root reads +-1e-16
-        by either route).  If the confirmation fails, the candidate is lost
-        (or does not read < 0 at hi) or Newton fails, the search falls back
-        to bisection on the rest of the bracket whose hi end is confirmed.
+        bisection width 1e-9 lambda from both ends, so the step that lands
+        next to the root also closes the bracket to that width.  One full
+        off_support_max at the final hi end must confirm a gap below
+        _GAP_ROUNDING lambda there (an end on the root reads +-1e-16 lambda
+        by either route).
+
+        Where the candidate does not exist at hi (the entering peak is born
+        inside the bracket), the bracket is first halved on the global gap,
+        each new lo end giving a new candidate, until candidate_gap polishes
+        the candidate at hi and reads < 0 there; false position resumes from
+        that bracket, or the halving closes it.  If the confirmation fails,
+        the candidate is lost inside the bracket, Newton fails or false
+        position takes 30 steps, the search falls back to bisection on the
+        rest of the bracket whose hi end is confirmed.  A Newton failure
+        while halving stops the path, as it does in bisect.
         """
         lam_lo, x_lo, a_lo, g_lo, t_lo = lo
         lam_hi, x_hi, a_hi = hi
-        on_edge = np.abs(wrap_delta(t_lo - (x_lo[:, None] + _EDGE_SIGNS * _MERGE_RADIUS))) < 1e-12
-        edge = None
-        if on_edge.any():
-            i, j = np.argwhere(on_edge)[0]
-            edge = (int(i), float(_EDGE_SIGNS[j]))
-        cand = (t_lo, edge)
+        confirmed = hi  # the lowest hi end whose global gap is known to be < 0
+        cand = self._crossing_candidate(x_lo, t_lo)
         tracked = self.candidate_gap(lam_hi, x_hi, a_hi, cand)
-        if tracked is None or not tracked[0] < 0.0:
-            return self.bisect((lam_lo, x_lo, a_lo, t_lo), hi)
+        while tracked is None or not tracked[0] < 0.0:
+            if lam_hi - lam_lo < 1e-9 * lam_hi:
+                return lam_lo, x_lo, a_lo, t_lo
+            lam, x, a, g, t = self._midpoint(lam_lo, x_lo, lam_hi, x_hi)
+            if g >= 0.0:
+                lam_lo, x_lo, a_lo, g_lo, t_lo = lam, x, a, g, t
+                cand = self._crossing_candidate(x_lo, t_lo)
+            else:
+                lam_hi, x_hi, a_hi = confirmed = lam, x, a
+            tracked = self.candidate_gap(lam_hi, x_hi, a_hi, cand)
         g_hi, cand = tracked
         # The end the last step replaced (+1 lo, -1 hi): replacing the same
         # end twice in a row halves the gap kept at the other (Illinois).
         moved = 0
         for _ in range(30):
-            tol = 1e-9 * max(1.0, lam_hi)
+            tol = 1e-9 * lam_hi
             if lam_hi - lam_lo < tol:
                 break
             lam = (lam_lo * g_hi - lam_hi * g_lo) / (g_hi - g_lo)
@@ -299,10 +325,10 @@ class _Leg:
             try:
                 x, a = self.newton(lam, x_lo + w * (x_hi - x_lo))
             except ValueError:
-                return self.bisect((lam_lo, x_lo, a_lo, t_lo), hi)
+                return self.bisect((lam_lo, x_lo, a_lo, t_lo), confirmed)
             tracked = self.candidate_gap(lam, x, a, cand)
             if tracked is None:
-                return self.bisect((lam_lo, x_lo, a_lo, t_lo), hi)
+                return self.bisect((lam_lo, x_lo, a_lo, t_lo), confirmed)
             g, cand = tracked
             if g >= 0.0:
                 lam_lo, x_lo, a_lo, g_lo, t_lo = lam, x, a, g, cand[0]
@@ -315,11 +341,32 @@ class _Leg:
                     g_lo *= 0.5
                 moved = -1
         else:
-            return self.bisect((lam_lo, x_lo, a_lo, t_lo), hi)
+            return self.bisect((lam_lo, x_lo, a_lo, t_lo), confirmed)
         gap_hi, t_hi = self.gap(lam_hi, x_hi, a_hi)
-        if gap_hi >= _GAP_ROUNDING * max(1.0, lam_hi):
-            return self.bisect((lam_hi, x_hi, a_hi, t_hi), hi)
+        if gap_hi >= _GAP_ROUNDING * lam_hi:
+            return self.bisect((lam_hi, x_hi, a_hi, t_hi), confirmed)
         return lam_lo, x_lo, a_lo, t_lo
+
+    @staticmethod
+    def _crossing_candidate(x, t):
+        """The candidate (t, edge) of candidate_gap for an off-support argmax
+        t at active points x: edge (i, +-1) when t is a disc-boundary point."""
+        on_edge = np.abs(wrap_delta(t - (x[:, None] + _EDGE_SIGNS * _MERGE_RADIUS))) < 1e-12
+        if not on_edge.any():
+            return t, None
+        i, j = np.argwhere(on_edge)[0]
+        return t, (int(i), float(_EDGE_SIGNS[j]))
+
+    def _midpoint(self, lam_lo, x_lo, lam_hi, x_hi):
+        """(lambda, x, a, gap, t) solved at the midpoint of a bracket, Newton
+        starting from the midpoint of its ends; raises _PathStop when Newton
+        fails."""
+        lam = 0.5 * (lam_lo + lam_hi)
+        try:
+            x, a = self.newton(lam, 0.5 * (x_lo + x_hi))
+        except ValueError:
+            raise _PathStop("path_stop_singular_jacobian")
+        return (lam, x, a) + self.gap(lam, x, a)
 
     def bisect(self, lo, hi):
         """Bisection in lambda between a solved state lo = (lambda, x, a, t)
@@ -328,14 +375,9 @@ class _Leg:
         lam_lo, x_lo, a_lo, t_lo = lo
         lam_hi, x_hi = hi[:2]
         for _ in range(80):
-            if lam_hi - lam_lo < 1e-9 * max(1.0, lam_hi):
+            if lam_hi - lam_lo < 1e-9 * lam_hi:
                 break
-            lam_mid = 0.5 * (lam_lo + lam_hi)
-            try:
-                x_mid, a_mid = self.newton(lam_mid, 0.5 * (x_lo + x_hi))
-            except ValueError:
-                raise _PathStop("path_stop_singular_jacobian")
-            gap_mid, t_mid = self.gap(lam_mid, x_mid, a_mid)
+            lam_mid, x_mid, a_mid, gap_mid, t_mid = self._midpoint(lam_lo, x_lo, lam_hi, x_hi)
             if gap_mid >= 0.0:
                 lam_lo, x_lo, a_lo, t_lo = lam_mid, x_mid, a_mid, t_mid
             else:
@@ -355,7 +397,7 @@ def lars_run(obs, sigma, opts=None):
     z_hat, lambda1 = first_knot(obs)
     t1 = z_hat.t
     knots = [LarsKnot(lam=lambda1, active=(t1,), weights=(0j,))]
-    path = LarsPath(knots=knots, status="completed", sigma=sigma, f_c=obs.f_c)
+    path = LarsPath(knots=knots, status="reached_k_max", sigma=sigma, f_c=obs.f_c)
     _, lambda2 = second_knot(obs, z_hat, lambda1)
     if lambda2 < max(opts.lambda_min, 1e-12 * lambda1):
         path.status = "reached_lambda_min"
@@ -380,10 +422,6 @@ def lars_run(obs, sigma, opts=None):
 
     while len(knots) < opts.k_max:
         leg = _Leg(obs, sigma, active, prev_vals, lam_prev, opts)
-        start_max, _ = leg.off_support_max(active, np.zeros(active.size, dtype=complex))
-        if start_max < 1e-12 * max(1.0, lambda1):
-            path.status = "completed"
-            return path
         try:
             lam_k, x_k, a_k, t_new = leg.run()
         except _PathStop as stop:
@@ -402,8 +440,6 @@ def lars_run(obs, sigma, opts=None):
         active = np.concatenate([x_k, [t_new]])
         prev_vals = np.concatenate([new_vals, [entering_val]])
         lam_prev = lam_k
-
-    path.status = "reached_k_max"
     return path
 
 

@@ -80,6 +80,13 @@ def statistic_needs(name):
     return needs
 
 
+def check_cutoff(name, f_c):
+    """ValueError when statistic name does not support the cutoff f_c."""
+    min_fc = statistic_needs(name).min_fc
+    if f_c < min_fc:
+        raise ValueError("statistic %r needs f_c >= %d, got %d" % (name, min_fc, f_c))
+
+
 def evaluate_statistics(obs, statistics, sigma, rng):
     """{name: TestReport, or the message of the SrknotsError that stopped it}
     for each statistic on obs.  sigma (None allowed where no statistic reads
@@ -94,6 +101,7 @@ def evaluate_statistics(obs, statistics, sigma, rng):
     for name, need in needs.items():
         if need.known_sigma and not (sigma is not None and sigma > 0):
             raise ValueError("statistic %r needs a positive known noise level" % name)
+        check_cutoff(name, obs.f_c)
     ctx = obs.context()
     cert = l2_bar = cert_error = None
     if any(n.certificate for n in needs.values()):
@@ -196,9 +204,7 @@ class ExperimentConfig:
             needs = statistic_needs(name)
             if needs.known_sigma and self.sigma_mode == "unknown":
                 raise ValueError("statistic %r needs sigma_mode='known'" % name)
-            if self.f_c < needs.min_fc:
-                raise ValueError("statistic %r needs f_c >= %d, got %d"
-                                 % (name, needs.min_fc, self.f_c))
+            check_cutoff(name, self.f_c)
 
 
 @dataclass

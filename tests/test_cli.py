@@ -213,6 +213,19 @@ def test_t_rice_below_its_smallest_cutoff_is_a_usage_error(capsys, command, extr
     assert code == 0 and json.loads(out)["excluded"] == 0
 
 
+@pytest.mark.parametrize("stat, blind", [("t-rice", False), ("rice", True)])
+def test_test_below_a_statistics_smallest_cutoff_is_a_schema_error(tmp_path, capsys, stat, blind):
+    # rice on a sigma-less observation is promoted to t_rice, which needs f_c >= 2
+    path = str(tmp_path / "fc1.json")
+    argv = ["simulate", "--fc", "1", "--sigma", "1", "--seed", "3", "--out", path]
+    assert _run(capsys, *argv)[0] == 0
+    if blind:
+        save_observation(Observation(f_c=1, y=load_observation(path).y, sigma=None), path)
+    code, out, err = _run(capsys, "test", "--stat", stat, "--obs", path)
+    assert (code, out) == (2, "")
+    assert "'t_rice' needs f_c >= 2" in err
+
+
 def test_negative_noise_level_is_a_usage_error(tmp_path, capsys):
     out_path = tmp_path / "never.json"
     argv = ["simulate", "--fc", "3", "--seed", "1", "--out", str(out_path)]

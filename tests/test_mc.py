@@ -22,7 +22,7 @@ from srknots.mc import (
     reproduce_figure,
     run_experiment,
 )
-from srknots.model import circular_distance, synthesize
+from srknots.model import AtomicMeasure, circular_distance, synthesize
 from srknots.numerics import RngStream
 from srknots.stats import grid_test_known, lambda2_bar, rice_known, voronoi_sample
 
@@ -94,6 +94,9 @@ def test_statistics_record_their_smallest_cutoff():
     with pytest.raises(ValueError, match="needs f_c >= 2"):
         ExperimentConfig(f_c=1, reps=2, seed=1, statistics=("t_rice",))
     ExperimentConfig(f_c=2, reps=2, seed=1, statistics=("t_rice",))
+    obs = synthesize(AtomicMeasure.empty(), 1, 1.0, RngStream(3, 0))
+    with pytest.raises(ValueError, match="needs f_c >= 2"):
+        mc.evaluate_statistics(obs, ("t_rice",), None, None)
     table = run_experiment(ExperimentConfig(f_c=1, reps=3, seed=1, statistics=("t_grid",)))
     assert not table.failures
     assert np.all((table.values["t_grid"] >= 0.0) & (table.values["t_grid"] <= 1.0))
