@@ -14,24 +14,26 @@ The active locations x(lambda) then follow the stationarity system
     h_j(lambda, x) = d/dt |Z(t) - sum_i a_i K(x_i, t)|^2 at t = x_j = 0,
 
 tracked by a predictor-corrector scheme: decrement lambda by a predicted
-step, half the distance to the crossing that the secant of the off-support
-gap over the last two solved points predicts, kept within 1% and 10% of
-lambda (1% on a leg's first step and wherever the gap did not rise), and
-re-solve h = 0 by Newton with the analytic Jacobian (_Leg.system, from
-Gamma and Z up to second order at the active points) from the secant
-prediction, halving the decrement when Newton fails.  The next knot is the
-largest lambda at which the off-support maximum of |Z^(lambda)| reaches
-lambda.  The residual Z^(lambda) is itself the Z of the Fourier data
+step, half the distance to the crossing that the secant of the peak gap (the
+largest off-support peak of |Z^(lambda)| less lambda) over the last two
+solved points predicts, kept within 1% and 10% of lambda (1% on a leg's
+first step and wherever the peak gap did not rise), and re-solve h = 0 by
+Newton with the analytic Jacobian (_Leg.system, from Gamma and Z up to
+second order at the active points) from the secant prediction, halving the
+decrement when Newton fails.  The next knot is the largest lambda at which
+the off-support maximum of |Z^(lambda)| reaches lambda.  The residual
+Z^(lambda) is itself the Z of the Fourier data
 y_res = y - (2 sigma^2 / sqrt N) sum_i a_i e^{-ik x_i}, so that maximum is
 an event-grid sweep of y_res whose local maxima are all polished at once by
 the first knot's vectorized Newton (knots._newton_peaks).  Every step ends
 with that sweep.  Once a step's sweep reads a gap >= 0, it brackets the
-knot, and Illinois false position on the gap of the one candidate that crosses (a
-peak re-polished at each lambda, or a disc-boundary point) locates it to a
-width of 1e-9 lambda, and one sweep at the final upper end confirms it.
-Where the candidate is born inside the bracket, halving the bracket on the
-global gap finds an upper end where it exists, and false position resumes
-there; bisection in lambda on the global gap is the fallback (_Leg.locate).
+knot, and Illinois false position on the gap of the one candidate that
+crosses (a peak re-polished at each lambda, or a disc-boundary point)
+locates it to a width of 1e-9 lambda, and one sweep at the final upper end
+confirms it.  Where the candidate is born inside the bracket, halving the
+bracket on the global gap finds an upper end where it exists, and false
+position resumes there; bisection in lambda on the global gap is the
+fallback (_Leg.locate).
 """
 
 import math
@@ -165,8 +167,9 @@ class _Leg:
         return Observation(f_c=obs.f_c, y=obs.y - self.two_s2 * shift / math.sqrt(obs.n_freq))
 
     def off_support_max(self, x, a):
-        """(value, location) of the maximum of |Z^(lambda)| outside the open
-        merge discs around the active points.
+        """(value, location, peak) of the maximum of |Z^(lambda)| outside the
+        open merge discs around the active points; peak is the largest value
+        at a peak of |Z^(lambda)| outside them (-inf where there is none).
 
         The residual is the Z of y_res = y - (s / sqrt N) sum_i a_i e^{-ik x_i},
         so it is swept on the event grid by one matrix product, and every
@@ -176,7 +179,9 @@ class _Leg:
         read below a disc-edge sample and still be the largest.  A peak that
         lands inside a disc is dropped, and the disc boundary points are
         candidates themselves: the constrained maximum sits there when an
-        active point is about to split.
+        active point is about to split.  Elsewhere on a leg a boundary point
+        reads about lambda - O(_MERGE_RADIUS^2), so the maximum itself hardly
+        moves until the knot, and peak is what the march predicts from.
         """
         res = self.residual(x, a)
         vals = np.abs(self.emat @ res.y) / math.sqrt(self.obs.n_freq)
@@ -196,11 +201,13 @@ class _Leg:
         outside = np.min(np.abs(wrap_delta(t_peak[:, None] - x[None, :])), axis=1) >= _MERGE_RADIUS
         cand = np.concatenate([t_peak[outside], x - _MERGE_RADIUS, x + _MERGE_RADIUS])
         cand_vals = np.abs(z_eval(res, cand))
+        n_peaks = int(np.count_nonzero(outside))
+        peak = float(np.max(cand_vals[:n_peaks])) if n_peaks else -math.inf
         best = int(np.argmax(cand_vals))
-        return float(cand_vals[best]), float(cand[best] % (2.0 * math.pi))
+        return float(cand_vals[best]), float(cand[best] % (2.0 * math.pi)), peak
 
     def gap(self, lam, x, a):
-        val, loc = self.off_support_max(x, a)
+        val, loc, _ = self.off_support_max(x, a)
         return val - lam, loc
 
     def candidate_gap(self, lam, x, a, cand):
@@ -230,16 +237,18 @@ class _Leg:
 
         Each step starts Newton from the secant through the last two solved
         points, scaled to the step.  Its size is a fraction of lambda: half
-        the distance to the crossing that the secant of the off-support gap
-        over the last two solved points predicts, within [_STEP_FLOOR,
-        _STEP_CAP], and _STEP_FLOOR on the first step and after a step on
-        which the gap did not rise.  Each step ends with a full sweep, and the
-        first that reads a gap >= 0 brackets the knot (locate)."""
+        the distance to the crossing that the secant of the peak gap (the
+        largest off-support peak of |Z^(lambda)| less lambda, see
+        off_support_max) over the last two solved points predicts, within
+        [_STEP_FLOOR, _STEP_CAP], and _STEP_FLOOR on the first step and after
+        a step on which the peak gap did not rise.  Each step ends with a full
+        sweep, and the first that reads a gap >= 0 brackets the knot
+        (locate)."""
         opts = self.opts
         lam_hi = self.lam_prev
         x_hi = self.x.copy()
         a_hi = self.system(lam_hi, x_hi)[2]
-        lam_prev = x_prev = gap_hi = None
+        lam_prev = x_prev = peak_hi = None
         frac = _STEP_FLOOR
         while True:
             lam_lo = lam_hi * (1.0 - frac)
@@ -258,15 +267,16 @@ class _Leg:
                 if frac < 1e-6:
                     raise _PathStop("path_stop_singular_jacobian")
                 continue
-            gap_lo, t_lo = self.gap(lam_lo, x_lo, a_lo)
-            if gap_lo >= 0.0:
-                return self.locate((lam_lo, x_lo, a_lo, gap_lo, t_lo), (lam_hi, x_hi, a_hi))
+            val, t_lo, peak = self.off_support_max(x_lo, a_lo)
+            if val >= lam_lo:
+                return self.locate((lam_lo, x_lo, a_lo, val - lam_lo, t_lo), (lam_hi, x_hi, a_hi))
+            peak_lo = peak - lam_lo
             frac = _STEP_FLOOR
-            if gap_hi is not None and gap_lo > gap_hi:
-                ahead = -gap_lo * (lam_hi - lam_lo) / (gap_lo - gap_hi)
+            if peak_hi is not None and peak_lo > peak_hi:
+                ahead = -peak_lo * (lam_hi - lam_lo) / (peak_lo - peak_hi)
                 frac = min(max(0.5 * ahead / lam_lo, _STEP_FLOOR), _STEP_CAP)
             lam_prev, x_prev = lam_hi, x_hi
-            lam_hi, x_hi, a_hi, gap_hi = lam_lo, x_lo, a_lo, gap_lo
+            lam_hi, x_hi, a_hi, peak_hi = lam_lo, x_lo, a_lo, peak_lo
             if lam_hi <= opts.lambda_min:
                 raise _PathStop("reached_lambda_min")
 
@@ -278,13 +288,13 @@ class _Leg:
         global gap has a kink at the knot (above it a flat disc-boundary
         value can lead), so the search runs Illinois false position on the
         smooth gap of the one candidate that crosses, the argmax at lo
-        (candidate_gap).  Newton for x(lambda) starts from the linear
-        interpolation between the bracket ends.  Each point keeps 0.45 of the
-        bisection width 1e-9 lambda from both ends, so the step that lands
-        next to the root also closes the bracket to that width.  One full
-        off_support_max at the final hi end must confirm a gap below
-        _GAP_ROUNDING lambda there (an end on the root reads +-1e-16 lambda
-        by either route).
+        (candidate_gap).  Newton for x(lambda), and the candidate's polish,
+        start from the linear interpolation between the bracket ends.  Each
+        point keeps 0.45 of the bisection width 1e-9 lambda from both ends,
+        so the step that lands next to the root also closes the bracket to
+        that width.  One full off_support_max at the final hi end must
+        confirm a gap below _GAP_ROUNDING lambda there (an end on the root
+        reads +-1e-16 lambda by either route).
 
         Where the candidate does not exist at hi (the entering peak is born
         inside the bracket), the bracket is first halved on the global gap,
@@ -311,7 +321,7 @@ class _Leg:
             else:
                 lam_hi, x_hi, a_hi = confirmed = lam, x, a
             tracked = self.candidate_gap(lam_hi, x_hi, a_hi, cand)
-        g_hi, cand = tracked
+        g_hi, (t_hi, edge) = tracked
         # The end the last step replaced (+1 lo, -1 hi): replacing the same
         # end twice in a row halves the gap kept at the other (Illinois).
         moved = 0
@@ -326,17 +336,18 @@ class _Leg:
                 x, a = self.newton(lam, x_lo + w * (x_hi - x_lo))
             except ValueError:
                 return self.bisect((lam_lo, x_lo, a_lo, t_lo), confirmed)
-            tracked = self.candidate_gap(lam, x, a, cand)
+            t = t_lo + w * wrap_delta(t_hi - t_lo)
+            tracked = self.candidate_gap(lam, x, a, (t, edge))
             if tracked is None:
                 return self.bisect((lam_lo, x_lo, a_lo, t_lo), confirmed)
-            g, cand = tracked
+            g, (t, _) = tracked
             if g >= 0.0:
-                lam_lo, x_lo, a_lo, g_lo, t_lo = lam, x, a, g, cand[0]
+                lam_lo, x_lo, a_lo, g_lo, t_lo = lam, x, a, g, t
                 if moved == 1:
                     g_hi *= 0.5
                 moved = 1
             else:
-                lam_hi, x_hi, a_hi, g_hi = lam, x, a, g
+                lam_hi, x_hi, a_hi, g_hi, t_hi = lam, x, a, g, t
                 if moved == -1:
                     g_lo *= 0.5
                 moved = -1
@@ -407,7 +418,7 @@ def lars_run(obs, sigma, opts=None):
     z_t1 = z_eval(obs, t1)
     a1 = z_t1 * (1.0 - lambda2 / lambda1) / two_s2
     leg2 = _Leg(obs, sigma, [t1], [z_t1], lambda1, opts)
-    _, t2 = leg2.off_support_max(np.array([t1]), np.array([a1]))
+    t2 = leg2.off_support_max(np.array([t1]), np.array([a1]))[1]
     knots.append(LarsKnot(lam=lambda2, active=(t1, t2), weights=(complex(a1), 0j)))
 
     active = np.array([t1, t2])

@@ -100,9 +100,9 @@ def test_analytic_jacobian_matches_central_difference():
 def test_off_support_max_dominates_a_fine_grid(monkeypatch):
     # Every event probe along a path against an independent residual
     # (kernel sum) on 2^16 points, masked outside the merge discs: the full
-    # off_support_max sweeps, and the candidate gaps the knot search reads.
-    # About 25 probes a path: four paths are spied so that more than 60
-    # probes are checked.
+    # off_support_max sweeps with the largest peak they report, and the
+    # candidate gaps the knot search reads.  20 to 32 probes a path: four
+    # paths are spied so that more than 60 probes are checked.
     calls, tracked = [], []
     n_checked = 0
     real = lars._Leg.off_support_max
@@ -135,10 +135,15 @@ def test_off_support_max_dominates_a_fine_grid(monkeypatch):
             gam = kernel_gamma(obs.f_c, np.subtract.outer(u, x).ravel())
             return two_s2 * (gam.reshape(u.size, x.size) @ a)
 
-        for two_s2, x, a, (val, loc) in calls:
+        for two_s2, x, a, (val, loc, peak) in calls:
             dist = np.min(np.abs(wrap_delta(np.subtract.outer(t, x))), axis=1)
-            grid_max = np.max(np.abs(z_t - fit(t, two_s2, x, a))[dist >= lars._MERGE_RADIUS])
-            assert val >= grid_max - 1e-12
+            vals = np.abs(z_t - fit(t, two_s2, x, a))
+            masked = np.where(dist >= lars._MERGE_RADIUS, vals, -np.inf)
+            assert val >= np.max(masked) - 1e-12
+            # grid peaks whose two neighbours are outside the discs too
+            is_peak = (masked >= np.roll(masked, 1)) & (masked >= np.roll(masked, -1))
+            is_peak &= np.isfinite(np.roll(masked, 1)) & np.isfinite(np.roll(masked, -1))
+            assert np.max(masked[is_peak], initial=-np.inf) - 1e-12 <= peak <= val
             assert abs(abs(z_eval(obs, loc) - fit(np.array([loc]), two_s2, x, a)[0]) - val) < 1e-12
             assert np.min(np.abs(wrap_delta(loc - x))) >= lars._MERGE_RADIUS - 1e-12
         for two_s2, x, a, val, loc in tracked:
@@ -153,7 +158,7 @@ def test_off_support_max_brent_fallback(monkeypatch):
     obs = _gaussian_obs(*_EXHIBITS[0])
     leg = _leg_at_knot(obs, lars_run(obs, 1.0, LarsOptions(k_max=4)), 3)
     x, a = leg.newton(0.995 * leg.lam_prev, leg.x)
-    ref_val, ref_loc = leg.off_support_max(x, a)
+    ref_val, ref_loc, ref_peak = leg.off_support_max(x, a)
     real_newton, real_brent = lars._newton_peaks, lars.maximize_1d
     brackets = []
 
@@ -167,9 +172,10 @@ def test_off_support_max_brent_fallback(monkeypatch):
 
     monkeypatch.setattr(lars, "_newton_peaks", refuse)
     monkeypatch.setattr(lars, "maximize_1d", brent)
-    val, loc = leg.off_support_max(x, a)
+    val, loc, peak = leg.off_support_max(x, a)
     assert len(brackets) >= 2
     assert val == pytest.approx(ref_val, rel=1e-12)
+    assert peak == pytest.approx(ref_peak, rel=1e-12)
     assert abs(wrap_delta(loc - ref_loc)) < 1e-6
 
 
@@ -182,17 +188,20 @@ def _agreement_obs():
 
 
 def _spy_event_search(monkeypatch):
-    """Per call of _Leg.locate, the number of full off_support_max probes
-    and of candidate_gap evaluations it makes."""
-    probes, evals = [], []
+    """Per call of _Leg.locate, the number of full off_support_max probes,
+    of candidate_gap evaluations and of midpoint solves (halvings of the
+    bracket on the global gap, each with one probe) it makes."""
+    probes, evals, halvings = [], [], []
     real_locate = lars._Leg.locate
     real_probe = lars._Leg.off_support_max
     real_candidate = lars._Leg.candidate_gap
+    real_midpoint = lars._Leg._midpoint
     inside = [False]
 
     def locate(leg, lo, hi):
         probes.append(0)
         evals.append(0)
+        halvings.append(0)
         inside[0] = True
         try:
             return real_locate(leg, lo, hi)
@@ -208,10 +217,15 @@ def _spy_event_search(monkeypatch):
         evals[-1] += 1
         return real_candidate(leg, lam, x, a, cand)
 
+    def midpoint(leg, *bracket):
+        halvings[-1] += 1
+        return real_midpoint(leg, *bracket)
+
     monkeypatch.setattr(lars._Leg, "locate", locate)
     monkeypatch.setattr(lars._Leg, "off_support_max", probe)
     monkeypatch.setattr(lars._Leg, "candidate_gap", candidate)
-    return probes, evals
+    monkeypatch.setattr(lars._Leg, "_midpoint", midpoint)
+    return probes, evals, halvings
 
 
 def _assert_same_knots(paths, reference, rel=2e-9, loc=1e-7):
@@ -229,26 +243,28 @@ def test_event_search_matches_bisection(monkeypatch):
     # bisection on the global gap, forced by losing the candidate at once.
     observations = _agreement_obs()
     opts = LarsOptions(k_max=4)
-    probes, _ = _spy_event_search(monkeypatch)
+    probes, _, halvings = _spy_event_search(monkeypatch)
     fast = [lars_run(obs, 1.0, opts) for obs in observations]
-    # One probe per knot confirms the search.  On 6 of the 32 legs, as on
-    # (5220, 0), the entering peak is born inside the bracket, and two or
-    # three halvings of the global gap precede false position.
+    # One probe per knot confirms the search.  Where the entering peak is
+    # born inside the bracket, as on (5220, 0), a few halvings of the global
+    # gap, one probe each, precede false position; no search falls back.
     assert len(probes) == 32
-    assert sum(n == 1 for n in probes) >= len(probes) - 7
-    assert all(1 <= n <= 5 for n in probes)
+    assert all(n == 1 + h for n, h in zip(probes, halvings))
+    resumed = max(halvings)
 
     probes.clear()
+    halvings.clear()
     monkeypatch.setattr(lars._Leg, "candidate_gap", lambda leg, lam, x, a, cand: None)
     slow = [lars_run(obs, 1.0, opts) for obs in observations]
-    assert min(probes) >= 20
+    assert probes == halvings
+    assert min(probes) >= 20 > resumed
     _assert_same_knots(fast, slow)
 
 
 @pytest.mark.parametrize("route", ["refused_polish", "failed_confirmation"])
 def test_event_search_falls_back_to_bisection(monkeypatch, route):
     observations = [_gaussian_obs(seed, index) for seed, index in _EXHIBITS] + [_noisy_obs(42)]
-    probes, _ = _spy_event_search(monkeypatch)
+    probes, _, _ = _spy_event_search(monkeypatch)
     if route == "refused_polish":
         # Every Newton polish refused: the candidate is lost at the hi end,
         # and off_support_max polishes its peaks by Brent search.
@@ -284,22 +300,19 @@ def test_event_search_converges_on_a_curved_gap(monkeypatch):
     # knot but flattens the gap on the lo side: plain false position then
     # creeps from that end, and only the Illinois halving of the retained
     # end's value gets the search to the bisection width in a few steps.
-    # The scale 30 makes the transform span about e^3 across a bracket of
-    # 10% of lambda; ten times that scale would make the gap a step there,
-    # on which no interpolation beats bisection.
     observations = _agreement_obs()
     opts = LarsOptions(k_max=4)
     reference = [lars_run(obs, 1.0, opts) for obs in observations]
-    probes, evals = _spy_event_search(monkeypatch)
+    probes, evals, halvings = _spy_event_search(monkeypatch)
     spied = lars._Leg.candidate_gap
 
     def curved(leg, lam, x, a, cand):
         out = spied(leg, lam, x, a, cand)
-        return None if out is None else (-math.expm1(-30.0 * out[0]) / 30.0, out[1])
+        return None if out is None else (-math.expm1(-300.0 * out[0]) / 300.0, out[1])
 
     monkeypatch.setattr(lars._Leg, "candidate_gap", curved)
     paths = [lars_run(obs, 1.0, opts) for obs in observations]
-    assert sum(n == 1 for n in probes) >= len(probes) - 7
+    assert all(n == 1 + h for n, h in zip(probes, halvings))
     assert sum(evals) <= 12 * len(evals)
     _assert_same_knots(paths, reference)
 
@@ -312,25 +325,20 @@ def test_event_search_resumes_false_position_after_a_birth(monkeypatch):
     # locate call of the knot.
     obs = _gaussian_obs(5220, 0)
     opts = LarsOptions(k_max=4)
-    probes, _ = _spy_event_search(monkeypatch)
-    halvings, bisections = [], []
-    real_midpoint, real_bisect = lars._Leg._midpoint, lars._Leg.bisect
-
-    def midpoint(leg, *bracket):
-        halvings.append(len(probes))
-        return real_midpoint(leg, *bracket)
+    probes, _, halvings = _spy_event_search(monkeypatch)
+    bisections = []
+    real_bisect = lars._Leg.bisect
 
     def bisect(leg, lo, hi):
         bisections.append(len(probes))
         return real_bisect(leg, lo, hi)
 
-    monkeypatch.setattr(lars._Leg, "_midpoint", midpoint)
     monkeypatch.setattr(lars._Leg, "bisect", bisect)
     fast = lars_run(obs, 1.0, opts)
     assert len(probes) == 2
     assert not bisections
-    assert halvings and set(halvings) == {2}
-    assert probes[1] == len(halvings) + 1
+    assert halvings[0] == 0 < halvings[1]
+    assert probes[1] == halvings[1] + 1
 
     fast_probes = list(probes)
     probes.clear()
