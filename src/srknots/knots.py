@@ -14,6 +14,11 @@ fixed dt the maximum of g over dtheta is the root of a quadratic
 (_theta_profile).  second_knot therefore searches dt alone.  As dt -> 0 the
 profile tends to the top eigenvalue of Lt^{-1/2} R Lt^{-1/2} minus lambda1
 (_profile_limit), the value of g along its best direction out of z_hat.
+
+The maxima of |Z| have one route, z_peaks: a sweep on a cached grid, Newton
+on every grid-local maximum at once (_newton_peaks), and bounded Brent
+search where Newton fails.  first_knot reads the global maximum from it, and
+the LARS continuation the peaks of each residual outside its merge discs.
 """
 
 import math
@@ -23,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateProcess, NotAMaximum
-from .model import TorusPoint, _aligned_coeffs, wrap_delta, x_grad, z_eval
+from .model import TorusPoint, _aligned_coeffs, wrap_delta, z_eval
 from .numerics import maximize_1d
 
 # The first knot's coarse |Z| sweep takes this many points per frequency.
@@ -58,9 +63,9 @@ def _t_grid(f_c, n_points):
 
 
 def _local_max_mask_1d(vals):
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    return (vals >= left) & (vals > right)
+    """Grid-local maxima of a periodic sequence: the right end of each
+    plateau, so a constant sequence has none; -inf entries are never one."""
+    return np.isfinite(vals) & (vals >= np.roll(vals, 1)) & (vals > np.roll(vals, -1))
 
 
 def _z_block(obs):
@@ -102,50 +107,57 @@ def _newton_peaks(obs, t0, radius):
     return t, ok
 
 
-def first_knot(obs):
-    """Locate the global maximizer of X: t_hat maximizes |Z|, theta_hat = arg Z(t_hat).
+def z_peaks(obs, n_points, keep=None, margin=0.0):
+    """Every local maximum of |Z|: returns (t, |Z(t)|, the swept |Z|).
 
-    A sweep on FIRST_KNOT_GRID_FACTOR * N points (step h) brackets every
-    local maximum t0 of |Z|^2 in (t0 - h, t0 + h).  All of them are polished
-    together by Newton on d|Z|^2/dt = 0 (_newton_peaks), which reaches the
-    rounding floor of the gradient in two or three steps; Brent search alone
-    would stall at sqrt(eps), since it sees only values.  A candidate on
-    which Newton meets f'' >= 0, ends non-finite or leaves its bracket falls
-    back to bounded Brent search on the bracket, to |dt| < 1e-10, and then
-    to the same Newton polish, kept if it stays within h/4 of the Brent
-    point.  The best polished value wins, and ties within 1e-9 max(1, best)
-    go to the smallest t.
+    |Z| is swept on n_points grid points t_j (step h) by one product with the
+    cached exp(i k t) matrix (_t_grid).  The grid-local maxima among the
+    points where keep(t_j) holds (all of them when keep is None) are polished
+    together by Newton on d|Z|^2/dt = 0 (_newton_peaks), which may move each
+    up to h + margin from its start.  Newton reaches the rounding floor of
+    the gradient in two or three steps; Brent search alone would stall at
+    sqrt(eps), since it sees only values.  A start on which Newton meets
+    f'' >= 0, ends non-finite or moves too far falls back to bounded Brent
+    search on |Z|^2 over (t_j - h, t_j + h), to |dt| < 1e-10, and then to the
+    same Newton polish, kept if it stays within h/4 of the Brent point.
     """
-    n = obs.n_freq
-    t_grid, emat = _t_grid(obs.f_c, FIRST_KNOT_GRID_FACTOR * n)
-    zvals = emat @ obs.y / math.sqrt(n)
-    f_grid = np.abs(zvals) ** 2
-    top = math.sqrt(f_grid.max())
-    if top - math.sqrt(f_grid.min()) < 1e-12 * max(1.0, top):
-        raise DegenerateProcess(
-            "|Z| is constant to within 1e-12: no isolated maximizer exists"
-        )
-
+    t_grid, emat = _t_grid(obs.f_c, n_points)
+    swept = np.abs(emat @ obs.y) / math.sqrt(obs.n_freq)
+    masked = swept if keep is None else np.where(keep(t_grid), swept, -np.inf)
     h = t_grid[1] - t_grid[0]
-    t0 = t_grid[_local_max_mask_1d(f_grid)]
-    t_star, ok = _newton_peaks(obs, t0, h)
-    f_star = np.abs(z_eval(obs, t_star)) ** 2
+    t0 = t_grid[_local_max_mask_1d(masked)]
+    t_star, ok = _newton_peaks(obs, t0, h + margin)
 
     def f_scalar(t):
         return abs(z_eval(obs, t)) ** 2
 
     for i in np.nonzero(~ok)[0]:
-        t_b, f_b = maximize_1d(f_scalar, (t0[i] - h, t0[i] + h), tol=1e-10)
+        t_b, _ = maximize_1d(f_scalar, (t0[i] - h, t0[i] + h), tol=1e-10)
         t_n, ok_n = _newton_peaks(obs, np.array([t_b]), 0.25 * h)
         # Trust the Newton fixpoint whenever it stayed local: near the
         # optimum the value comparison is dominated by rounding noise while
         # the gradient residual is not.
-        if ok_n[0]:
-            t_star[i], f_star[i] = t_n[0], max(f_b, f_scalar(t_n[0]))
-        else:
-            t_star[i], f_star[i] = t_b, f_b
-    best = f_star.max()
-    tied = f_star >= best - 1e-9 * max(1.0, best)
+        t_star[i] = t_n[0] if ok_n[0] else t_b
+    return t_star, np.abs(z_eval(obs, t_star)), swept
+
+
+def first_knot(obs):
+    """Locate the global maximizer of X: t_hat maximizes |Z|, theta_hat = arg Z(t_hat).
+
+    Every local maximum of |Z| comes from z_peaks on a sweep of
+    FIRST_KNOT_GRID_FACTOR * N points, which brackets each in (t0 - h, t0 + h).
+    The largest polished value wins, and ties within 1e-9 of it (relative)
+    go to the smallest t.  |Z| constant to 1e-12 (relative) on the sweep
+    raises DegenerateProcess.
+    """
+    t_star, vals, swept = z_peaks(obs, FIRST_KNOT_GRID_FACTOR * obs.n_freq)
+    top = swept.max()
+    if top - swept.min() <= 1e-12 * top:
+        raise DegenerateProcess(
+            "|Z| is constant to within 1e-12: no isolated maximizer exists"
+        )
+    best = vals.max()
+    tied = vals >= best - 1e-9 * best
     t_hat = float(np.min(t_star[tied] % (2.0 * math.pi)))
     z_at = z_eval(obs, t_hat)
     lambda1 = abs(z_at)
@@ -216,14 +228,14 @@ def second_knot(obs, z_hat, lambda1):
     The maximum over dtheta is closed-form (_theta_profile), so only dt is
     searched: the profile on a uniform 16N-point dt grid, whose point dt = 0
     holds the limit value (_profile_limit), brackets the local maxima; those
-    within 1e-2 max(1, lambda1) of the best (at most six) are polished by
+    within 1e-2 lambda1 of the best (at most six) are polished by
     bounded Brent search.  The profile is smooth through dt = 0, but there its
     coefficients shrink to the rounding level of the first knot's
     stationarity, so a bracket that holds 0 leaves out |dt| < 1e-3 of a grid
     step and the limit stands in as one more candidate, attained at
-    y_hat = z_hat.  Ties within 1e-9 go to the smallest t.  The result is
-    clamped to [0, lambda1]: g <= 0 always, and the theta-circle guarantees
-    max g >= -lambda1, so any excursion is floating-point noise.
+    y_hat = z_hat.  Ties within 1e-9 lambda1 go to the smallest t.  The
+    result is clamped to [0, lambda1]: g <= 0 always, and the theta-circle
+    guarantees max g >= -lambda1, so any excursion is floating-point noise.
     """
     w = _aligned_coeffs(obs, z_hat)
     n_grid = 16 * obs.n_freq
@@ -236,9 +248,9 @@ def second_knot(obs, z_hat, lambda1):
     limit = _profile_limit(w, lambda1)
     prof[j0] = limit
 
-    is_max = (prof >= np.roll(prof, 1)) & (prof > np.roll(prof, -1))
+    is_max = _local_max_mask_1d(prof)
     is_max[int(np.argmax(prof))] = True  # a flat profile (noiseless spike) has no strict maximum
-    idx = np.nonzero(is_max & (prof >= prof.max() - 1e-2 * max(1.0, lambda1)))[0]
+    idx = np.nonzero(is_max & (prof >= prof.max() - 1e-2 * lambda1))[0]
     idx = idx[np.argsort(-prof[idx])[:6]]
 
     def profile_at(x):
@@ -257,7 +269,7 @@ def second_knot(obs, z_hat, lambda1):
             m, dth = _theta_profile(w, lambda1, np.array([x]))
             candidates.append((float(m[0]), float(wrap_delta(x)), float(dth[0])))
     g_best = max(cand[0] for cand in candidates)
-    tied = [cand for cand in candidates if cand[0] >= g_best - 1e-9 * max(1.0, lambda1)]
+    tied = [cand for cand in candidates if cand[0] >= g_best - 1e-9 * lambda1]
     _, dt_star, dth_star = min(tied, key=lambda cand: (cand[1] + z_hat.t) % (2.0 * math.pi))
 
     g_final = min(max(g_best, -lambda1), 0.0)
@@ -278,8 +290,8 @@ def hessian_and_alphas(obs, z_hat, lambda1):
     sum Re(w_k) / sqrt N and beta = -X_tt(z_hat) = sum k^2 Re(w_k) / sqrt N,
     -X''(z_hat) = [[beta, -alpha3], [-alpha3, x0]].  So R equals
     X''(z_hat) + Lambda-tilde*lambda1 up to max(1, alpha1) |x0 - lambda1|,
-    which must not exceed 1e-9 (z_hat and lambda1 belong together), and
-    -X''(z_hat) is positive definite iff x0 > 0 and beta x0 > alpha3^2.
+    which must not exceed 1e-9 lambda1 (z_hat and lambda1 belong together),
+    and -X''(z_hat) is positive definite iff x0 > 0 and beta x0 > alpha3^2.
     Either failure raises NotAMaximum.
     """
     ctx = obs.context()
@@ -298,7 +310,7 @@ def hessian_and_alphas(obs, z_hat, lambda1):
             "z_hat is not a strict maximum" % (beta, -alpha3, -alpha3, x0)
         )
     mismatch = max(1.0, ctx.alpha1) * abs(x0 - lambda1)
-    if mismatch > 1e-9:
+    if mismatch > 1e-9 * lambda1:
         raise NotAMaximum(
             "alpha formulas disagree with the analytic Hessian by %g" % (mismatch,)
         )
@@ -310,7 +322,9 @@ def compute_certificate(obs):
     z_hat, lambda1 = first_knot(obs)
     y_hat, lambda2 = second_knot(obs, z_hat, lambda1)
     big_r, alpha2, alpha3 = hessian_and_alphas(obs, z_hat, lambda1)
-    grad_norm = float(np.linalg.norm(x_grad(obs, z_hat)))
+    # grad X(z_hat) = (Re, Im) of e^{-i theta_hat} (Z'(t_hat), Z(t_hat))
+    z0, z1, _ = _z012(*_z_block(obs), np.array([z_hat.t])) * np.exp(-1j * z_hat.theta)
+    grad_norm = math.hypot(z1[0].real, z0[0].imag)
     return KnotCertificate(
         z_hat=z_hat,
         lambda1=lambda1,

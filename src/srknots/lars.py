@@ -23,10 +23,11 @@ second order at the active points) from the secant prediction, halving the
 decrement when Newton fails.  The next knot is the largest lambda at which
 the off-support maximum of |Z^(lambda)| reaches lambda.  The residual
 Z^(lambda) is itself the Z of the Fourier data
-y_res = y - (2 sigma^2 / sqrt N) sum_i a_i e^{-ik x_i}, so that maximum is
-an event-grid sweep of y_res whose local maxima are all polished at once by
-the first knot's vectorized Newton (knots._newton_peaks).  Every step ends
-with that sweep.  Once a step's sweep reads a gap >= 0, it brackets the
+y_res = y - (2 sigma^2 / sqrt N) sum_i a_i e^{-ik x_i} (_residual), so that
+maximum comes from the one route to the peaks of |Z| that the first knot
+also takes: knots.z_peaks sweeps y_res on the 64N-point event grid and
+polishes every local maximum outside the merge discs.  Every step ends with
+that sweep.  Once a step's sweep reads a gap >= 0, it brackets the
 knot, and Illinois false position on the gap of the one candidate that
 crosses (a peak re-polished at each lambda, or a disc-boundary point)
 locates it to a width of 1e-9 lambda, and one sweep at the final upper end
@@ -43,9 +44,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .knots import _newton_peaks, _t_grid, _z012, _z_block, first_knot, second_knot
+from .knots import _newton_peaks, _z012, _z_block, first_knot, second_knot, z_peaks
 from .model import Observation, kernel_gamma, wrap_delta, z_eval
-from .numerics import maximize_1d
 
 _MERGE_RADIUS = 1e-3
 _COND_LIMIT = 1e14
@@ -94,6 +94,15 @@ class _PathStop(Exception):
         self.status = status
 
 
+def _residual(obs, two_s2, x, a):
+    """The Observation whose Z is the residual Z(t) - sum_i a_i K(x_i, t),
+    K(s, t) = two_s2 Gamma(t - s): its Fourier data are
+    y - (two_s2 / sqrt N) sum_i a_i e^{-ik x_i}."""
+    k = np.arange(-obs.f_c, obs.f_c + 1)
+    shift = np.exp(-1j * np.outer(k, x)) @ a
+    return Observation(f_c=obs.f_c, y=obs.y - two_s2 * shift / math.sqrt(obs.n_freq))
+
+
 class _Leg:
     """Continuation state for one leg of the path (fixed active cardinality)."""
 
@@ -105,7 +114,6 @@ class _Leg:
         self.lam_prev = float(lam_prev)
         self.opts = opts
         self.two_s2 = 2.0 * sigma * sigma
-        self.t_grid, self.emat = _t_grid(obs.f_c, _EVENT_GRID_FACTOR * obs.n_freq)
         self.k, self.z_block = _z_block(obs)
         # A tracked peak may move this far between two lambdas of a bracket:
         # a quarter of the Fourier node spacing 2 pi / N.
@@ -161,47 +169,35 @@ class _Leg:
 
     def residual(self, x, a):
         """The Observation whose Z is the residual Z^(lambda) of weights a at x."""
-        obs = self.obs
-        k = np.arange(-obs.f_c, obs.f_c + 1)
-        shift = np.exp(-1j * np.outer(k, x)) @ a
-        return Observation(f_c=obs.f_c, y=obs.y - self.two_s2 * shift / math.sqrt(obs.n_freq))
+        return _residual(self.obs, self.two_s2, x, a)
 
     def off_support_max(self, x, a):
         """(value, location, peak) of the maximum of |Z^(lambda)| outside the
         open merge discs around the active points; peak is the largest value
         at a peak of |Z^(lambda)| outside them (-inf where there is none).
 
-        The residual is the Z of y_res = y - (s / sqrt N) sum_i a_i e^{-ik x_i},
-        so it is swept on the event grid by one matrix product, and every
-        grid-local maximum outside the discs is polished at once by Newton
-        (knots._newton_peaks); bounded Brent search runs only where Newton
-        fails.  No peak may be skipped: one straddling two grid points can
-        read below a disc-edge sample and still be the largest.  A peak that
-        lands inside a disc is dropped, and the disc boundary points are
-        candidates themselves: the constrained maximum sits there when an
-        active point is about to split.  Elsewhere on a leg a boundary point
-        reads about lambda - O(_MERGE_RADIUS^2), so the maximum itself hardly
-        moves until the knot, and peak is what the march predicts from.
+        The peaks are those of the residual's Fourier data (knots.z_peaks on
+        the event grid), started from every grid-local maximum outside the
+        discs.  No peak may be skipped: one straddling two grid points can
+        read below a disc-edge sample and still be the largest.  A start next
+        to a disc may converge to its active point, up to h + _MERGE_RADIUS
+        away: that is a maximum too, and a peak that lands inside a disc is
+        dropped.  The disc boundary points are candidates themselves: the
+        constrained maximum sits there when an active point is about to
+        split.  Elsewhere on a leg a boundary point reads about
+        lambda - O(_MERGE_RADIUS^2), so the maximum itself hardly moves until
+        the knot, and peak is what the march predicts from.
         """
         res = self.residual(x, a)
-        vals = np.abs(self.emat @ res.y) / math.sqrt(self.obs.n_freq)
-        dist = np.min(np.abs(wrap_delta(self.t_grid[:, None] - x[None, :])), axis=1)
-        masked = np.where(dist >= _MERGE_RADIUS, vals, -np.inf)
-        is_peak = (
-            np.isfinite(masked) & (masked >= np.roll(masked, 1)) & (masked >= np.roll(masked, -1))
-        )
-        h = self.t_grid[1] - self.t_grid[0]
-        t0 = self.t_grid[is_peak]
-        # A start next to a disc may converge to its active point, up to
-        # h + _MERGE_RADIUS away: that is a maximum too, dropped below.
-        t_peak, ok = _newton_peaks(res, t0, h + _MERGE_RADIUS)
-        for i in np.nonzero(~ok)[0]:
-            t_peak[i] = maximize_1d(lambda t: abs(z_eval(res, t)), (t0[i] - h, t0[i] + h),
-                                    tol=1e-12)[0]
-        outside = np.min(np.abs(wrap_delta(t_peak[:, None] - x[None, :])), axis=1) >= _MERGE_RADIUS
-        cand = np.concatenate([t_peak[outside], x - _MERGE_RADIUS, x + _MERGE_RADIUS])
+
+        def off_discs(t):
+            return np.min(np.abs(wrap_delta(t[:, None] - x[None, :])), axis=1) >= _MERGE_RADIUS
+
+        t_peak = z_peaks(res, _EVENT_GRID_FACTOR * self.obs.n_freq, keep=off_discs,
+                         margin=_MERGE_RADIUS)[0]
+        cand = np.concatenate([t_peak[off_discs(t_peak)], x - _MERGE_RADIUS, x + _MERGE_RADIUS])
         cand_vals = np.abs(z_eval(res, cand))
-        n_peaks = int(np.count_nonzero(outside))
+        n_peaks = cand.size - 2 * x.size
         peak = float(np.max(cand_vals[:n_peaks])) if n_peaks else -math.inf
         best = int(np.argmax(cand_vals))
         return float(cand_vals[best]), float(cand[best] % (2.0 * math.pi)), peak
@@ -459,16 +455,9 @@ def lars_residual(obs, path, k, t):
     if not 1 <= k <= len(path.knots):
         raise IndexError("knot index %d out of range (path has %d)" % (k, len(path.knots)))
     knot = path.knots[k - 1]
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    vals = z_eval(obs, t_arr)
-    vals = np.atleast_1d(vals)
-    two_s2 = 2.0 * path.sigma * path.sigma
-    for loc, a_i in zip(knot.active, knot.weights):
-        if a_i != 0:
-            vals = vals - two_s2 * a_i * kernel_gamma(obs.f_c, t_arr - loc)
-    return complex(vals[0]) if scalar else vals
+    res = _residual(obs, 2.0 * path.sigma * path.sigma, np.array(knot.active),
+                    np.array(knot.weights, dtype=complex))
+    return z_eval(res, t)
 
 
 def export_csv(path):

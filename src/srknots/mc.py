@@ -248,12 +248,8 @@ class EcdfTable:
     columns: Dict[str, np.ndarray]
 
 
-def ecdf(values, name="value", n_grid=513):
-    """Empirical CDF of a sample from [0,1] on a uniform evaluation grid."""
-    return ecdf_multi({name: values}, n_grid=n_grid)
-
-
 def ecdf_multi(named_values, n_grid=513):
+    """Empirical CDFs of named samples from [0,1] on one uniform evaluation grid."""
     grid = np.linspace(0.0, 1.0, n_grid)
     columns = {}
     for name, values in named_values.items():

@@ -204,27 +204,12 @@ def synthesize(measure, f_c, sigma, stream):
 
 def z_eval(obs, t):
     """Z(t) = (1/sqrt(N)) sum_k y_k e^{ikt}; vectorized over t."""
-    return z_deriv(obs, t, order=0)
-
-
-def z_deriv(obs, t, order=1):
-    """d^order Z / dt^order by term-wise differentiation ((ik)^order factors)."""
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     k = np.arange(-obs.f_c, obs.f_c + 1)
-    coef = obs.y * (1j * k) ** order
-    vals = np.exp(1j * np.multiply.outer(t, k)) @ coef / math.sqrt(obs.n_freq)
+    vals = np.exp(1j * np.multiply.outer(t, k)) @ obs.y / math.sqrt(obs.n_freq)
     return complex(vals[0]) if scalar else vals
-
-
-def x_grad(obs, z):
-    """Gradient of X at z = (t, theta): (Re(e^{-i th} Z'), Im(e^{-i th} Z))."""
-    ph = np.exp(-1j * z[1])
-    return np.array([
-        np.real(ph * z_deriv(obs, z[0], order=1)),
-        np.imag(ph * z_eval(obs, z[0])),
-    ])
 
 
 def _aligned_coeffs(obs, z):

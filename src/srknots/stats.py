@@ -19,8 +19,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonPositiveDenominator, OutOfRange, Unconverged
-from .model import TorusPoint, kernel_gamma
+from .model import TorusPoint, kernel_gamma, z_eval
 from .numerics import RngStream, normal_pdf, normal_sf, student_pdf, student_sf
+
+
+# The half-width K of the lattice window that lambda2_bar maximizes over.
+_K_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -155,10 +159,8 @@ def grid_knots(obs, p):
     smallest (i, j)."""
     if p < 2:
         raise ValueError("grid mesh needs p >= 2, got %d" % p)
-    n = obs.n_freq
     nodes = 2.0 * math.pi * np.arange(p) / p
-    k = np.arange(-obs.f_c, obs.f_c + 1)
-    z_t = np.exp(1j * np.outer(nodes, k)) @ obs.y / math.sqrt(n)
+    z_t = z_eval(obs, nodes)
     x = np.real(np.outer(z_t, np.exp(-1j * nodes)))  # (t index, theta index)
     flat = int(np.argmax(x))
     i0, j0 = divmod(flat, p)
@@ -256,19 +258,19 @@ def voronoi_sample(hess, stream):
     raise Unconverged("voronoi_sample rejection loop failed to accept")
 
 
-def lambda2_bar(lambda1, lambda2, hess, u_draw, ctx, k_window=16):
+def lambda2_bar(lambda1, lambda2, hess, u_draw, ctx):
     """The randomized second knot:
 
         max(lambda2, lambda1 + max_{k in [-K,K]^2 \\ 0} k' hess (k - 2U) / (k' Lt k)).
 
     Each term tends to the strictly negative limit k' hess k / k' Lt k as |k|
-    grows, so the sup is attained on small k; K = 16 is far beyond it (tested
-    against 4K).  Because U lies in the Voronoi cell, 2 k' (-hess) U <=
+    grows, so the sup is attained on small k; K = _K_WINDOW = 16 is far
+    beyond it (tested against 4K).  Because U lies in the Voronoi cell, 2 k' (-hess) U <=
     k'(-hess)k for every k, hence lambda2_bar < lambda1 almost surely.
     """
     hess = np.asarray(hess, dtype=float)
     u_draw = np.asarray(u_draw, dtype=float)
-    rng_1d = np.arange(-k_window, k_window + 1)
+    rng_1d = np.arange(-_K_WINDOW, _K_WINDOW + 1)
     kk1, kk2 = np.meshgrid(rng_1d, rng_1d, indexing="ij")
     k_mat = np.stack([kk1.ravel(), kk2.ravel()], axis=1).astype(float)
     k_mat = k_mat[np.any(k_mat != 0, axis=1)]

@@ -3,10 +3,11 @@
 The package computes each quantity one way.  The second ways kept here are
 independent of it: numerical quadrature of the Kac-Rice integrals g_bar and
 h_bar, the gamma-function constant of the unknown-variance density, the
-field X and its Hessian from the derivatives of Z, the regressed field and
+field X with its gradient and Hessian from the derivatives of Z, the regressed field and
 the ratio g at arbitrary points of the torus, the Karhunen-Loeve variance
 estimators through the design correlation and its pseudo-inverse, the
-Dirichlet kernel in ratio form, and the correlation rho with its derivatives.
+Dirichlet kernel in ratio form, the correlation rho with its derivatives, and
+the residual of a LARS knot as a sum of kernels.
 
 g_ratio evaluates g(y) = (X(y) - lambda1) / (1 - rho(y - z_hat)).  Near z_hat
 both numerator and denominator vanish quadratically, so there the ratio is
@@ -33,8 +34,6 @@ from srknots.model import (
     TorusPoint,
     kernel_gamma,
     wrap_delta,
-    x_grad,
-    z_deriv,
     z_eval,
 )
 from srknots.numerics import normal_pdf, student_pdf
@@ -182,6 +181,26 @@ def rng_uniform(stream, size=None):
 
 
 # ------------------------------------------------------------ model geometry
+
+
+def z_deriv(obs, t, order=1):
+    """d^order Z / dt^order by term-wise differentiation ((ik)^order factors)."""
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t)
+    k = np.arange(-obs.f_c, obs.f_c + 1)
+    coef = obs.y * (1j * k) ** order
+    vals = np.exp(1j * np.multiply.outer(t, k)) @ coef / math.sqrt(obs.n_freq)
+    return complex(vals[0]) if scalar else vals
+
+
+def x_grad(obs, z):
+    """Gradient of X at z = (t, theta): (Re(e^{-i th} Z'), Im(e^{-i th} Z))."""
+    ph = np.exp(-1j * z[1])
+    return np.array([
+        np.real(ph * z_deriv(obs, z[0], order=1)),
+        np.imag(ph * z_eval(obs, z[0])),
+    ])
 
 
 def x_eval(obs, z):
@@ -412,3 +431,17 @@ def design_sigma_hat_cond(obs, z):
     correction = cache["rho_grad"] @ (cache["lam_inv"] * x_grad(obs, z))
     v = vals[1:] - cache["rho"][1:] * vals[0] + correction[1:]
     return float(np.sum((cache["w_cond"] @ v) ** 2) / (2 * obs.n_freq - 3))
+
+
+# ------------------------------------------------------------ the LARS path
+
+
+def lars_residual_kernel_sum(obs, path, k, t):
+    """The residual Z_k(t) = Z(t) - sum_i a_i 2 sigma^2 Gamma(t - t_i) after
+    knot k (1-based), one kernel term per active point."""
+    knot = path.knots[k - 1]
+    vals = np.atleast_1d(z_eval(obs, t))
+    two_s2 = 2.0 * path.sigma * path.sigma
+    for loc, a_i in zip(knot.active, knot.weights):
+        vals = vals - two_s2 * a_i * kernel_gamma(obs.f_c, np.asarray(t, dtype=float) - loc)
+    return vals

@@ -13,6 +13,7 @@ from oracles import (
     regressed_value,
     torus_delta,
     x_eval,
+    x_grad,
     x_hess,
 )
 
@@ -29,13 +30,13 @@ from srknots.knots import (
     hessian_and_alphas,
     second_knot,
 )
+from srknots.mc import evaluate_statistics
 from srknots.model import (
     AtomicMeasure,
     Observation,
     _aligned_coeffs,
     synthesize,
     wrap_delta,
-    x_grad,
     z_eval,
 )
 from srknots.numerics import RngStream, maximize_1d
@@ -96,8 +97,12 @@ def test_first_knot_stationarity_loop():
         assert np.all(np.linalg.eigvalsh(x_hess(obs, z_hat)) < 0)
 
 
-def test_first_knot_degenerate():
+def test_first_knot_degenerate(monkeypatch):
+    # a constant |Z| has no grid-local maximum, so nothing is polished
+    monkeypatch.setattr(knots, "maximize_1d", None)
     y = np.zeros(7, dtype=complex)
+    with pytest.raises(DegenerateProcess):
+        first_knot(Observation(f_c=3, y=y, sigma=1.0))
     y[3] = 2.0  # k = 0 only: |Z| is constant
     with pytest.raises(DegenerateProcess):
         first_knot(Observation(f_c=3, y=y, sigma=1.0))
@@ -266,16 +271,25 @@ def test_second_knot_bounds_loop():
 
 
 def test_second_knot_scale_invariance():
-    obs = _noisy_obs(55)
-    z_hat, lambda1 = first_knot(obs)
-    _, lambda2 = second_knot(obs, z_hat, lambda1)
-    c = 3.7
-    scaled = Observation(f_c=obs.f_c, y=c * obs.y, sigma=obs.sigma)
-    z_hat_c, lambda1_c = first_knot(scaled)
-    _, lambda2_c = second_knot(scaled, z_hat_c, lambda1_c)
-    assert lambda1_c == pytest.approx(c * lambda1, rel=1e-12)
-    assert z_hat_c.t == pytest.approx(z_hat.t, abs=1e-9)
-    assert lambda2_c == pytest.approx(c * lambda2, abs=1e-9 * c)
+    # (y, sigma) -> (c y, c sigma) scales both knots by c and leaves every
+    # p-value as it was: the certificate's floors are relative to lambda1
+    names = ["rice", "t_rice", "spacing", "grid", "t_grid", "grid_spacing_8"]
+    for seed in (1, 2, 4, 55):
+        obs = _noisy_obs(seed)
+        z_hat, lambda1 = first_knot(obs)
+        _, lambda2 = second_knot(obs, z_hat, lambda1)
+        ref = evaluate_statistics(obs, names, obs.sigma, RngStream(seed, 1).generator())
+        for c in (1e-9, 1e-6, 3.7, 1e3, 1e9):
+            scaled = Observation(f_c=obs.f_c, y=c * obs.y, sigma=c * obs.sigma)
+            z_hat_c, lambda1_c = first_knot(scaled)
+            _, lambda2_c = second_knot(scaled, z_hat_c, lambda1_c)
+            assert lambda1_c == pytest.approx(c * lambda1, rel=1e-12)
+            assert z_hat_c.t == pytest.approx(z_hat.t, abs=1e-9)
+            assert lambda2_c == pytest.approx(c * lambda2, abs=1e-9 * c)
+            out = evaluate_statistics(scaled, names, scaled.sigma,
+                                      RngStream(seed, 1).generator())
+            for name in names:
+                assert out[name].value == pytest.approx(ref[name].value, abs=1e-12), (c, name)
 
 
 def _profile_instances():

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import lars_residual_kernel_sum
 
-from srknots import lars
+from srknots import knots, lars
 from srknots.knots import first_knot, second_knot
 from srknots.lars import LarsOptions, export_csv, lars_residual, lars_run
 from srknots.model import AtomicMeasure, Observation, kernel_gamma, synthesize, wrap_delta, z_eval
@@ -153,30 +154,46 @@ def test_off_support_max_dominates_a_fine_grid(monkeypatch):
 
 
 def test_off_support_max_brent_fallback(monkeypatch):
-    # With every Newton polish refused, bounded Brent search on each grid
-    # bracket must find the same maximum.
+    # With the sweep's Newton polish refused, every grid bracket falls back
+    # to bounded Brent search and its Newton re-polish (knots.z_peaks), which
+    # must find the same maximum.
     obs = _gaussian_obs(*_EXHIBITS[0])
     leg = _leg_at_knot(obs, lars_run(obs, 1.0, LarsOptions(k_max=4)), 3)
     x, a = leg.newton(0.995 * leg.lam_prev, leg.x)
-    ref_val, ref_loc, ref_peak = leg.off_support_max(x, a)
-    real_newton, real_brent = lars._newton_peaks, lars.maximize_1d
-    brackets = []
+    real_peaks = lars.z_peaks
+    peaks = []
 
-    def refuse(res, t0, radius):
+    def spy(*args, **kwargs):
+        out = real_peaks(*args, **kwargs)
+        peaks.append(out[0])
+        return out
+
+    monkeypatch.setattr(lars, "z_peaks", spy)
+    ref_val, ref_loc, ref_peak = leg.off_support_max(x, a)
+    real_newton, real_brent = knots._newton_peaks, knots.maximize_1d
+    starts, brackets = [], []
+
+    def refuse_sweep(res, t0, radius):
+        # the first call polishes the sweep's starts, each later one a Brent point
         t, ok = real_newton(res, t0, radius)
-        return t, np.zeros_like(ok)
+        if not starts:
+            ok[:] = False
+        starts.append(t0.size)
+        return t, ok
 
     def brent(f, bracket, tol):
         brackets.append(bracket)
         return real_brent(f, bracket, tol=tol)
 
-    monkeypatch.setattr(lars, "_newton_peaks", refuse)
-    monkeypatch.setattr(lars, "maximize_1d", brent)
+    monkeypatch.setattr(knots, "_newton_peaks", refuse_sweep)
+    monkeypatch.setattr(knots, "maximize_1d", brent)
     val, loc, peak = leg.off_support_max(x, a)
-    assert len(brackets) >= 2
+    assert len(brackets) == starts[0] == len(starts) - 1 >= 2
     assert val == pytest.approx(ref_val, rel=1e-12)
     assert peak == pytest.approx(ref_peak, rel=1e-12)
-    assert abs(wrap_delta(loc - ref_loc)) < 1e-6
+    assert abs(wrap_delta(loc - ref_loc)) < 1e-14
+    # every peak, inside the merge discs too, as Newton alone places it
+    assert np.max(np.abs(wrap_delta(peaks[1] - peaks[0]))) < 1e-14
 
 
 def _agreement_obs():
@@ -267,14 +284,15 @@ def test_event_search_falls_back_to_bisection(monkeypatch, route):
     probes, _, _ = _spy_event_search(monkeypatch)
     if route == "refused_polish":
         # Every Newton polish refused: the candidate is lost at the hi end,
-        # and off_support_max polishes its peaks by Brent search.
-        real_newton = lars._newton_peaks
+        # and off_support_max polishes its peaks by Brent search alone.
+        real_newton = knots._newton_peaks
 
         def refuse(res, t0, radius):
             t, ok = real_newton(res, t0, radius)
             return t, np.zeros_like(ok)
 
         monkeypatch.setattr(lars, "_newton_peaks", refuse)
+        monkeypatch.setattr(knots, "_newton_peaks", refuse)
     else:
         # A candidate gap read 1e-4 low crosses zero below the knot, where
         # the global gap is still >= 0: the confirmation must catch it.
@@ -406,6 +424,19 @@ def test_homogeneity():
                 assert tc == pytest.approx(tb, abs=1e-8)
             for ab, ac in zip(kb.weights, kc.weights):
                 assert abs(c * ac - ab) < 1e-8 * max(1.0, abs(ab))
+
+
+def test_residual_matches_kernel_sum():
+    # the residual's Fourier data against one kernel term per active point,
+    # at every knot of the agreement paths, on and off the active set
+    t = np.linspace(0.0, TWO_PI, 997, endpoint=False)
+    for obs in _agreement_obs():
+        path = lars_run(obs, 1.0, LarsOptions(k_max=4))
+        scale = 1e-12 * max(1.0, path.knots[0].lam)
+        for k, knot in enumerate(path.knots, start=1):
+            u = np.concatenate([t, knot.active])
+            ref = lars_residual_kernel_sum(obs, path, k, u)
+            assert np.max(np.abs(lars_residual(obs, path, k, u) - ref)) < scale
 
 
 def test_residual_bounds_and_errors():

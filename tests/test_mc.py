@@ -13,7 +13,6 @@ from srknots.mc import (
     EcdfTable,
     ExperimentConfig,
     ExperimentTable,
-    ecdf,
     ecdf_multi,
     emit_csv,
     emit_svg,
@@ -164,7 +163,7 @@ def test_empirical_level_exact():
 
 
 def test_ecdf_shape():
-    table = ecdf(np.array([0.2, 0.5, 0.9]), name="s")
+    table = ecdf_multi({"s": np.array([0.2, 0.5, 0.9])})
     col = table.columns["s"]
     assert table.grid[0] == 0.0 and table.grid[-1] == 1.0
     assert col[0] == 0.0 and col[-1] == 1.0

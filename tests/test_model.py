@@ -11,7 +11,9 @@ from oracles import (
     dirichlet,
     torus_delta,
     x_eval,
+    x_grad,
     x_hess,
+    z_deriv,
 )
 from scipy.stats import kstest
 
@@ -27,8 +29,6 @@ from srknots.model import (
     save_observation,
     synthesize,
     wrap_delta,
-    x_grad,
-    z_deriv,
     z_eval,
 )
 from srknots.numerics import RngStream

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import g_bar, h_bar
 
+from srknots import stats
 from srknots.errors import NonPositiveDenominator, OutOfRange
 from srknots.knots import KnotCertificate, compute_certificate, first_knot
 from srknots.mc import AlternativeSpec
@@ -320,7 +321,7 @@ def test_lambda2_bar_diagonal_axis_vectors():
     assert val2 == pytest.approx(1.9, abs=1e-14)
 
 
-def test_lambda2_bar_dominates_and_window_stable():
+def test_lambda2_bar_dominates_and_window_stable(monkeypatch):
     ctx = ModelContext(3)
     rng = np.random.default_rng(29)
     for _ in range(100):
@@ -331,8 +332,10 @@ def test_lambda2_bar_dominates_and_window_stable():
         u = voronoi_sample(hess, rng)
         lam1 = rng.uniform(1.0, 3.0)
         lam2 = rng.uniform(0.0, lam1)
-        v16 = lambda2_bar(lam1, lam2, hess, u, ctx, k_window=16)
-        v64 = lambda2_bar(lam1, lam2, hess, u, ctx, k_window=64)
+        v16 = lambda2_bar(lam1, lam2, hess, u, ctx)
+        with monkeypatch.context() as patch:
+            patch.setattr(stats, "_K_WINDOW", 64)
+            v64 = lambda2_bar(lam1, lam2, hess, u, ctx)
         assert v16 >= lam2
         assert v16 < lam1
         assert abs(v16 - v64) < 1e-12

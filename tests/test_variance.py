@@ -12,6 +12,7 @@ from oracles import (
     design_sigma_hat_grid,
     torus_delta,
     x_eval,
+    x_grad,
 )
 from scipy.stats import chi2
 
@@ -22,7 +23,6 @@ from srknots.model import (
     Observation,
     kernel_gamma,
     synthesize,
-    x_grad,
 )
 from srknots.numerics import RngStream
 from srknots.variance import sigma_hat_cond, sigma_hat_grid
