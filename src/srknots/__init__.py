@@ -11,7 +11,6 @@ from .errors import (
     OutOfRange,
     SchemaError,
     SrknotsError,
-    Unconverged,
 )
 from .knots import (
     KnotCertificate,
@@ -84,7 +83,6 @@ __all__ = [
     "SrknotsError",
     "TestReport",
     "TorusPoint",
-    "Unconverged",
     "VarianceEstimate",
     "compute_certificate",
     "ecdf_multi",

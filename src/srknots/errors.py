@@ -13,10 +13,6 @@ class DegenerateProcess(SrknotsError):
     """The observed process is constant (or nearly so) and has no well-defined maximizer."""
 
 
-class Unconverged(SrknotsError):
-    """An iterative routine hit its iteration cap without meeting its tolerance."""
-
-
 class NotAMaximum(SrknotsError):
     """The Hessian at the claimed maximizer is not negative definite."""
 

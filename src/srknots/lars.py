@@ -410,30 +410,14 @@ def lars_run(obs, sigma, opts=None):
         path.status = "reached_lambda_min"
         return path
 
-    # weights at the second knot: single-point Gram K(t1,t1) = 2 sigma^2
+    # weights at the second knot: single-point Gram K(t1,t1) = 2 sigma^2.  The
+    # first leg, from lambda1 with previous residual value Z(t1), ends there.
     z_t1 = z_eval(obs, t1)
-    a1 = z_t1 * (1.0 - lambda2 / lambda1) / two_s2
-    leg2 = _Leg(obs, sigma, [t1], [z_t1], lambda1, opts)
-    t2 = leg2.off_support_max(np.array([t1]), np.array([a1]))[1]
-    knots.append(LarsKnot(lam=lambda2, active=(t1, t2), weights=(complex(a1), 0j)))
-
-    active = np.array([t1, t2])
-    prev_vals = np.array(
-        [
-            (lambda2 / lambda1) * z_t1,
-            z_eval(obs, t2) - two_s2 * a1 * kernel_gamma(obs.f_c, t2 - t1),
-        ],
-        dtype=complex,
-    )
-    lam_prev = lambda2
-
-    while len(knots) < opts.k_max:
-        leg = _Leg(obs, sigma, active, prev_vals, lam_prev, opts)
-        try:
-            lam_k, x_k, a_k, t_new = leg.run()
-        except _PathStop as stop:
-            path.status = stop.status
-            return path
+    leg = _Leg(obs, sigma, [t1], [z_t1], lambda1, opts)
+    lam_k, x_k = lambda2, np.array([t1])
+    a_k = np.array([z_t1 * (1.0 - lambda2 / lambda1) / two_s2])
+    t_new = leg.off_support_max(x_k, a_k)[1]
+    while True:
         knots.append(
             LarsKnot(
                 lam=lam_k,
@@ -441,13 +425,17 @@ def lars_run(obs, sigma, opts=None):
                 weights=tuple(complex(v) for v in a_k) + (0j,),
             )
         )
-        new_vals = (lam_k / lam_prev) * leg.prev_vals
-        gam = kernel_gamma(obs.f_c, t_new - x_k)
-        entering_val = z_eval(obs, t_new) - two_s2 * (gam @ a_k)
-        active = np.concatenate([x_k, [t_new]])
-        prev_vals = np.concatenate([new_vals, [entering_val]])
-        lam_prev = lam_k
-    return path
+        if len(knots) == opts.k_max:
+            return path
+        # residual values at the next leg's active points, all of modulus lam_k
+        prev_vals = np.append((lam_k / leg.lam_prev) * leg.prev_vals,
+                              z_eval(leg.residual(x_k, a_k), t_new))
+        leg = _Leg(obs, sigma, np.append(x_k, t_new), prev_vals, lam_k, opts)
+        try:
+            lam_k, x_k, a_k, t_new = leg.run()
+        except _PathStop as stop:
+            path.status = stop.status
+            return path
 
 
 def lars_residual(obs, path, k, t):

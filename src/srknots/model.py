@@ -14,7 +14,7 @@ Gamma = D_N / N the normalized Dirichlet kernel.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonPositiveDenominator, OutOfRange, Unconverged
+from .errors import NonPositiveDenominator, OutOfRange
 from .model import TorusPoint, kernel_gamma, z_eval
 from .numerics import RngStream, normal_pdf, normal_sf, student_pdf, student_sf
 
@@ -209,53 +209,29 @@ def _gauss_reduce(metric):
     return u, v
 
 
-def _voronoi_geometry(metric):
-    """Relevant vectors of Z^2 under `metric` and a bounding box of the cell.
-
-    The cell V0 is the intersection of |<x, r>| <= q(r)/2 over the relevant
-    vectors r in {u, v, u+v} of a reduced basis.  The box is the componentwise
-    maximum of 1 and the cell's extent, so that for ordinary metrics (cell
-    inside [-1,1]^2) the proposal box is exactly [-1,1]^2.
-    """
-    a = np.asarray(metric, dtype=float)
-    u, v = _gauss_reduce(a)
-    rel = np.array([u, v, u + v], dtype=float)
-    normals = rel @ a                      # rows r' A
-    halves = 0.5 * np.einsum("ij,ij->i", normals, rel)  # q(r)/2
-
-    vertices = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            mat = np.array([normals[i], normals[j]])
-            for si in (-1.0, 1.0):
-                for sj in (-1.0, 1.0):
-                    x = np.linalg.solve(mat, [si * halves[i], sj * halves[j]])
-                    if np.all(np.abs(normals @ x) <= halves * (1.0 + 1e-9)):
-                        vertices.append(x)
-    extent = np.max(np.abs(np.array(vertices)), axis=0)
-    box = np.maximum(1.0, extent)
-    return normals, halves, box
-
-
 def voronoi_sample(hess, stream):
-    """A uniform draw from the Voronoi cell V0 of Z^2 under -hess,
-    by rejection from the uniform law on a box.
+    """A uniform draw from the Voronoi cell V0 of Z^2 under the metric -hess,
+    by one reduction modulo the lattice.
 
-    For ordinary metrics the box is [-1,1]^2 and the acceptance rate is 1/4
-    (the cell always has area 1); very eccentric metrics stretch the cell
-    outside that square, so the box is grown to the cell's true bounding box
-    computed from the reduced-basis relevant vectors — membership against
-    those three vectors is exact for every metric, where the naive 3 x 3
-    neighbor test is not.
+    A Lagrange-reduced basis (u, v) has <u, v> <= 0 and |2 <u, v>| <= q(u)
+    <= q(v), so (u, v, -u - v) is an obtuse superbase: the triangles
+    (0, u, u + v) and (0, v, u + v) that split the basis cell have no obtuse
+    angle, and the nearest lattice point to any point of the cell is one of
+    its corners 0, u, v, u + v (Conway & Sloane, Low-dimensional lattices VI:
+    Voronoi reduction, 1992).  One uniform x on [0, 1)^2 is moved into the
+    cell by x - B floor(B^-1 x), B = [u v], and x less its nearest corner is
+    returned.  x is uniform modulo Z^2 and V0 is a fundamental domain of Z^2,
+    so the draw is exactly uniform on V0; it takes one uniform pair from the
+    stream.
     """
     rng = stream.generator() if isinstance(stream, RngStream) else stream
     metric = -np.asarray(hess, dtype=float)
-    normals, halves, box = _voronoi_geometry(metric)
-    for _ in range(100000):
-        u = rng.uniform(-1.0, 1.0, size=2) * box
-        if np.all(np.abs(normals @ u) <= halves):
-            return u
-    raise Unconverged("voronoi_sample rejection loop failed to accept")
+    u, v = _gauss_reduce(metric)
+    basis = np.column_stack([u, v]).astype(float)
+    x = rng.uniform(size=2)
+    x = x - basis @ np.floor(np.linalg.solve(basis, x))
+    d = x - np.array([[0, 0], u, v, u + v], dtype=float)
+    return d[np.argmin(np.einsum("ij,jk,ik->i", d, metric, d))]
 
 
 def lambda2_bar(lambda1, lambda2, hess, u_draw, ctx):

@@ -6,8 +6,9 @@ h_bar, the gamma-function constant of the unknown-variance density, the
 field X with its gradient and Hessian from the derivatives of Z, the regressed field and
 the ratio g at arbitrary points of the torus, the Karhunen-Loeve variance
 estimators through the design correlation and its pseudo-inverse, the
-Dirichlet kernel in ratio form, the correlation rho with its derivatives, and
-the residual of a LARS knot as a sum of kernels.
+Dirichlet kernel in ratio form, the correlation rho with its derivatives,
+the residual of a LARS knot as a sum of kernels, and the Voronoi draw by
+rejection from a box around the cell.
 
 g_ratio evaluates g(y) = (X(y) - lambda1) / (1 - rho(y - z_hat)).  Near z_hat
 both numerator and denominator vanish quadratically, so there the ratio is
@@ -37,6 +38,7 @@ from srknots.model import (
     z_eval,
 )
 from srknots.numerics import normal_pdf, student_pdf
+from srknots.stats import _gauss_reduce
 
 RADIUS_SWITCH = 0.5
 
@@ -445,3 +447,44 @@ def lars_residual_kernel_sum(obs, path, k, t):
     for loc, a_i in zip(knot.active, knot.weights):
         vals = vals - two_s2 * a_i * kernel_gamma(obs.f_c, np.asarray(t, dtype=float) - loc)
     return vals
+
+
+# ------------------------------------------------------------ the Voronoi cell
+
+
+def voronoi_geometry(metric):
+    """Relevant vectors of Z^2 under `metric` and a bounding box of the cell.
+
+    The cell V0 is the intersection of |<x, r>| <= q(r)/2 over the relevant
+    vectors r in {u, v, u+v} of a reduced basis.  The box is the componentwise
+    maximum of 1 and the cell's extent, listed from the cell's vertices.
+    """
+    a = np.asarray(metric, dtype=float)
+    u, v = _gauss_reduce(a)
+    rel = np.array([u, v, u + v], dtype=float)
+    normals = rel @ a                      # rows r' A
+    halves = 0.5 * np.einsum("ij,ij->i", normals, rel)  # q(r)/2
+
+    vertices = []
+    for i in range(3):
+        for j in range(i + 1, 3):
+            mat = np.array([normals[i], normals[j]])
+            for si in (-1.0, 1.0):
+                for sj in (-1.0, 1.0):
+                    x = np.linalg.solve(mat, [si * halves[i], sj * halves[j]])
+                    if np.all(np.abs(normals @ x) <= halves * (1.0 + 1e-9)):
+                        vertices.append(x)
+    extent = np.max(np.abs(np.array(vertices)), axis=0)
+    box = np.maximum(1.0, extent)
+    return normals, halves, box
+
+
+def voronoi_rejection_sample(hess, rng):
+    """A uniform draw from the Voronoi cell of Z^2 under -hess, by rejection
+    from the uniform law on the box of voronoi_geometry."""
+    normals, halves, box = voronoi_geometry(-np.asarray(hess, dtype=float))
+    for _ in range(100000):
+        u = rng.uniform(-1.0, 1.0, size=2) * box
+        if np.all(np.abs(normals @ u) <= halves):
+            return u
+    raise RuntimeError("voronoi_rejection_sample failed to accept")

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from oracles import g_bar, h_bar
+from oracles import g_bar, h_bar, voronoi_rejection_sample
+from scipy.stats import ks_2samp
 
 from srknots import stats
 from srknots.errors import NonPositiveDenominator, OutOfRange
@@ -14,7 +15,7 @@ from srknots.model import AtomicMeasure, ModelContext, TorusPoint, synthesize
 from srknots.numerics import RngStream, normal_pdf, normal_sf
 from srknots.stats import (
     _g_bar_closed,
-    _voronoi_geometry,
+    _gauss_reduce,
     grid_knots,
     grid_spacing_test,
     grid_test_known,
@@ -273,6 +274,11 @@ def test_voronoi_sample_diagonal_cell():
     u1 = voronoi_sample(hess, RngStream(12, 5))
     u2 = voronoi_sample(hess, RngStream(12, 5))
     assert np.array_equal(u1, u2)
+    # one uniform pair per draw
+    gen, ref = np.random.default_rng(8), np.random.default_rng(8)
+    voronoi_sample(hess, gen)
+    ref.uniform(size=2)
+    assert gen.random() == ref.random()
 
 
 def test_voronoi_sample_membership_general():
@@ -286,28 +292,50 @@ def test_voronoi_sample_membership_general():
         qu = u @ metric @ u
         for k in ks:
             assert qu <= (u - k) @ metric @ (u - k) + 1e-9
+    # The cell is exactly |<x, r>| <= q(r)/2 over r in {u, v, u + v} for a
+    # Lagrange-reduced basis (u, v); random metrics with eigenvalue ratios up
+    # to e^8 and any orientation.
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        eig = np.exp(rng.uniform(-4.0, 4.0, size=2))
+        phi = rng.uniform(0.0, math.pi)
+        rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        metric = rot @ np.diag(eig) @ rot.T
+        u, v = _gauss_reduce(metric)
+        assert abs(u[0] * v[1] - u[1] * v[0]) == 1
+        assert abs(2.0 * (u @ metric @ v)) <= u @ metric @ u <= v @ metric @ v
+        assert u @ metric @ v <= 0.0
+        rel = np.array([u, v, u + v], dtype=float)
+        halves = 0.5 * np.einsum("ij,jk,ik->i", rel, metric, rel)
+        for _ in range(20):
+            x = voronoi_sample(-metric, rng)
+            assert np.all(np.abs(rel @ metric @ x) <= halves * (1.0 + 1e-12))
 
 
-def test_voronoi_sample_acceptance_rate():
-    # the cell has unit area; for an ordinary metric the proposal box is
-    # [-1,1]^2, so the acceptance rate is 1/4
-    metric = np.diag([2.0, 0.5])
-    normals, halves, box = _voronoi_geometry(metric)
-    assert np.array_equal(box, [1.0, 1.0])
-    props = RngStream(7, 0).generator().uniform(-1.0, 1.0, size=(10_000, 2))
-    accept = np.all(np.abs(props @ normals.T) <= halves, axis=1)
-    assert abs(accept.mean() - 0.25) < 0.02
+@pytest.mark.parametrize(
+    "metric", [[[2.0, 0.0], [0.0, 0.5]], [[4.0, -1.9], [-1.9, 1.0]], [[30.0, 5.0], [5.0, 1.0]]]
+)
+def test_voronoi_sample_law_matches_rejection(metric):
+    # two-sample KS against the rejection sampler on u1, u2 and q(u), inside
+    # the 1% band; [[30, 5], [5, 1]] reduces to u = (0, 1), v = (1, -5)
+    metric = np.array(metric)
+    n = 3000
+    gen = RngStream(41, 0).generator()
+    new = np.array([voronoi_sample(-metric, gen) for _ in range(n)])
+    ref = np.array([voronoi_rejection_sample(-metric, gen) for _ in range(n)])
+    band = 1.63 * math.sqrt(2.0 / n)
+    for f in (lambda d: d[:, 0], lambda d: d[:, 1],
+              lambda d: np.einsum("ij,jk,ik->i", d, metric, d)):
+        assert ks_2samp(f(new), f(ref)).statistic < band
 
 
 def test_voronoi_sample_eccentric_mean():
-    # strongly sheared metric: the cell leaves [-1,1]^2 (the box grows), and
-    # the draw stays centered
+    # strongly sheared metric: the cell leaves [-1,1]^2 and the draw stays
+    # centered
     hess = -np.array([[4.0, -1.9], [-1.9, 1.0]])
-    _, _, box = _voronoi_geometry(-hess)
-    assert box[1] > 1.0
     gen = RngStream(99, 0).generator()
     draws = np.array([voronoi_sample(hess, gen) for _ in range(10_000)])
-    assert np.max(np.abs(draws[:, 1])) > 1.0  # actually uses the grown box
+    assert np.max(np.abs(draws[:, 1])) > 1.0
     assert np.all(np.abs(draws.mean(axis=0)) < 0.02)
 
 
