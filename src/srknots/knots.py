@@ -203,6 +203,15 @@ def _theta_profile(w, lambda1, dt):
     return m, np.arctan2(a2, a1 + m * c)
 
 
+def _local_moments(w):
+    """(x0, beta, alpha3) = sum (1, k^2, k) Re(w_k) / sqrt N for the aligned
+    coefficients w (_aligned_coeffs); see hessian_and_alphas."""
+    k = np.arange(w.size) - w.size // 2
+    sqrt_n = math.sqrt(w.size)
+    return (float(w.real.sum()) / sqrt_n, float((k * k) @ w.real) / sqrt_n,
+            float(k @ w.real) / sqrt_n)
+
+
 def _profile_limit(w, lambda1):
     """The dt -> 0 limit of the profile: the top eigenvalue of
     Lt^{-1/2} R Lt^{-1/2} minus lambda1.
@@ -213,11 +222,8 @@ def _profile_limit(w, lambda1):
     equation of that matrix shifted by lambda1.
     """
     f_c = w.size // 2
-    k = np.arange(-f_c, f_c + 1)
-    sqrt_n = math.sqrt(w.size)
     alpha1 = f_c * (f_c + 1) / 3.0
-    beta = float((k * k) @ w.real) / sqrt_n
-    alpha3 = float(k @ w.real) / sqrt_n
+    _, beta, alpha3 = _local_moments(w)
     return float(_larger_root(0.5 * (beta + alpha1 * lambda1), lambda1 * beta - alpha3 * alpha3,
                               0.5 * (alpha1 * lambda1 - beta), alpha3 * math.sqrt(alpha1)))
 
@@ -295,15 +301,11 @@ def hessian_and_alphas(obs, z_hat, lambda1):
     Either failure raises NotAMaximum.
     """
     ctx = obs.context()
-    n = obs.n_freq
     k = np.arange(-obs.f_c, obs.f_c + 1)
-    re_w = np.real(_aligned_coeffs(obs, z_hat))
-    alpha2 = float((k**2 - ctx.alpha1) @ re_w / math.sqrt(n))
-    alpha3 = float(k @ re_w / math.sqrt(n))
+    w = _aligned_coeffs(obs, z_hat)
+    x0, beta, alpha3 = _local_moments(w)
+    alpha2 = float((k**2 - ctx.alpha1) @ w.real / math.sqrt(obs.n_freq))
     big_r = np.array([[-alpha2, alpha3], [alpha3, 0.0]])
-
-    x0 = float(re_w.sum() / math.sqrt(n))
-    beta = float((k * k) @ re_w / math.sqrt(n))
     if not (x0 > 0.0 and beta * x0 > alpha3 * alpha3):
         raise NotAMaximum(
             "-X''(z_hat) = [[%g, %g], [%g, %g]] is not positive definite; "

@@ -28,13 +28,12 @@ maximum comes from the one route to the peaks of |Z| that the first knot
 also takes: knots.z_peaks sweeps y_res on the 64N-point event grid and
 polishes every local maximum outside the merge discs.  Every step ends with
 that sweep.  Once a step's sweep reads a gap >= 0, it brackets the
-knot, and Illinois false position on the gap of the one candidate that
-crosses (a peak re-polished at each lambda, or a disc-boundary point)
-locates it to a width of 1e-9 lambda, and one sweep at the final upper end
-confirms it.  Where the candidate is born inside the bracket, halving the
-bracket on the global gap finds an upper end where it exists, and false
-position resumes there; bisection in lambda on the global gap is the
-fallback (_Leg.locate).
+knot, and one loop (_Leg.locate) narrows the bracket to a width of 1e-9
+lambda: by Illinois false position on the gap of the one candidate that
+crosses (a peak re-polished at each lambda, or a disc-boundary point),
+confirmed by one sweep at the final upper end, or by halving on the global
+gap where that candidate does not exist at the upper end or false position
+fails.
 """
 
 import math
@@ -106,14 +105,13 @@ def _residual(obs, two_s2, x, a):
 class _Leg:
     """Continuation state for one leg of the path (fixed active cardinality)."""
 
-    def __init__(self, obs, sigma, active, prev_vals, lam_prev, opts):
+    def __init__(self, obs, two_s2, active, prev_vals, lam_prev, lambda_min):
         self.obs = obs
-        self.sigma = sigma
+        self.two_s2 = two_s2
         self.x = np.asarray(active, dtype=float)
         self.prev_vals = np.asarray(prev_vals, dtype=complex)
         self.lam_prev = float(lam_prev)
-        self.opts = opts
-        self.two_s2 = 2.0 * sigma * sigma
+        self.lambda_min = lambda_min
         self.k, self.z_block = _z_block(obs)
         # A tracked peak may move this far between two lambdas of a bracket:
         # a quarter of the Fourier node spacing 2 pi / N.
@@ -240,7 +238,6 @@ class _Leg:
         a step on which the peak gap did not rise.  Each step ends with a full
         sweep, and the first that reads a gap >= 0 brackets the knot
         (locate)."""
-        opts = self.opts
         lam_hi = self.lam_prev
         x_hi = self.x.copy()
         a_hi = self.system(lam_hi, x_hi)[2]
@@ -248,9 +245,9 @@ class _Leg:
         frac = _STEP_FLOOR
         while True:
             lam_lo = lam_hi * (1.0 - frac)
-            if lam_lo < opts.lambda_min:
-                if lam_hi > opts.lambda_min:
-                    lam_lo = opts.lambda_min
+            if lam_lo < self.lambda_min:
+                if lam_hi > self.lambda_min:
+                    lam_lo = self.lambda_min
                 else:
                     raise _PathStop("reached_lambda_min")
             x0 = x_hi
@@ -273,7 +270,7 @@ class _Leg:
                 frac = min(max(0.5 * ahead / lam_lo, _STEP_FLOOR), _STEP_CAP)
             lam_prev, x_prev = lam_hi, x_hi
             lam_hi, x_hi, a_hi, peak_hi = lam_lo, x_lo, a_lo, peak_lo
-            if lam_hi <= opts.lambda_min:
+            if lam_hi <= self.lambda_min:
                 raise _PathStop("reached_lambda_min")
 
     def locate(self, lo, hi):
@@ -282,77 +279,82 @@ class _Leg:
         lo = (lambda, x, a, gap, t) is a solved state whose off-support gap
         is >= 0 with argmax t, hi = (lambda, x, a) one whose gap is < 0.  The
         global gap has a kink at the knot (above it a flat disc-boundary
-        value can lead), so the search runs Illinois false position on the
-        smooth gap of the one candidate that crosses, the argmax at lo
-        (candidate_gap).  Newton for x(lambda), and the candidate's polish,
-        start from the linear interpolation between the bracket ends.  Each
-        point keeps 0.45 of the bisection width 1e-9 lambda from both ends,
-        so the step that lands next to the root also closes the bracket to
-        that width.  One full off_support_max at the final hi end must
-        confirm a gap below _GAP_ROUNDING lambda there (an end on the root
-        reads +-1e-16 lambda by either route).
+        value can lead), so while the one candidate that crosses, the argmax
+        at lo (candidate_gap), reads a gap < 0 at hi, each step is Illinois
+        false position on its smooth gap, 30 steps at most.  Newton for
+        x(lambda), and the candidate's polish, start from the linear
+        interpolation between the bracket ends.  Each point keeps 0.45 of the
+        width 1e-9 lambda from both ends, so the step that lands next to the
+        root also closes the bracket to that width.  One full off_support_max
+        at the final hi end must confirm a gap below _GAP_ROUNDING lambda
+        there (an end on the root reads +-1e-16 lambda by either route).
 
-        Where the candidate does not exist at hi (the entering peak is born
-        inside the bracket), the bracket is first halved on the global gap,
-        each new lo end giving a new candidate, until candidate_gap polishes
-        the candidate at hi and reads < 0 there; false position resumes from
-        that bracket, or the halving closes it.  If the confirmation fails,
-        the candidate is lost inside the bracket, Newton fails or false
-        position takes 30 steps, the search falls back to bisection on the
-        rest of the bracket whose hi end is confirmed.  A Newton failure
-        while halving stops the path, as it does in bisect.
+        Every other step halves the bracket on the global gap (_midpoint).
+        Each new lo end gives a new candidate and each new hi end is
+        confirmed, and the candidate is tracked at hi again: false position
+        resumes once an entering peak born inside the bracket exists at hi.
+        A failed confirmation (its hi end becomes lo), a Newton failure, a
+        lost candidate or the 30th false-position step sends hi back to the
+        lowest confirmed end, and from there the bracket is only halved.  A
+        Newton failure while halving stops the path.
         """
         lam_lo, x_lo, a_lo, g_lo, t_lo = lo
-        lam_hi, x_hi, a_hi = hi
-        confirmed = hi  # the lowest hi end whose global gap is known to be < 0
+        lam_hi, x_hi, a_hi = confirmed = hi  # the lowest hi end with a gap known < 0
         cand = self._crossing_candidate(x_lo, t_lo)
-        tracked = self.candidate_gap(lam_hi, x_hi, a_hi, cand)
-        while tracked is None or not tracked[0] < 0.0:
-            if lam_hi - lam_lo < 1e-9 * lam_hi:
-                return lam_lo, x_lo, a_lo, t_lo
-            lam, x, a, g, t = self._midpoint(lam_lo, x_lo, lam_hi, x_hi)
-            if g >= 0.0:
-                lam_lo, x_lo, a_lo, g_lo, t_lo = lam, x, a, g, t
-                cand = self._crossing_candidate(x_lo, t_lo)
-            else:
-                lam_hi, x_hi, a_hi = confirmed = lam, x, a
-            tracked = self.candidate_gap(lam_hi, x_hi, a_hi, cand)
-        g_hi, (t_hi, edge) = tracked
+        g_hi = None  # the candidate's gap at hi while false position runs
+        budget = 30  # false-position steps left; 0 once the search only halves
         # The end the last step replaced (+1 lo, -1 hi): replacing the same
         # end twice in a row halves the gap kept at the other (Illinois).
         moved = 0
-        for _ in range(30):
+        while True:
+            if budget and g_hi is None:
+                tracked = self.candidate_gap(lam_hi, x_hi, a_hi, cand)
+                if tracked is not None and tracked[0] < 0.0:
+                    g_hi, (t_hi, edge) = tracked
             tol = 1e-9 * lam_hi
+            if not budget or g_hi is None:
+                if lam_hi - lam_lo < tol:
+                    return lam_lo, x_lo, a_lo, t_lo
+                lam, x, a, g, t = self._midpoint(lam_lo, x_lo, lam_hi, x_hi)
+                if g >= 0.0:
+                    lam_lo, x_lo, a_lo, g_lo, t_lo = lam, x, a, g, t
+                    cand = self._crossing_candidate(x_lo, t_lo)
+                else:
+                    lam_hi, x_hi, a_hi = confirmed = lam, x, a
+                continue
             if lam_hi - lam_lo < tol:
-                break
-            lam = (lam_lo * g_hi - lam_hi * g_lo) / (g_hi - g_lo)
-            lam = min(max(lam, lam_lo + 0.45 * tol), lam_hi - 0.45 * tol)
-            w = (lam - lam_lo) / (lam_hi - lam_lo)
-            try:
-                x, a = self.newton(lam, x_lo + w * (x_hi - x_lo))
-            except ValueError:
-                return self.bisect((lam_lo, x_lo, a_lo, t_lo), confirmed)
-            t = t_lo + w * wrap_delta(t_hi - t_lo)
-            tracked = self.candidate_gap(lam, x, a, (t, edge))
-            if tracked is None:
-                return self.bisect((lam_lo, x_lo, a_lo, t_lo), confirmed)
-            g, (t, _) = tracked
-            if g >= 0.0:
-                lam_lo, x_lo, a_lo, g_lo, t_lo = lam, x, a, g, t
-                if moved == 1:
-                    g_hi *= 0.5
-                moved = 1
+                gap_hi, t_hi = self.gap(lam_hi, x_hi, a_hi)
+                if gap_hi < _GAP_ROUNDING * lam_hi:
+                    return lam_lo, x_lo, a_lo, t_lo
+                lam_lo, x_lo, a_lo, t_lo = lam_hi, x_hi, a_hi, t_hi
+                tracked = None
             else:
-                lam_hi, x_hi, a_hi, g_hi, t_hi = lam, x, a, g, t
-                if moved == -1:
-                    g_lo *= 0.5
-                moved = -1
-        else:
-            return self.bisect((lam_lo, x_lo, a_lo, t_lo), confirmed)
-        gap_hi, t_hi = self.gap(lam_hi, x_hi, a_hi)
-        if gap_hi >= _GAP_ROUNDING * lam_hi:
-            return self.bisect((lam_hi, x_hi, a_hi, t_hi), confirmed)
-        return lam_lo, x_lo, a_lo, t_lo
+                lam = (lam_lo * g_hi - lam_hi * g_lo) / (g_hi - g_lo)
+                lam = min(max(lam, lam_lo + 0.45 * tol), lam_hi - 0.45 * tol)
+                w = (lam - lam_lo) / (lam_hi - lam_lo)
+                budget -= 1
+                try:
+                    x, a = self.newton(lam, x_lo + w * (x_hi - x_lo))
+                except ValueError:
+                    tracked = None
+                else:
+                    t = t_lo + w * wrap_delta(t_hi - t_lo)
+                    tracked = self.candidate_gap(lam, x, a, (t, edge))
+                if tracked is not None:
+                    g, (t, _) = tracked
+                    if g >= 0.0:
+                        lam_lo, x_lo, a_lo, g_lo, t_lo = lam, x, a, g, t
+                        if moved == 1:
+                            g_hi *= 0.5
+                        moved = 1
+                    else:
+                        lam_hi, x_hi, a_hi, g_hi, t_hi = lam, x, a, g, t
+                        if moved == -1:
+                            g_lo *= 0.5
+                        moved = -1
+            if tracked is None or not budget:
+                lam_hi, x_hi, a_hi = confirmed
+                budget = 0
 
     @staticmethod
     def _crossing_candidate(x, t):
@@ -374,22 +376,6 @@ class _Leg:
         except ValueError:
             raise _PathStop("path_stop_singular_jacobian")
         return (lam, x, a) + self.gap(lam, x, a)
-
-    def bisect(self, lo, hi):
-        """Bisection in lambda between a solved state lo = (lambda, x, a, t)
-        whose gap is >= 0 with argmax t and one hi = (lambda, x, ...) whose
-        gap is < 0; returns (lam_k, x, a, t_new) at the final lo end."""
-        lam_lo, x_lo, a_lo, t_lo = lo
-        lam_hi, x_hi = hi[:2]
-        for _ in range(80):
-            if lam_hi - lam_lo < 1e-9 * lam_hi:
-                break
-            lam_mid, x_mid, a_mid, gap_mid, t_mid = self._midpoint(lam_lo, x_lo, lam_hi, x_hi)
-            if gap_mid >= 0.0:
-                lam_lo, x_lo, a_lo, t_lo = lam_mid, x_mid, a_mid, t_mid
-            else:
-                lam_hi, x_hi = lam_mid, x_mid
-        return lam_lo, x_lo, a_lo, t_lo
 
 
 def lars_run(obs, sigma, opts=None):
@@ -413,7 +399,7 @@ def lars_run(obs, sigma, opts=None):
     # weights at the second knot: single-point Gram K(t1,t1) = 2 sigma^2.  The
     # first leg, from lambda1 with previous residual value Z(t1), ends there.
     z_t1 = z_eval(obs, t1)
-    leg = _Leg(obs, sigma, [t1], [z_t1], lambda1, opts)
+    leg = _Leg(obs, two_s2, [t1], [z_t1], lambda1, opts.lambda_min)
     lam_k, x_k = lambda2, np.array([t1])
     a_k = np.array([z_t1 * (1.0 - lambda2 / lambda1) / two_s2])
     t_new = leg.off_support_max(x_k, a_k)[1]
@@ -430,7 +416,7 @@ def lars_run(obs, sigma, opts=None):
         # residual values at the next leg's active points, all of modulus lam_k
         prev_vals = np.append((lam_k / leg.lam_prev) * leg.prev_vals,
                               z_eval(leg.residual(x_k, a_k), t_new))
-        leg = _Leg(obs, sigma, np.append(x_k, t_new), prev_vals, lam_k, opts)
+        leg = _Leg(obs, two_s2, np.append(x_k, t_new), prev_vals, lam_k, opts.lambda_min)
         try:
             lam_k, x_k, a_k, t_new = leg.run()
         except _PathStop as stop:

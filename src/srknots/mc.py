@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SrknotsError
 from .knots import compute_certificate
-from .model import TWO_PI, AtomicMeasure, circular_distance, synthesize
+from .model import TWO_PI, AtomicMeasure, synthesize
 from .numerics import RngStream
 from .stats import (
     grid_spacing_test,
@@ -156,8 +156,8 @@ class AlternativeSpec:
             raise ValueError("need exactly one weight per spike")
         if any(not w > 0 for w in self.weights):
             raise ValueError("spike weights must be positive")
-        if self.min_separation is not None and not self.min_separation > 0:
-            raise ValueError("min_separation must be positive")
+        if self.min_separation is not None and not 0 < self.min_separation <= math.pi:
+            raise ValueError("min_separation must be in (0, pi]")
 
     @property
     def alt_id(self):
@@ -168,17 +168,26 @@ class AlternativeSpec:
             "_".join(format(w, ".6g") for w in self.weights),
         )
 
+    def separation(self, f_c):
+        """min_separation, or 2 pi / f_c; no two points of the circle are over pi apart."""
+        sep = self.min_separation if self.min_separation is not None else TWO_PI / f_c
+        if sep > math.pi:
+            raise ValueError("two spikes cannot be %g apart; 2 pi / f_c needs f_c >= 2" % sep)
+        return sep
+
     def draw_measure(self, f_c, rng):
+        """Two spikes are t1 = 2 pi u1 and t2 = t1 + sep + u2 (2 pi - 2 sep):
+        t2 given t1 is uniform on the arc at distance >= sep, which is the
+        law of a uniform pair conditioned on that distance."""
         if self.n_spikes == 0:
             return AtomicMeasure.empty()
         if self.n_spikes == 1:
             return AtomicMeasure.from_atoms([(rng.uniform(0.0, TWO_PI), self.weights[0])])
-        sep = self.min_separation if self.min_separation is not None else TWO_PI / f_c
-        for _ in range(100000):
-            locs = rng.uniform(0.0, TWO_PI, size=2)
-            if circular_distance(locs[0], locs[1]) >= sep:
-                return AtomicMeasure.from_atoms(list(zip(locs, self.weights)))
-        raise ValueError("could not draw two locations at separation %g" % sep)
+        sep = self.separation(f_c)
+        u1, u2 = rng.uniform(size=2)
+        t1 = TWO_PI * u1
+        t2 = t1 + sep + u2 * (TWO_PI - 2.0 * sep)
+        return AtomicMeasure.from_atoms(list(zip((t1, t2), self.weights)))
 
 
 @dataclass(frozen=True)
@@ -205,6 +214,8 @@ class ExperimentConfig:
             if needs.known_sigma and self.sigma_mode == "unknown":
                 raise ValueError("statistic %r needs sigma_mode='known'" % name)
             check_cutoff(name, self.f_c)
+        if self.alternative.n_spikes == 2:
+            self.alternative.separation(self.f_c)  # raises where no pair is that far apart
 
 
 @dataclass

@@ -7,8 +7,9 @@ field X with its gradient and Hessian from the derivatives of Z, the regressed f
 the ratio g at arbitrary points of the torus, the Karhunen-Loeve variance
 estimators through the design correlation and its pseudo-inverse, the
 Dirichlet kernel in ratio form, the correlation rho with its derivatives,
-the residual of a LARS knot as a sum of kernels, and the Voronoi draw by
-rejection from a box around the cell.
+the residual of a LARS knot as a sum of kernels, the Voronoi draw by
+rejection from a box around the cell, and two spike locations at a least
+separation by rejection of uniform pairs.
 
 g_ratio evaluates g(y) = (X(y) - lambda1) / (1 - rho(y - z_hat)).  Near z_hat
 both numerator and denominator vanish quadratically, so there the ratio is
@@ -31,8 +32,10 @@ from scipy.special import gammaln
 
 from srknots.errors import SrknotsError
 from srknots.model import (
+    TWO_PI,
     ModelContext,
     TorusPoint,
+    circular_distance,
     kernel_gamma,
     wrap_delta,
     z_eval,
@@ -488,3 +491,13 @@ def voronoi_rejection_sample(hess, rng):
         if np.all(np.abs(normals @ u) <= halves):
             return u
     raise RuntimeError("voronoi_rejection_sample failed to accept")
+
+
+def two_spike_rejection_sample(sep, rng):
+    """Two uniform locations on the circle, drawn again until their circular
+    distance is >= sep."""
+    for _ in range(100000):
+        locs = rng.uniform(0.0, TWO_PI, size=2)
+        if circular_distance(locs[0], locs[1]) >= sep:
+            return locs
+    raise RuntimeError("two_spike_rejection_sample failed to accept")

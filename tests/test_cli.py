@@ -349,6 +349,18 @@ def test_power_takes_bare_weights(capsys):
                 "--stat", "rice")[0] == 2
 
 
+def test_power_two_spikes_need_room_on_the_circle(capsys):
+    # the default separation 2 pi / f_c is pi at f_c = 2 (antipodal pairs)
+    # and 2 pi at f_c = 1, which no pair reaches: a usage error
+    argv = ("power", "--seed", "1", "--reps", "2", "--stat", "rice", "--spike", "1",
+            "--spike", "1")
+    code, out, _ = _run(capsys, *argv, "--fc", "2")
+    assert code == 0
+    assert json.loads(out)["alt_id"] == "2spike_1_1"
+    code, _, err = _run(capsys, *argv, "--fc", "1")
+    assert code == 2 and "f_c >= 2" in err
+
+
 def test_failed_rep_stays_in_the_denominator(monkeypatch, capsys):
     # a rep whose certificate raises counts as a rejection at every level in
     # calibrate and as a non-rejection in power; the KS distance stays over

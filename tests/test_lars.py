@@ -76,7 +76,8 @@ def _leg_at_knot(obs, path, j):
     knot = path.knots[j - 1]
     active = np.array(knot.active)
     prev_vals = lars_residual(obs, path, j, active)
-    return lars._Leg(obs, path.sigma, active, prev_vals, knot.lam, LarsOptions())
+    return lars._Leg(obs, 2.0 * path.sigma * path.sigma, active, prev_vals, knot.lam,
+                     LarsOptions().lambda_min)
 
 
 def test_analytic_jacobian_matches_central_difference():
@@ -207,18 +208,21 @@ def _agreement_obs():
 def _spy_event_search(monkeypatch):
     """Per call of _Leg.locate, the number of full off_support_max probes,
     of candidate_gap evaluations and of midpoint solves (halvings of the
-    bracket on the global gap, each with one probe) it makes."""
-    probes, evals, halvings = [], [], []
+    bracket on the global gap, each with one probe) it makes, and the order
+    of its Newton solves: "h" for a halving, "f" for a false-position step."""
+    probes, evals, halvings, solves = [], [], [], []
     real_locate = lars._Leg.locate
     real_probe = lars._Leg.off_support_max
     real_candidate = lars._Leg.candidate_gap
     real_midpoint = lars._Leg._midpoint
-    inside = [False]
+    real_newton = lars._Leg.newton
+    inside, halving = [False], [False]
 
     def locate(leg, lo, hi):
         probes.append(0)
         evals.append(0)
         halvings.append(0)
+        solves.append("")
         inside[0] = True
         try:
             return real_locate(leg, lo, hi)
@@ -236,13 +240,24 @@ def _spy_event_search(monkeypatch):
 
     def midpoint(leg, *bracket):
         halvings[-1] += 1
-        return real_midpoint(leg, *bracket)
+        solves[-1] += "h"
+        halving[0] = True
+        try:
+            return real_midpoint(leg, *bracket)
+        finally:
+            halving[0] = False
+
+    def newton(leg, lam, x0):
+        if inside[0] and not halving[0]:
+            solves[-1] += "f"
+        return real_newton(leg, lam, x0)
 
     monkeypatch.setattr(lars._Leg, "locate", locate)
     monkeypatch.setattr(lars._Leg, "off_support_max", probe)
     monkeypatch.setattr(lars._Leg, "candidate_gap", candidate)
     monkeypatch.setattr(lars._Leg, "_midpoint", midpoint)
-    return probes, evals, halvings
+    monkeypatch.setattr(lars._Leg, "newton", newton)
+    return probes, evals, halvings, solves
 
 
 def _assert_same_knots(paths, reference, rel=2e-9, loc=1e-7):
@@ -260,7 +275,7 @@ def test_event_search_matches_bisection(monkeypatch):
     # bisection on the global gap, forced by losing the candidate at once.
     observations = _agreement_obs()
     opts = LarsOptions(k_max=4)
-    probes, _, halvings = _spy_event_search(monkeypatch)
+    probes, _, halvings, _ = _spy_event_search(monkeypatch)
     fast = [lars_run(obs, 1.0, opts) for obs in observations]
     # One probe per knot confirms the search.  Where the entering peak is
     # born inside the bracket, as on (5220, 0), a few halvings of the global
@@ -281,7 +296,7 @@ def test_event_search_matches_bisection(monkeypatch):
 @pytest.mark.parametrize("route", ["refused_polish", "failed_confirmation"])
 def test_event_search_falls_back_to_bisection(monkeypatch, route):
     observations = [_gaussian_obs(seed, index) for seed, index in _EXHIBITS] + [_noisy_obs(42)]
-    probes, _, _ = _spy_event_search(monkeypatch)
+    probes, _, _, _ = _spy_event_search(monkeypatch)
     if route == "refused_polish":
         # Every Newton polish refused: the candidate is lost at the hi end,
         # and off_support_max polishes its peaks by Brent search alone.
@@ -321,7 +336,7 @@ def test_event_search_converges_on_a_curved_gap(monkeypatch):
     observations = _agreement_obs()
     opts = LarsOptions(k_max=4)
     reference = [lars_run(obs, 1.0, opts) for obs in observations]
-    probes, evals, halvings = _spy_event_search(monkeypatch)
+    probes, evals, halvings, _ = _spy_event_search(monkeypatch)
     spied = lars._Leg.candidate_gap
 
     def curved(leg, lam, x, a, cand):
@@ -340,22 +355,14 @@ def test_event_search_resumes_false_position_after_a_birth(monkeypatch):
     # the bracket of the last march step: the argmax at the lo end does not
     # exist at the hi end.  A few halvings of the global gap find a hi end
     # where it does, and false position goes on from there, within the one
-    # locate call of the knot.
+    # locate call of the knot, with no halving after its first step.
     obs = _gaussian_obs(5220, 0)
     opts = LarsOptions(k_max=4)
-    probes, _, halvings = _spy_event_search(monkeypatch)
-    bisections = []
-    real_bisect = lars._Leg.bisect
-
-    def bisect(leg, lo, hi):
-        bisections.append(len(probes))
-        return real_bisect(leg, lo, hi)
-
-    monkeypatch.setattr(lars._Leg, "bisect", bisect)
+    probes, _, halvings, solves = _spy_event_search(monkeypatch)
     fast = lars_run(obs, 1.0, opts)
     assert len(probes) == 2
-    assert not bisections
     assert halvings[0] == 0 < halvings[1]
+    assert "f" in solves[1] and "fh" not in solves[1]
     assert probes[1] == halvings[1] + 1
 
     fast_probes = list(probes)

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from oracles import two_spike_rejection_sample
+from scipy.stats import ks_2samp
 
 from srknots import mc
 from srknots.knots import compute_certificate
@@ -37,6 +39,8 @@ def test_alternative_spec_validation():
         AlternativeSpec(n_spikes=1, weights=(0.0,))
     with pytest.raises(ValueError):
         AlternativeSpec(n_spikes=2, weights=(1.0, 1.0), min_separation=0.0)
+    with pytest.raises(ValueError):
+        AlternativeSpec(n_spikes=2, weights=(1.0, 1.0), min_separation=math.pi + 1e-9)
     assert AlternativeSpec().alt_id == "null"
     assert AlternativeSpec(n_spikes=1, weights=(2.0,)).alt_id == "1spike_2"
     assert AlternativeSpec(n_spikes=2, weights=(1.0, 2.5)).alt_id == "2spike_1_2.5"
@@ -52,6 +56,29 @@ def test_two_spike_separation():
     for _ in range(50):
         t1, t2 = tight.draw_measure(7, rng).locations
         assert circular_distance(t1, t2) >= 3.0
+    # at f_c = 2 the default separation is pi: antipodal pairs, whose
+    # distance can read pi less a rounding error
+    for _ in range(50):
+        t1, t2 = spec.draw_measure(2, rng).locations
+        assert circular_distance(t1, t2) >= math.pi * (1.0 - 1e-15)
+    # at f_c = 1 it is 2 pi, which no pair reaches
+    with pytest.raises(ValueError, match="f_c >= 2"):
+        spec.draw_measure(1, rng)
+
+
+@pytest.mark.parametrize("sep", [TWO_PI / 7, TWO_PI / 3, 3.0])
+def test_two_spike_law_matches_rejection(sep):
+    # two-sample KS against uniform pairs drawn again until they are sep
+    # apart, on t1, t2 and their distance, inside the 1% band
+    spec = AlternativeSpec(n_spikes=2, weights=(1.0, 1.0), min_separation=sep)
+    n = 3000
+    gen = RngStream(43, 0).generator()
+    new = np.array([spec.draw_measure(7, gen).locations for _ in range(n)])
+    ref = np.array([two_spike_rejection_sample(sep, gen) for _ in range(n)])
+    band = 1.63 * math.sqrt(2.0 / n)
+    for f in (lambda d: d[:, 0], lambda d: d[:, 1],
+              lambda d: circular_distance(d[:, 0], d[:, 1])):
+        assert ks_2samp(f(new), f(ref)).statistic < band
 
 
 def test_experiment_config_validation():
@@ -77,6 +104,12 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError):
             ExperimentConfig(**{**ok, "statistics": (name,), "sigma_mode": "unknown"})
     ExperimentConfig(**{**ok, "statistics": ("t_rice", "t_grid"), "sigma_mode": "unknown"})
+    # two spikes at the default separation 2 pi / f_c need f_c >= 2
+    spikes = AlternativeSpec(n_spikes=2, weights=(1.0, 1.0))
+    ExperimentConfig(**{**ok, "f_c": 2, "alternative": spikes})
+    with pytest.raises(ValueError, match="f_c >= 2"):
+        ExperimentConfig(**{**ok, "f_c": 1, "alternative": spikes})
+    ExperimentConfig(**{**ok, "f_c": 1, "alternative": AlternativeSpec(2, (1.0, 1.0), 1.0)})
 
 
 @pytest.mark.parametrize("sigma", [math.inf, math.nan])

@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Knot-search counts and a digest of LARS paths on a fixed set of null paths.
+
+    python3 tools/lars_counts.py --fc 3 --kmax 4 --paths 300 --workload
+    python3 tools/lars_counts.py --fc 7 --kmax 5 --paths 40
+
+The paths are lars_run(obs, 1, k_max) on the null observations
+perfbench.workloads.lars_observation(1000 + i, 0, f_c) for i < --paths,
+after the 12 paths of the lars_fc3 workload round when --workload is given.
+The script wraps a few methods of srknots.lars._Leg and prints one JSON
+line with:
+
+- locate: calls of _Leg.locate (one per knot after the second);
+- halving_first: locate calls whose first candidate_gap (the crossing
+  candidate at the upper end of the bracket) is lost or reads a gap >= 0;
+- halving_after_false_position: locate calls that solve a bracket
+  midpoint after their first false-position step (the fallback);
+- sweeps, midpoints, systems: off_support_max sweeps, _midpoint solves
+  and _Leg.system calls made inside locate;
+- systems_total: every _Leg.system call;
+- z_peaks_brent: bounded Brent fallbacks inside knots.z_peaks;
+- digest: SHA-256 over every path's status and every knot's lambda,
+  active points and weights, written with float.hex, so two revisions
+  whose paths are bit-identical print the same digest.
+
+It imports the package from the src directory next to this script.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from srknots import knots, lars  # noqa: E402
+from workloads import LarsWorkload, lars_observation  # noqa: E402
+
+
+def instrument(counts):
+    """Wrap the _Leg methods and knots.maximize_1d to fill counts."""
+    state = {"locate": False, "z_peaks": False, "midpoint": False}
+    leg = lars._Leg
+
+    def wrap(owner, name, before=None, after=None, seen=None):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if before:
+                before()
+            try:
+                out = real(*args, **kwargs)
+            finally:
+                if after:
+                    after()
+            return seen(out) if seen else out
+
+        setattr(owner, name, wrapper)
+
+    def enter_locate():
+        counts["locate"] += 1
+        state.update(locate=True, steps=0, tracked=False, fallback=False)
+
+    def leave_locate():
+        state["locate"] = False
+        counts["halving_after_false_position"] += state["fallback"]
+
+    def enter_midpoint():
+        counts["midpoints"] += 1
+        state["midpoint"] = True
+        if state["steps"]:
+            state["fallback"] = True
+
+    def count_newton():
+        if state["locate"] and not state["midpoint"]:
+            state["steps"] += 1
+
+    def count_sweep():
+        if state["locate"]:
+            counts["sweeps"] += 1
+
+    def count_system():
+        counts["systems_total"] += 1
+        if state["locate"]:
+            counts["systems"] += 1
+
+    def first_candidate(out):
+        if state["locate"] and not state["tracked"]:
+            state["tracked"] = True
+            counts["halving_first"] += out is None or not out[0] < 0.0
+        return out
+
+    def count_brent():
+        if state["z_peaks"]:
+            counts["z_peaks_brent"] += 1
+
+    wrap(leg, "locate", enter_locate, leave_locate)
+    wrap(leg, "_midpoint", enter_midpoint, lambda: state.update(midpoint=False))
+    wrap(leg, "newton", count_newton)
+    wrap(leg, "off_support_max", count_sweep)
+    wrap(leg, "system", count_system)
+    wrap(knots, "maximize_1d", count_brent)
+    wrap(knots, "z_peaks", lambda: state.update(z_peaks=True),
+         lambda: state.update(z_peaks=False))
+    lars.z_peaks = knots.z_peaks  # lars holds its own reference
+    wrap(leg, "candidate_gap", seen=first_candidate)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--fc", type=int, default=3)
+    parser.add_argument("--kmax", type=int, default=4)
+    parser.add_argument("--paths", type=int, default=300)
+    parser.add_argument("--workload", action="store_true",
+                        help="run the 12 paths of the lars_fc3 round first")
+    args = parser.parse_args(argv)
+
+    observations = LarsWorkload().round_input(0, 0) if args.workload else []
+    observations += [lars_observation(1000 + i, 0, args.fc) for i in range(args.paths)]
+    counts = Counter({key: 0 for key in (
+        "locate", "halving_first", "halving_after_false_position", "sweeps",
+        "midpoints", "systems", "systems_total", "z_peaks_brent")})
+    instrument(counts)
+    digest = hashlib.sha256()
+    statuses = Counter()
+    opts = lars.LarsOptions(k_max=args.kmax)
+    for obs in observations:
+        path = lars.lars_run(obs, 1.0, opts)
+        statuses[path.status] += 1
+        digest.update(path.status.encode())
+        for knot in path.knots:
+            values = [knot.lam, *knot.active]
+            for w in knot.weights:
+                values += [w.real, w.imag]
+            digest.update(" ".join(float(v).hex() for v in values).encode() + b";")
+    print(json.dumps({"paths": len(observations), "statuses": dict(statuses), **counts,
+                      "digest": digest.hexdigest()}))
+
+
+if __name__ == "__main__":
+    main()
