@@ -16,9 +16,12 @@ profile tends to the top eigenvalue of Lt^{-1/2} R Lt^{-1/2} minus lambda1
 (_profile_limit), the value of g along its best direction out of z_hat.
 
 The maxima of |Z| have one route, z_peaks: a sweep on a cached grid, Newton
-on every grid-local maximum at once (_newton_peaks), and bounded Brent
-search where Newton fails.  first_knot reads the global maximum from it, and
-the LARS continuation the peaks of each residual outside its merge discs.
+on every grid-local maximum at once (_newton_peaks), and Newton kept inside
+a bracket (numerics.maximize_bracketed) for the starts where plain Newton
+fails.  first_knot reads the global maximum from it, and the LARS
+continuation the peaks of each residual outside its merge discs.  The
+maxima of the profile take the same bracketed Newton polish, on its
+analytic first and second derivatives.
 """
 
 import math
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateProcess, NotAMaximum
 from .model import TorusPoint, _aligned_coeffs, wrap_delta, z_eval
-from .numerics import maximize_1d
+from .numerics import maximize_bracketed
 
 # The first knot's coarse |Z| sweep takes this many points per frequency.
 FIRST_KNOT_GRID_FACTOR = 32
@@ -79,12 +82,19 @@ def _z012(k, block, t):
     return (np.exp(1j * np.outer(t, k)) @ block).T
 
 
+def _modulus_sq(k, block, t):
+    """|Z|^2 and its first two t-derivatives at all of t (_z012)."""
+    z0, z1, z2 = _z012(k, block, t)
+    return (np.abs(z0) ** 2, 2.0 * (z0.conj() * z1).real,
+            2.0 * (np.abs(z1) ** 2 + (z0.conj() * z2).real))
+
+
 def _newton_peaks(obs, t0, radius):
     """Newton on d|Z|^2/dt = 0 from every start in t0 at once.
 
-    Each iteration takes Z, Z' and Z'' at all points from one product
-    (_z012) and steps by f'/f''.  A point stops once its step is below
-    1e-14; at most 8 steps are taken.  Returns (t, ok): ok is False where
+    Each iteration takes f = |Z|^2, f' and f'' at all points from one
+    product (_modulus_sq) and steps by f'/f''.  A point stops once its step
+    is below 1e-14; at most 8 steps are taken.  Returns (t, ok): ok is False where
     f'' >= 0 was met, where t is not finite, or where t ended more than
     `radius` from its start.
     """
@@ -93,9 +103,7 @@ def _newton_peaks(obs, t0, radius):
     ok = np.ones(t.size, dtype=bool)
     active = ok.copy()
     for _ in range(8):
-        z0, z1, z2 = _z012(k, block, t[active])
-        f1 = 2.0 * (z0.conj() * z1).real
-        f2 = 2.0 * (np.abs(z1) ** 2 + (z0.conj() * z2).real)
+        _, f1, f2 = _modulus_sq(k, block, t[active])
         concave = f2 < 0.0
         step = np.divide(f1, f2, out=np.zeros_like(f1), where=concave)
         t[active] -= step
@@ -115,11 +123,11 @@ def z_peaks(obs, n_points, keep=None, margin=0.0):
     points where keep(t_j) holds (all of them when keep is None) are polished
     together by Newton on d|Z|^2/dt = 0 (_newton_peaks), which may move each
     up to h + margin from its start.  Newton reaches the rounding floor of
-    the gradient in two or three steps; Brent search alone would stall at
-    sqrt(eps), since it sees only values.  A start on which Newton meets
-    f'' >= 0, ends non-finite or moves too far falls back to bounded Brent
-    search on |Z|^2 over (t_j - h, t_j + h), to |dt| < 1e-10, and then to the
-    same Newton polish, kept if it stays within h/4 of the Brent point.
+    the gradient in two or three steps; a search on values alone would stall
+    at sqrt(eps).  The starts on which Newton meets f'' >= 0, ends non-finite
+    or moves too far go together to Newton kept inside the bracket
+    (t_j - h, t_j, t_j + h) on |Z|^2 (numerics.maximize_bracketed), which
+    may end at a bracket end where |Z| rises out of it.
     """
     t_grid, emat = _t_grid(obs.f_c, n_points)
     swept = np.abs(emat @ obs.y) / math.sqrt(obs.n_freq)
@@ -128,16 +136,11 @@ def z_peaks(obs, n_points, keep=None, margin=0.0):
     t0 = t_grid[_local_max_mask_1d(masked)]
     t_star, ok = _newton_peaks(obs, t0, h + margin)
 
-    def f_scalar(t):
-        return abs(z_eval(obs, t)) ** 2
-
-    for i in np.nonzero(~ok)[0]:
-        t_b, _ = maximize_1d(f_scalar, (t0[i] - h, t0[i] + h), tol=1e-10)
-        t_n, ok_n = _newton_peaks(obs, np.array([t_b]), 0.25 * h)
-        # Trust the Newton fixpoint whenever it stayed local: near the
-        # optimum the value comparison is dominated by rounding noise while
-        # the gradient residual is not.
-        t_star[i] = t_n[0] if ok_n[0] else t_b
+    refused = ~ok
+    if refused.any():
+        k, block = _z_block(obs)
+        t_star[refused] = maximize_bracketed(lambda t: _modulus_sq(k, block, t),
+                                             t0[refused] - h, t0[refused], t0[refused] + h)[0]
     return t_star, np.abs(z_eval(obs, t_star)), swept
 
 
@@ -167,40 +170,98 @@ def first_knot(obs):
 
 def _larger_root(u, q, e, f):
     """Larger root of v m^2 + 2 u m + q = 0 (u > 0, q >= 0) whose
-    discriminant u^2 - v q equals e^2 + f^2, as -q / (u + hypot(e, f)).
+    discriminant u^2 - v q equals e^2 + f^2, as -q / (u + hypot(e, f)),
+    and the square root hypot(e, f) of the discriminant.
 
     Neither step cancels, not even at a double root (a noiseless spike)."""
-    return -q / (u + np.hypot(e, f))
+    root = np.hypot(e, f)
+    return -q / (u + root), root
 
 
-def _theta_profile(w, lambda1, dt):
-    """max over dtheta of g at fixed dt != 0, and the maximizing dtheta.
+def _profile_trig(dt, n):
+    """The rows sin^2(k dt / 2) | sin(k dt), |k| <= n // 2, of a 1-D array dt,
+    which _theta_profile's profile takes."""
+    kdt = np.multiply.outer(dt, np.arange(-(n // 2), n // 2 + 1))
+    return np.concatenate([np.sin(0.5 * kdt) ** 2, np.sin(kdt)], axis=1)
 
-    Vectorized over dt.  With a = a1 + i a2 = sum_k w_k e^{ik dt} / sqrt N and
-    c = Gamma(dt), the maximum m is the larger root of
+
+@lru_cache(maxsize=32)
+def _profile_sweep(n):
+    """second_knot's uniform 16N-point dt grid, with dt = 0 at index 8N, and
+    the _profile_trig rows of its other points (read-only: they are shared)."""
+    n_grid = 16 * n
+    dt = 2.0 * math.pi / n_grid * (np.arange(n_grid) - n_grid // 2)
+    trig = _profile_trig(dt[dt != 0.0], n)
+    dt.setflags(write=False)
+    trig.setflags(write=False)
+    return dt, trig
+
+
+def _theta_profile(w, lambda1):
+    """The profile m(dt) = max over dtheta of g at fixed dt != 0, as a function
+    profile(_profile_trig(dt, N)) -> (m, the maximizing dtheta) of a 1-D
+    array dt.
+
+    With a = a1 + i a2 = sum_k w_k e^{ik dt} / sqrt N and c = Gamma(dt), m is
+    the larger root of
 
         (1 - c^2) m^2 + 2 (lambda1 - a1 c) m + (lambda1^2 - |a|^2) = 0,
 
     whose discriminant is (lambda1 (1 - c) - (lambda1 - a1))^2 + a2^2 (1 - c^2);
-    it is attained at dtheta = atan2(a2, a1 + m c).  The coefficients vanish
+    it is attained at dtheta = arg b with b = a + m c.  The coefficients vanish
     like dt^2, so they are assembled from sin^2(k dt / 2) sums, which carry no
     cancellation: lambda1 - a1, 1 - c (the sinc identity), and
     lambda1^2 - |a|^2 = (lambda1 - a1)(lambda1 + a1) - a2^2.
+
+    profile(trig, derivatives=True) returns (m, m', m'', dtheta).  The quadratic
+    reads (lambda1 + m)^2 = |b|^2, so implicit differentiation gives
+    r m' = Re(conj(b) (a' + c' m)) and
+    r m'' = |b'|^2 - m'^2 + Re(conj(b) (a'' + c'' m + 2 c' m')), where
+    b' = a' + c' m + c m' and r = lambda1 + m - c Re(b) is the square root of
+    the discriminant (so r m' is -(v' m^2 + 2 u' m + q') / 2 for the
+    quadratic v m^2 + 2 u m + q above).  Where r = 0 (the flat profile of a
+    noiseless spike) m' and m'' read 0.
+
+    Every sum is one product: each of a1, a2, c and their first two
+    derivatives is sum (C_k cos k dt + S_k sin k dt) = sum C_k -
+    2 sum C_k sin^2(k dt / 2) + sum S_k sin k dt, with C, S read off
+    (1, ik, -k^2) w_k / sqrt N and (1, ik, -k^2) / N.  The constant sums of
+    a1 and c are lambda1 (up to the first knot's rounding) and 1, so those
+    two rows give lambda1 - a1 and 1 - c without their constants.
     """
     n = w.size
     k = np.arange(-(n // 2), n // 2 + 1)
-    sqrt_n = math.sqrt(n)
-    kdt = np.multiply.outer(dt, k)
-    s2 = np.sin(0.5 * kdt) ** 2
-    sn = np.sin(kdt)
-    one_minus_c = 2.0 * s2.sum(axis=-1) / n
-    c = 1.0 - one_minus_c
-    d1 = (2.0 * s2 @ w.real + sn @ w.imag) / sqrt_n           # lambda1 - a1
-    a1 = lambda1 - d1
-    a2 = ((1.0 - 2.0 * s2) @ w.imag + sn @ w.real) / sqrt_n
-    m = _larger_root(d1 + a1 * one_minus_c, d1 * (lambda1 + a1) - a2 * a2,
-                     lambda1 * one_minus_c - d1, a2 * np.sqrt(one_minus_c * (1.0 + c)))
-    return m, np.arctan2(a2, a1 + m * c)
+    ik_pow = np.array([np.ones(n), 1j * k, -k * k])
+    a_pow, c_pow = ik_pow * (w / math.sqrt(n)), ik_pow / n  # a, a', a'' and c, c', c''
+    # rows a1, c, a2, then their first and then their second derivatives
+    cos_part = np.stack([a_pow.real, c_pow.real, a_pow.imag], axis=1).reshape(9, n)
+    sin_part = np.stack([-a_pow.imag, -c_pow.imag, a_pow.real], axis=1).reshape(9, n)
+    basis = np.concatenate([-2.0 * cos_part, sin_part], axis=1).T
+    const = cos_part.sum(axis=1)
+    basis[:, :2] *= -1.0
+    const[:2] = 0.0
+
+    def profile(trig, derivatives=False):
+        rows = 9 if derivatives else 3
+        sums = trig @ basis[:, :rows] + const[:rows]
+        d1, one_minus_c, a2, *slopes = sums.T
+        a1 = lambda1 - d1
+        c = 1.0 - one_minus_c
+        m, root = _larger_root(d1 + a1 * one_minus_c, d1 * (lambda1 + a1) - a2 * a2,
+                               lambda1 * one_minus_c - d1, a2 * np.sqrt(one_minus_c * (1.0 + c)))
+        p = a1 + m * c                                        # Re(b)
+        if not derivatives:
+            return m, np.arctan2(a2, p)
+        a1_1, c_1, a2_1, a1_2, c_2, a2_2 = slopes
+        inv_root = 1.0 / np.where(root > 0.0, root, np.inf)
+        slope = a1_1 + c_1 * m
+        m1 = (p * slope + a2 * a2_1) * inv_root
+        p1 = slope + c * m1
+        curv = (p1 * p1 + a2_1 * a2_1 - m1 * m1 + p * (a1_2 + c_2 * m + 2.0 * c_1 * m1)
+                + a2 * a2_2)
+        return m, m1, curv * inv_root, np.arctan2(a2, p)
+
+    return profile
 
 
 def _local_moments(w):
@@ -225,7 +286,7 @@ def _profile_limit(w, lambda1):
     alpha1 = f_c * (f_c + 1) / 3.0
     _, beta, alpha3 = _local_moments(w)
     return float(_larger_root(0.5 * (beta + alpha1 * lambda1), lambda1 * beta - alpha3 * alpha3,
-                              0.5 * (alpha1 * lambda1 - beta), alpha3 * math.sqrt(alpha1)))
+                              0.5 * (alpha1 * lambda1 - beta), alpha3 * math.sqrt(alpha1))[0])
 
 
 def second_knot(obs, z_hat, lambda1):
@@ -234,23 +295,27 @@ def second_knot(obs, z_hat, lambda1):
     The maximum over dtheta is closed-form (_theta_profile), so only dt is
     searched: the profile on a uniform 16N-point dt grid, whose point dt = 0
     holds the limit value (_profile_limit), brackets the local maxima; those
-    within 1e-2 lambda1 of the best (at most six) are polished by
-    bounded Brent search.  The profile is smooth through dt = 0, but there its
-    coefficients shrink to the rounding level of the first knot's
-    stationarity, so a bracket that holds 0 leaves out |dt| < 1e-3 of a grid
-    step and the limit stands in as one more candidate, attained at
-    y_hat = z_hat.  Ties within 1e-9 lambda1 go to the smallest t.  The
-    result is clamped to [0, lambda1]: g <= 0 always, and the theta-circle
-    guarantees max g >= -lambda1, so any excursion is floating-point noise.
+    within 1e-2 lambda1 of the best (at most six) are polished together by
+    Newton on the profile's analytic m' and m'', kept inside each bracket
+    (numerics.maximize_bracketed), each from the vertex of the parabola
+    through its three grid values.  The profile is smooth through dt = 0,
+    but there its coefficients shrink to the rounding level of the first
+    knot's stationarity, so a bracket that holds 0 splits into (lo, -gap)
+    and (gap, hi) around it, with gap = 1e-3 of a grid step h, each started
+    from its midpoint where the vertex falls outside it, and the limit
+    stands in as one more candidate, attained at y_hat = z_hat.  Ties within
+    1e-9 lambda1 go to the smallest t.  The result is clamped to
+    [0, lambda1]: g <= 0 always, and the theta-circle guarantees
+    max g >= -lambda1, so any excursion is floating-point noise.
     """
     w = _aligned_coeffs(obs, z_hat)
-    n_grid = 16 * obs.n_freq
+    dt_grid, trig = _profile_sweep(obs.n_freq)
+    n_grid = dt_grid.size
     h = 2.0 * math.pi / n_grid
     j0 = n_grid // 2
-    dt_grid = h * (np.arange(n_grid) - j0)
     prof = np.empty(n_grid)
-    off = dt_grid != 0.0
-    prof[off] = _theta_profile(w, lambda1, dt_grid[off])[0]
+    profile = _theta_profile(w, lambda1)
+    prof[dt_grid != 0.0] = profile(trig)[0]
     limit = _profile_limit(w, lambda1)
     prof[j0] = limit
 
@@ -259,24 +324,27 @@ def second_knot(obs, z_hat, lambda1):
     idx = np.nonzero(is_max & (prof >= prof.max() - 1e-2 * lambda1))[0]
     idx = idx[np.argsort(-prof[idx])[:6]]
 
-    def profile_at(x):
-        return float(_theta_profile(w, lambda1, np.array([x]))[0][0])
-
     gap = 1e-3 * h
-    candidates = []
-    for j in idx:
-        lo, hi = dt_grid[j] - h, dt_grid[j] + h
-        brackets = [(lo, hi)]
-        if lo <= 0.0 <= hi:
-            candidates.append((limit, 0.0, 0.0))
-            brackets = [(a, b) for a, b in ((lo, -gap), (gap, hi)) if b > a]
-        for a, b in brackets:
-            x, _ = maximize_1d(profile_at, (a, b), tol=1e-10)
-            m, dth = _theta_profile(w, lambda1, np.array([x]))
-            candidates.append((float(m[0]), float(wrap_delta(x)), float(dth[0])))
-    g_best = max(cand[0] for cand in candidates)
-    tied = [cand for cand in candidates if cand[0] >= g_best - 1e-9 * lambda1]
-    _, dt_star, dth_star = min(tied, key=lambda cand: (cand[1] + z_hat.t) % (2.0 * math.pi))
+    mid = dt_grid[idx]
+    before, at, after = prof[idx - 1], prof[idx], prof[(idx + 1) % n_grid]
+    bend = before - 2.0 * at + after
+    start = mid + 0.5 * h * np.divide(before - after, bend, out=np.zeros_like(bend),
+                                      where=bend < 0.0)
+    split = np.abs(mid) <= h
+    a = np.concatenate([mid - h, np.full(np.count_nonzero(split), gap)])
+    c = np.concatenate([np.where(split, -gap, mid + h), mid[split] + h])
+    start = np.concatenate([start, start[split]])
+    keep = c > a
+    a, c, start = a[keep], c[keep], start[keep]
+    b = np.where((a < start) & (start < c), start, 0.5 * (a + c))
+    x, m, _, _, dth = maximize_bracketed(
+        lambda dt: profile(_profile_trig(dt, obs.n_freq), derivatives=True), a, b, c)
+    dts, dths = np.append(wrap_delta(x), 0.0), np.append(dth, 0.0)
+    vals = np.append(m, limit if split.any() else -np.inf)
+    g_best = vals.max()
+    tied = np.nonzero(vals >= g_best - 1e-9 * lambda1)[0]
+    win = tied[np.argmin((dts[tied] + z_hat.t) % (2.0 * math.pi))]
+    dt_star, dth_star = float(dts[win]), float(dths[win])
 
     g_final = min(max(g_best, -lambda1), 0.0)
     lambda2 = lambda1 + g_final

@@ -240,8 +240,11 @@ def lambda2_bar(lambda1, lambda2, hess, u_draw, ctx):
         max(lambda2, lambda1 + max_{k in [-K,K]^2 \\ 0} k' hess (k - 2U) / (k' Lt k)).
 
     Each term tends to the strictly negative limit k' hess k / k' Lt k as |k|
-    grows, so the sup is attained on small k; K = _K_WINDOW = 16 is far
-    beyond it (tested against 4K).  Because U lies in the Voronoi cell, 2 k' (-hess) U <=
+    grows, but the k that attains the sup grows with f_c.  The window
+    K = _K_WINDOW = 16 matches a window of 128 on null draws up to f_c = 30,
+    and misses the argmax on a few percent of null draws at f_c >= 40, where
+    |k| reaches 17 to 63 and the sup, and so the grid p-values, come out
+    too small.  Because U lies in the Voronoi cell, 2 k' (-hess) U <=
     k'(-hess)k for every k, hence lambda2_bar < lambda1 almost surely.
     """
     hess = np.asarray(hess, dtype=float)

@@ -8,8 +8,9 @@ the ratio g at arbitrary points of the torus, the Karhunen-Loeve variance
 estimators through the design correlation and its pseudo-inverse, the
 Dirichlet kernel in ratio form, the correlation rho with its derivatives,
 the residual of a LARS knot as a sum of kernels, the Voronoi draw by
-rejection from a box around the cell, and two spike locations at a least
-separation by rejection of uniform pairs.
+rejection from a box around the cell, two spike locations at a least
+separation by rejection of uniform pairs, and bounded Brent search for a
+local maximum on an interval, which sees values only.
 
 g_ratio evaluates g(y) = (X(y) - lambda1) / (1 - rho(y - z_hat)).  Near z_hat
 both numerator and denominator vanish quadratically, so there the ratio is
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import optimize
 from scipy.special import gammaln
 
 from srknots.errors import SrknotsError
@@ -501,3 +503,16 @@ def two_spike_rejection_sample(sep, rng):
         if circular_distance(locs[0], locs[1]) >= sep:
             return locs
     raise RuntimeError("two_spike_rejection_sample failed to accept")
+
+
+def brent_maximize(f, bracket, tol=1e-10):
+    """Maximize a scalar function on an interval by bounded Brent search
+    (scipy's minimize_scalar) to |dx| < tol; returns (argmax, max)."""
+    lo, hi = bracket
+    if not hi > lo:
+        raise ValueError("degenerate bracket %r" % (bracket,))
+    res = optimize.minimize_scalar(
+        lambda x: -f(x), bounds=(lo, hi), method="bounded",
+        options={"xatol": tol, "maxiter": 500},
+    )
+    return float(res.x), float(-res.fun)

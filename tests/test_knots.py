@@ -1,6 +1,7 @@
 """First/second knots, regressed fields, and the Hessian remainder."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     NearSingular,
+    brent_maximize,
     correlation,
     g_ratio,
     regressed_value,
@@ -24,6 +26,7 @@ from srknots.knots import (
     KnotCertificate,
     _newton_peaks,
     _profile_limit,
+    _profile_trig,
     _theta_profile,
     compute_certificate,
     first_knot,
@@ -39,7 +42,7 @@ from srknots.model import (
     wrap_delta,
     z_eval,
 )
-from srknots.numerics import RngStream, maximize_1d
+from srknots.numerics import RngStream
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,7 +102,7 @@ def test_first_knot_stationarity_loop():
 
 def test_first_knot_degenerate(monkeypatch):
     # a constant |Z| has no grid-local maximum, so nothing is polished
-    monkeypatch.setattr(knots, "maximize_1d", None)
+    monkeypatch.setattr(knots, "maximize_bracketed", None)
     y = np.zeros(7, dtype=complex)
     with pytest.raises(DegenerateProcess):
         first_knot(Observation(f_c=3, y=y, sigma=1.0))
@@ -185,35 +188,41 @@ def test_first_knot_tie_goes_to_smallest_t():
     assert z_hat.t == pytest.approx(1.0, abs=0.05)
 
 
-@pytest.mark.parametrize("polish", [True, False])
-def test_first_knot_brent_fallback(monkeypatch, polish):
-    # Force every grid candidate onto the Brent fallback.  With the Newton
-    # polish after Brent the answer is the Newton answer to rounding; with
-    # the polish failing too it is the all-Brent answer, whose value is
-    # second-order close and whose location is good to Brent's tolerance
+@pytest.mark.parametrize("newton", [True, False])
+def test_first_knot_brent_fallback(monkeypatch, newton):
+    # Refuse the sweep's Newton polish, so every grid candidate goes to the
+    # bracketed maximizer.  With its Newton steps it reaches the Newton
+    # answer to rounding; with them refused too it bisects on values, and
+    # its value is second-order close to the Brent oracle's on the same
+    # brackets while its location is good to about sqrt(eps)
     obs = _spiky_obs(15, 9, 10.0, True)
     z_ref, lambda1_ref = first_knot(obs)
-    real_newton, real_brent = knots._newton_peaks, knots.maximize_1d
-    newton_calls, brent_calls = [], []
+    real_newton, real_bracketed = knots._newton_peaks, knots.maximize_bracketed
+    starts, brackets = [], []
 
-    def newton(obs_, t0, radius):
+    def refuse(obs_, t0, radius):
         t, ok = real_newton(obs_, t0, radius)
-        if not newton_calls or not polish:
-            ok[:] = False
-        newton_calls.append(t0.size)
-        return t, ok
+        starts.append(t0.size)
+        return t, np.zeros_like(ok)
 
-    def brent(f, bracket, tol):
-        brent_calls.append(bracket)
-        return real_brent(f, bracket, tol=tol)
+    def bracketed(fun, a, b, c):
+        brackets.extend(zip(a, c))
+        if newton:
+            return real_bracketed(fun, a, b, c)
 
-    monkeypatch.setattr(knots, "_newton_peaks", newton)
-    monkeypatch.setattr(knots, "maximize_1d", brent)
+        def bisect_only(t):
+            f, f1, _ = fun(t)
+            return f, f1, np.ones_like(f)
+
+        return real_bracketed(bisect_only, a, b, c)
+
+    monkeypatch.setattr(knots, "_newton_peaks", refuse)
+    monkeypatch.setattr(knots, "maximize_bracketed", bracketed)
     z_hat, lambda1 = first_knot(obs)
-    assert len(brent_calls) == newton_calls[0] == len(newton_calls) - 1
-    all_brent = max(abs(z_eval(obs, real_brent(
-        lambda t: abs(z_eval(obs, t)) ** 2, b, tol=1e-10)[0])) for b in brent_calls)
-    if polish:
+    assert len(brackets) == starts[0] >= 2 and len(starts) == 1
+    all_brent = max(abs(z_eval(obs, brent_maximize(
+        lambda t: abs(z_eval(obs, t)) ** 2, b, tol=1e-10)[0])) for b in brackets)
+    if newton:
         assert lambda1 == pytest.approx(lambda1_ref, rel=1e-14)
         assert _circular_distance(z_hat.t, z_ref.t) < 1e-14
         assert lambda1 == pytest.approx(all_brent, rel=1e-12)
@@ -223,10 +232,15 @@ def test_first_knot_brent_fallback(monkeypatch, polish):
 
 
 def test_second_knot_noiseless_atom():
+    # the profile is flat at -lambda1, where its slope reads 0/0: the
+    # polish must not warn or return NaN
     obs = synthesize(AtomicMeasure.from_atoms([(2.0, 1.5)]), 3, 0.0, RngStream(0))
     z_hat, lambda1 = first_knot(obs)
-    y_hat, lambda2 = second_knot(obs, z_hat, lambda1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y_hat, lambda2 = second_knot(obs, z_hat, lambda1)
     assert lambda2 == pytest.approx(0.0, abs=1e-9)
+    assert math.isfinite(y_hat.t) and math.isfinite(y_hat.theta)
 
 
 def test_second_knot_pinned_instance(obs_seed42):
@@ -316,7 +330,7 @@ def test_theta_profile_matches_g_ratio_oracle():
     step = dth[1] - dth[0]
     for obs, z_hat, lambda1, w in _profile_instances():
         dts = rng.uniform(0.05, math.pi, 6) * rng.choice([-1.0, 1.0], 6)
-        m, dth_star = _theta_profile(w, lambda1, dts)
+        m, dth_star = _theta_profile(w, lambda1)(_profile_trig(dts, w.size))
         for dt, m_dt, arg in zip(dts, m, dth_star):
             g = g_ratio(obs, z_hat, lambda1, w, np.full(dth.size, dt), dth)
             j = int(np.argmax(g))
@@ -337,10 +351,70 @@ def test_theta_profile_tends_to_eigenvalue_limit():
         limit = float(np.linalg.eigvalsh(scale @ big_r @ scale)[-1]) - lambda1
         assert _profile_limit(w, lambda1) == pytest.approx(
             limit, abs=1e-12 * max(1.0, lambda1))
-        near = _theta_profile(w, lambda1, np.array([1e-4, -1e-4]))[0]
-        far = _theta_profile(w, lambda1, np.array([1e-3, -1e-3]))[0]
+        profile = _theta_profile(w, lambda1)
+        near = profile(_profile_trig(np.array([1e-4, -1e-4]), w.size))[0]
+        far = profile(_profile_trig(np.array([1e-3, -1e-3]), w.size))[0]
         assert np.all(np.abs(near - limit) < 0.2 * np.abs(far - limit))
         assert abs(0.5 * (near[0] + near[1]) - limit) < 1e-6 * max(1.0, lambda1)
+
+
+def test_theta_profile_derivatives_match_differences():
+    # m' and m'' by implicit differentiation against central differences of
+    # m, whose step error (h^2 m^(3) / 6) and rounding error are far smaller
+    rng = np.random.default_rng(21)
+    for obs, z_hat, lambda1, w in _profile_instances():
+        profile = _theta_profile(w, lambda1)
+        dts = rng.uniform(0.05, math.pi, 6) * rng.choice([-1.0, 1.0], 6)
+        m, m1, m2, dth = profile(_profile_trig(dts, w.size), derivatives=True)
+        plain_m, plain_dth = profile(_profile_trig(dts, w.size))
+        assert np.max(np.abs(m - plain_m)) <= 1e-14 * max(1.0, lambda1)
+        assert np.max(np.abs(dth - plain_dth)) <= 1e-13
+        step = 1e-4
+        up = profile(_profile_trig(dts + step, w.size))[0]
+        down = profile(_profile_trig(dts - step, w.size))[0]
+        scale = max(1.0, lambda1) * obs.f_c**2
+        assert np.max(np.abs(m1 - (up - down) / (2.0 * step))) < 1e-6 * scale
+        assert np.max(np.abs(m2 - (up - 2.0 * m + down) / step**2)) < 1e-6 * scale * obs.f_c
+
+
+def _spy_brackets(monkeypatch):
+    """Record (profile, a, c, polished values) of each second_knot polish."""
+    real = knots.maximize_bracketed
+    seen = []
+
+    def spy(fun, a, b, c):
+        out = real(fun, a, b, c)
+        seen.append((fun, a, c, out[1]))
+        return out
+
+    monkeypatch.setattr(knots, "maximize_bracketed", spy)
+    return seen
+
+
+def test_second_knot_matches_brent_on_its_brackets(monkeypatch):
+    # On every bracket second_knot polishes, its value is never short of
+    # bounded Brent search on the profile over the same interval by more than
+    # 1e-12 lambda1, and so neither is lambda2: null draws at f_c 3 to 30,
+    # and one or two spikes up to weight 1e5, where the profile next to
+    # dt = 0 reads its slope with few correct digits
+    seen = _spy_brackets(monkeypatch)
+    observations = [_noisy_obs(1500 + seed, f_c=f_c) for f_c in (3, 7, 15, 30)
+                    for seed in range(6)]
+    observations += [_spiky_obs(f_c, seed, weight, pair) for f_c in (3, 7)
+                     for seed in range(2) for weight in (10.0, 1e3, 1e5)
+                     for pair in (False, True)]
+    n_split = 0
+    for obs in observations:
+        z_hat, lambda1 = first_knot(obs)
+        seen.clear()
+        _, lambda2 = second_knot(obs, z_hat, lambda1)
+        (fun, a, c, m), = seen
+        brent = np.array([brent_maximize(lambda dt: float(fun(np.array([dt]))[0][0]),
+                                         (lo, hi), tol=1e-10)[1] for lo, hi in zip(a, c)])
+        assert np.all(m >= brent - 1e-12 * lambda1)
+        assert lambda2 >= min(lambda1 + brent.max(), lambda1) - 1e-12 * lambda1
+        n_split += np.count_nonzero(np.abs(np.concatenate([a, c])) < 1e-2 / obs.n_freq)
+    assert n_split >= 4
 
 
 def test_second_knot_y_hat_attains_lambda2():
@@ -495,7 +569,7 @@ def test_hessian_rejects_aligned_minimum_of_modulus():
     mod = np.abs(z_eval(obs, t))
     j = int(np.nonzero((mod < np.roll(mod, 1)) & (mod <= np.roll(mod, -1)))[0][0])
     h = t[1] - t[0]
-    t_min, _ = maximize_1d(lambda u: -abs(z_eval(obs, u)), (t[j] - h, t[j] + h), tol=1e-12)
+    t_min, _ = brent_maximize(lambda u: -abs(z_eval(obs, u)), (t[j] - h, t[j] + h), tol=1e-12)
     z_min = z_eval(obs, t_min)
     z_pt = TorusPoint.make(t_min, math.atan2(z_min.imag, z_min.real))
     assert x_hess(obs, z_pt)[1, 1] == pytest.approx(-abs(z_min), abs=1e-12)

@@ -155,9 +155,8 @@ def test_off_support_max_dominates_a_fine_grid(monkeypatch):
 
 
 def test_off_support_max_brent_fallback(monkeypatch):
-    # With the sweep's Newton polish refused, every grid bracket falls back
-    # to bounded Brent search and its Newton re-polish (knots.z_peaks), which
-    # must find the same maximum.
+    # With the sweep's Newton polish refused, every grid start goes to the
+    # bracketed maximizer (knots.z_peaks), which must find the same maximum.
     obs = _gaussian_obs(*_EXHIBITS[0])
     leg = _leg_at_knot(obs, lars_run(obs, 1.0, LarsOptions(k_max=4)), 3)
     x, a = leg.newton(0.995 * leg.lam_prev, leg.x)
@@ -171,25 +170,22 @@ def test_off_support_max_brent_fallback(monkeypatch):
 
     monkeypatch.setattr(lars, "z_peaks", spy)
     ref_val, ref_loc, ref_peak = leg.off_support_max(x, a)
-    real_newton, real_brent = knots._newton_peaks, knots.maximize_1d
+    real_newton, real_bracketed = knots._newton_peaks, knots.maximize_bracketed
     starts, brackets = [], []
 
     def refuse_sweep(res, t0, radius):
-        # the first call polishes the sweep's starts, each later one a Brent point
         t, ok = real_newton(res, t0, radius)
-        if not starts:
-            ok[:] = False
         starts.append(t0.size)
-        return t, ok
+        return t, np.zeros_like(ok)
 
-    def brent(f, bracket, tol):
-        brackets.append(bracket)
-        return real_brent(f, bracket, tol=tol)
+    def bracketed(fun, lo, mid, hi):
+        brackets.extend(zip(lo, hi))
+        return real_bracketed(fun, lo, mid, hi)
 
     monkeypatch.setattr(knots, "_newton_peaks", refuse_sweep)
-    monkeypatch.setattr(knots, "maximize_1d", brent)
+    monkeypatch.setattr(knots, "maximize_bracketed", bracketed)
     val, loc, peak = leg.off_support_max(x, a)
-    assert len(brackets) == starts[0] == len(starts) - 1 >= 2
+    assert len(brackets) == starts[0] >= 2 and len(starts) == 1
     assert val == pytest.approx(ref_val, rel=1e-12)
     assert peak == pytest.approx(ref_peak, rel=1e-12)
     assert abs(wrap_delta(loc - ref_loc)) < 1e-14

@@ -1,7 +1,10 @@
-"""Special functions, the 1-D maximizer and RNG streams, and the quadrature
-oracle the Kac-Rice closed forms are checked against."""
+"""Special functions, the bracketed maximizer and RNG streams, and the
+quadrature oracle the Kac-Rice closed forms are checked against."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from oracles import (
 
 from srknots.numerics import (
     RngStream,
-    maximize_1d,
+    maximize_bracketed,
     normal_pdf,
     normal_sf,
     student_pdf,
@@ -118,27 +121,110 @@ def test_integrate_upper_validation():
         QuadratureSpec(tail_cut=-1.0)
 
 
+def _with_derivatives(f, f1, f2):
+    return lambda x: (f(x), f1(x), f2(x))
+
+
 def test_maximize_1d_quadratic():
-    argmax, val = maximize_1d(lambda x: -((x - 1.0) ** 2), (0.0, 2.0))
-    assert argmax == pytest.approx(1.0, abs=1e-8)
-    assert val == pytest.approx(0.0, abs=1e-14)
+    fun = _with_derivatives(lambda x: -((x - 1.0) ** 2), lambda x: -2.0 * (x - 1.0),
+                            lambda x: np.full_like(x, -2.0))
+    argmax, val = maximize_bracketed(fun, 0.0, 0.3, 2.0)[:2]
+    assert argmax[0] == pytest.approx(1.0, abs=1e-12)
+    assert val[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_maximize_1d_cosine():
-    argmax, val = maximize_1d(math.cos, (-1.0, 1.0))
-    assert argmax == pytest.approx(0.0, abs=1e-7)
-    assert val == pytest.approx(1.0, abs=1e-13)
+    # a fourth array from fun rides along with its point
+    def fun(x):
+        return np.cos(x), -np.sin(x), -np.cos(x), np.sin(x)
+
+    argmax, val, slope, curv, sine = maximize_bracketed(fun, -1.0, 0.5, 1.0)
+    assert argmax[0] == pytest.approx(0.0, abs=1e-12)
+    assert val[0] == pytest.approx(1.0, abs=1e-15)
+    assert abs(slope[0]) < 1e-12 and curv[0] == pytest.approx(-1.0, abs=1e-15)
+    assert sine[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_maximize_1d_x_exp():
-    argmax, val = maximize_1d(lambda x: x * math.exp(-x), (0.0, 5.0))
-    assert argmax == pytest.approx(1.0, abs=1e-7)
-    assert val == pytest.approx(math.exp(-1.0), rel=1e-12)
+    # several brackets at once, each with its own inner point
+    fun = _with_derivatives(lambda x: x * np.exp(-x), lambda x: (1.0 - x) * np.exp(-x),
+                            lambda x: (x - 2.0) * np.exp(-x))
+    argmax, val = maximize_bracketed(fun, [0.0, 0.5, 0.9], [2.5, 0.6, 1.0], [5.0, 3.0, 1.1])[:2]
+    assert np.max(np.abs(argmax - 1.0)) < 1e-12
+    assert np.all(np.abs(val - math.exp(-1.0)) < 1e-15)
 
 
 def test_maximize_1d_degenerate_bracket():
+    fun = _with_derivatives(np.cos, np.sin, np.cos)
     with pytest.raises(ValueError):
-        maximize_1d(math.cos, (1.0, 1.0))
+        maximize_bracketed(fun, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        maximize_bracketed(fun, [0.0, 0.0], [1.0, 2.0], [2.0, 1.0])
+
+
+def test_maximize_1d_max_at_bracket_end():
+    # an end higher than the inner point: the search starts there and stays
+    # when f' points out of the bracket; else it finds the maximum inside
+    fun = _with_derivatives(np.sin, np.cos, lambda x: -np.sin(x))
+    argmax, val = maximize_bracketed(fun, [0.0, 0.5, 1.2], [0.5, 1.0, 1.5], [1.2, 1.6, 1.4e1])[:2]
+    assert argmax[0] == 1.2 and val[0] == math.sin(1.2)
+    assert argmax[1] == pytest.approx(0.5 * math.pi, abs=1e-12)
+    assert argmax[2] == pytest.approx(0.5 * math.pi, abs=1e-12)
+
+
+def test_maximize_1d_min_then_max():
+    # f = 3x - x^3 has its minimum at -1 and its maximum at 1.  At the inner
+    # point f'' > 0, and the Newton step would land near the minimum, inside
+    # the bracket: it must bisect up the slope instead, and never look left
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return 3.0 * x - x**3, 3.0 - 3.0 * x * x, -6.0 * x
+
+    argmax, val = maximize_bracketed(fun, -1.2, -0.7, 2.0)[:2]
+    assert argmax[0] == pytest.approx(1.0, abs=1e-12)
+    assert val[0] == pytest.approx(2.0, abs=1e-15)
+    assert calls[0].size == 3 and all(x.size == 1 and x[0] > -0.7 for x in calls[1:])
+    assert len(calls) < 12
+
+
+def test_maximize_1d_flat_slope_bisects_the_longer_side():
+    # f = x^2 - x^4 at 0: f' = 0 exactly and f'' > 0, so the first step
+    # bisects the longer side, here the right one, up to 1 / sqrt(2)
+    fun = _with_derivatives(lambda x: x**2 - x**4, lambda x: 2.0 * x - 4.0 * x**3,
+                            lambda x: 2.0 - 12.0 * x * x)
+    argmax, val = maximize_bracketed(fun, [-1.05, -1.1], 0.0, [1.1, 1.05])[:2]
+    assert argmax == pytest.approx([math.sqrt(0.5), -math.sqrt(0.5)], abs=1e-12)
+    assert val == pytest.approx([0.25, 0.25], abs=1e-15)
+
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The certificate and a LARS path, run in a fresh interpreter, which then
+# must not have loaded scipy.optimize: the package's one use of scipy is
+# scipy.special.  (Here the test modules have loaded it through scipy.stats.)
+_NO_OPTIMIZE = """
+import sys
+from srknots import (AtomicMeasure, LarsOptions, RngStream, compute_certificate, lars_run,
+                     synthesize)
+spike = AtomicMeasure.from_atoms([(2.0, 1.5)])
+compute_certificate(synthesize(AtomicMeasure.empty(), 7, 1.0, RngStream(3, 0)))
+compute_certificate(synthesize(spike, 7, 0.0, RngStream(0)))
+null3 = synthesize(AtomicMeasure.empty(), 3, 1.0, RngStream(5, 0))
+path = lars_run(null3, 1.0, LarsOptions(k_max=4))
+assert len(path.knots) >= 2, path.status
+assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+"""
+
+
+def test_package_does_not_import_scipy_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(_REPO, "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NO_OPTIMIZE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_rng_stream_determinism():

@@ -18,7 +18,8 @@ line with:
 - sweeps, midpoints, systems: off_support_max sweeps, _midpoint solves
   and _Leg.system calls made inside locate;
 - systems_total: every _Leg.system call;
-- z_peaks_brent: bounded Brent fallbacks inside knots.z_peaks;
+- z_peaks_fallback: starts that knots.z_peaks sends to the bracketed
+  maximizer (numerics.maximize_bracketed) after Newton refused them;
 - digest: SHA-256 over every path's status and every knot's lambda,
   active points and weights, written with float.hex, so two revisions
   whose paths are bit-identical print the same digest.
@@ -41,7 +42,7 @@ from workloads import LarsWorkload, lars_observation  # noqa: E402
 
 
 def instrument(counts):
-    """Wrap the _Leg methods and knots.maximize_1d to fill counts."""
+    """Wrap the _Leg methods and knots.maximize_bracketed to fill counts."""
     state = {"locate": False, "z_peaks": False, "midpoint": False}
     leg = lars._Leg
 
@@ -93,16 +94,17 @@ def instrument(counts):
             counts["halving_first"] += out is None or not out[0] < 0.0
         return out
 
-    def count_brent():
+    def count_fallback(out):
         if state["z_peaks"]:
-            counts["z_peaks_brent"] += 1
+            counts["z_peaks_fallback"] += out[0].size
+        return out
 
     wrap(leg, "locate", enter_locate, leave_locate)
     wrap(leg, "_midpoint", enter_midpoint, lambda: state.update(midpoint=False))
     wrap(leg, "newton", count_newton)
     wrap(leg, "off_support_max", count_sweep)
     wrap(leg, "system", count_system)
-    wrap(knots, "maximize_1d", count_brent)
+    wrap(knots, "maximize_bracketed", seen=count_fallback)
     wrap(knots, "z_peaks", lambda: state.update(z_peaks=True),
          lambda: state.update(z_peaks=False))
     lars.z_peaks = knots.z_peaks  # lars holds its own reference
@@ -122,7 +124,7 @@ def main(argv=None):
     observations += [lars_observation(1000 + i, 0, args.fc) for i in range(args.paths)]
     counts = Counter({key: 0 for key in (
         "locate", "halving_first", "halving_after_false_position", "sweeps",
-        "midpoints", "systems", "systems_total", "z_peaks_brent")})
+        "midpoints", "systems", "systems_total", "z_peaks_fallback")})
     instrument(counts)
     digest = hashlib.sha256()
     statuses = Counter()
