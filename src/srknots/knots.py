@@ -15,18 +15,17 @@ fixed dt the maximum of g over dtheta is the root of a quadratic
 profile tends to the top eigenvalue of Lt^{-1/2} R Lt^{-1/2} minus lambda1
 (_profile_limit), the value of g along its best direction out of z_hat.
 
-The maxima of |Z| have one route, z_peaks: a sweep on a cached grid, Newton
-on every grid-local maximum at once (_newton_peaks), and Newton kept inside
-a bracket (numerics.maximize_bracketed) for the starts where plain Newton
-fails.  first_knot reads the global maximum from it, and the LARS
-continuation the peaks of each residual outside its merge discs.  The
-maxima of the profile take the same bracketed Newton polish, on its
-analytic first and second derivatives.
+Every coarse sweep is one zero-padded FFT (_uniform_sums).  The maxima of
+|Z| have one route, z_peaks: that sweep, Newton on every grid-local maximum
+at once (_newton_peaks), and Newton kept inside a bracket
+(numerics.maximize_bracketed) for the starts where plain Newton fails.
+first_knot reads the global maximum from it, and the LARS continuation the
+peaks of each residual outside its merge discs.  The maxima of the profile
+take the same bracketed Newton polish, on its analytic m' and m''.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,18 +56,28 @@ class KnotCertificate:
     grad_norm_at_zhat: float
 
 
-@lru_cache(maxsize=32)
-def _t_grid(f_c, n_points):
-    """Cached t grid on [0, 2*pi) with the matrix exp(i k t) for fast |Z| sweeps."""
-    t = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-    k = np.arange(-f_c, f_c + 1)
-    return t, np.exp(1j * np.outer(t, k))
+def _uniform_sums(coef, n_points):
+    """sum_k coef_k e^{i k t_j} at t_j = 2 pi j / n_points for k = -f_c..f_c
+    along the last axis of coef: one unnormalized inverse FFT of a zero
+    buffer holding coef_k at index k mod n_points, so no phase factor."""
+    n = coef.shape[-1]
+    buf = np.zeros(coef.shape[:-1] + (n_points,), dtype=complex)
+    buf[..., np.arange(-(n // 2), n // 2 + 1) % n_points] = coef
+    return np.fft.ifft(buf, norm="forward")
 
 
 def _local_max_mask_1d(vals):
     """Grid-local maxima of a periodic sequence: the right end of each
-    plateau, so a constant sequence has none; -inf entries are never one."""
-    return np.isfinite(vals) & (vals >= np.roll(vals, 1)) & (vals > np.roll(vals, -1))
+    plateau; -inf entries are never one, and a sequence whose finite entries
+    are flat to 1e-12 of their largest magnitude (a constant, up to the
+    rounding of its sweep) has none."""
+    padded = np.concatenate([vals[-1:], vals, vals[:1]])
+    finite = np.isfinite(vals)
+    mask = finite & (vals >= padded[:-2]) & (vals > padded[2:])
+    if mask.any():
+        top, bottom = vals[mask].max(), vals[finite].min()
+        mask &= top - bottom > 1e-12 * max(abs(top), abs(bottom))
+    return mask
 
 
 def _z_block(obs):
@@ -118,8 +127,8 @@ def _newton_peaks(obs, t0, radius):
 def z_peaks(obs, n_points, keep=None, margin=0.0):
     """Every local maximum of |Z|: returns (t, |Z(t)|, the swept |Z|).
 
-    |Z| is swept on n_points grid points t_j (step h) by one product with the
-    cached exp(i k t) matrix (_t_grid).  The grid-local maxima among the
+    |Z| is swept on n_points grid points t_j = h j (h = 2 pi / n_points) by
+    one zero-padded FFT (_uniform_sums).  The grid-local maxima among the
     points where keep(t_j) holds (all of them when keep is None) are polished
     together by Newton on d|Z|^2/dt = 0 (_newton_peaks), which may move each
     up to h + margin from its start.  Newton reaches the rounding floor of
@@ -129,10 +138,10 @@ def z_peaks(obs, n_points, keep=None, margin=0.0):
     (t_j - h, t_j, t_j + h) on |Z|^2 (numerics.maximize_bracketed), which
     may end at a bracket end where |Z| rises out of it.
     """
-    t_grid, emat = _t_grid(obs.f_c, n_points)
-    swept = np.abs(emat @ obs.y) / math.sqrt(obs.n_freq)
+    h = 2.0 * math.pi / n_points
+    t_grid = h * np.arange(n_points)
+    swept = np.abs(_uniform_sums(obs.y, n_points)) / math.sqrt(obs.n_freq)
     masked = swept if keep is None else np.where(keep(t_grid), swept, -np.inf)
-    h = t_grid[1] - t_grid[0]
     t0 = t_grid[_local_max_mask_1d(masked)]
     t_star, ok = _newton_peaks(obs, t0, h + margin)
 
@@ -178,29 +187,31 @@ def _larger_root(u, q, e, f):
     return -q / (u + root), root
 
 
-def _profile_trig(dt, n):
-    """The rows sin^2(k dt / 2) | sin(k dt), |k| <= n // 2, of a 1-D array dt,
-    which _theta_profile's profile takes."""
-    kdt = np.multiply.outer(dt, np.arange(-(n // 2), n // 2 + 1))
-    return np.concatenate([np.sin(0.5 * kdt) ** 2, np.sin(kdt)], axis=1)
-
-
-@lru_cache(maxsize=32)
-def _profile_sweep(n):
-    """second_knot's uniform 16N-point dt grid, with dt = 0 at index 8N, and
-    the _profile_trig rows of its other points (read-only: they are shared)."""
-    n_grid = 16 * n
-    dt = 2.0 * math.pi / n_grid * (np.arange(n_grid) - n_grid // 2)
-    trig = _profile_trig(dt[dt != 0.0], n)
-    dt.setflags(write=False)
-    trig.setflags(write=False)
-    return dt, trig
+def _profile_at(lambda1, sums):
+    """The theta-profile (_theta_profile) from its sums: (m, the maximizing
+    dtheta) from the rows lambda1 - a1, 1 - c and a2, and (m, m', m'',
+    dtheta) when sums also holds the rows a1', c', a2', a1'', c'', a2''."""
+    d1, one_minus_c, a2, *slopes = sums
+    a1 = lambda1 - d1
+    c = 1.0 - one_minus_c
+    m, root = _larger_root(d1 + a1 * one_minus_c, d1 * (lambda1 + a1) - a2 * a2,
+                           lambda1 * one_minus_c - d1, a2 * np.sqrt(one_minus_c * (1.0 + c)))
+    p = a1 + m * c                                            # Re(b)
+    if not slopes:
+        return m, np.arctan2(a2, p)
+    a1_1, c_1, a2_1, a1_2, c_2, a2_2 = slopes
+    inv_root = 1.0 / np.where(root > 0.0, root, np.inf)
+    slope = a1_1 + c_1 * m
+    m1 = (p * slope + a2 * a2_1) * inv_root
+    p1 = slope + c * m1
+    curv = (p1 * p1 + a2_1 * a2_1 - m1 * m1 + p * (a1_2 + c_2 * m + 2.0 * c_1 * m1)
+            + a2 * a2_2)
+    return m, m1, curv * inv_root, np.arctan2(a2, p)
 
 
 def _theta_profile(w, lambda1):
     """The profile m(dt) = max over dtheta of g at fixed dt != 0, as a function
-    profile(_profile_trig(dt, N)) -> (m, the maximizing dtheta) of a 1-D
-    array dt.
+    profile(dt) -> (m, the maximizing dtheta) of a 1-D array dt.
 
     With a = a1 + i a2 = sum_k w_k e^{ik dt} / sqrt N and c = Gamma(dt), m is
     the larger root of
@@ -208,12 +219,12 @@ def _theta_profile(w, lambda1):
         (1 - c^2) m^2 + 2 (lambda1 - a1 c) m + (lambda1^2 - |a|^2) = 0,
 
     whose discriminant is (lambda1 (1 - c) - (lambda1 - a1))^2 + a2^2 (1 - c^2);
-    it is attained at dtheta = arg b with b = a + m c.  The coefficients vanish
-    like dt^2, so they are assembled from sin^2(k dt / 2) sums, which carry no
-    cancellation: lambda1 - a1, 1 - c (the sinc identity), and
-    lambda1^2 - |a|^2 = (lambda1 - a1)(lambda1 + a1) - a2^2.
+    it is attained at dtheta = arg b with b = a + m c (_profile_at).  The
+    coefficients vanish like dt^2, so they are assembled from
+    sin^2(k dt / 2) sums, which carry no cancellation: lambda1 - a1, 1 - c
+    (the sinc identity), and lambda1^2 - |a|^2 = (lambda1 - a1)(lambda1 + a1) - a2^2.
 
-    profile(trig, derivatives=True) returns (m, m', m'', dtheta).  The quadratic
+    profile(dt, derivatives=True) returns (m, m', m'', dtheta).  The quadratic
     reads (lambda1 + m)^2 = |b|^2, so implicit differentiation gives
     r m' = Re(conj(b) (a' + c' m)) and
     r m'' = |b'|^2 - m'^2 + Re(conj(b) (a'' + c'' m + 2 c' m')), where
@@ -241,25 +252,11 @@ def _theta_profile(w, lambda1):
     basis[:, :2] *= -1.0
     const[:2] = 0.0
 
-    def profile(trig, derivatives=False):
+    def profile(dt, derivatives=False):
         rows = 9 if derivatives else 3
-        sums = trig @ basis[:, :rows] + const[:rows]
-        d1, one_minus_c, a2, *slopes = sums.T
-        a1 = lambda1 - d1
-        c = 1.0 - one_minus_c
-        m, root = _larger_root(d1 + a1 * one_minus_c, d1 * (lambda1 + a1) - a2 * a2,
-                               lambda1 * one_minus_c - d1, a2 * np.sqrt(one_minus_c * (1.0 + c)))
-        p = a1 + m * c                                        # Re(b)
-        if not derivatives:
-            return m, np.arctan2(a2, p)
-        a1_1, c_1, a2_1, a1_2, c_2, a2_2 = slopes
-        inv_root = 1.0 / np.where(root > 0.0, root, np.inf)
-        slope = a1_1 + c_1 * m
-        m1 = (p * slope + a2 * a2_1) * inv_root
-        p1 = slope + c * m1
-        curv = (p1 * p1 + a2_1 * a2_1 - m1 * m1 + p * (a1_2 + c_2 * m + 2.0 * c_1 * m1)
-                + a2 * a2_2)
-        return m, m1, curv * inv_root, np.arctan2(a2, p)
+        kdt = np.multiply.outer(dt, k)
+        trig = np.concatenate([np.sin(0.5 * kdt) ** 2, np.sin(kdt)], axis=1)
+        return _profile_at(lambda1, (trig @ basis[:, :rows] + const[:rows]).T)
 
     return profile
 
@@ -293,10 +290,12 @@ def second_knot(obs, z_hat, lambda1):
     """The second knot: lambda2 = lambda1 + max_y g(y), y_hat the maximizer.
 
     The maximum over dtheta is closed-form (_theta_profile), so only dt is
-    searched: the profile on a uniform 16N-point dt grid, whose point dt = 0
-    holds the limit value (_profile_limit), brackets the local maxima; those
-    within 1e-2 lambda1 of the best (at most six) are polished together by
-    Newton on the profile's analytic m' and m'', kept inside each bracket
+    searched: the profile on a uniform 16N-point dt grid brackets the local
+    maxima.  One zero-padded FFT (_uniform_sums) sweeps a(dt) and Gamma(dt)
+    there; the grid point dt = 0, where the profile reads 0/0, holds the
+    limit value (_profile_limit).  The grid-local maxima within 1e-2 lambda1
+    of the best (at most six) are polished together by Newton on the
+    profile's analytic m' and m'', kept inside each bracket
     (numerics.maximize_bracketed), each from the vertex of the parabola
     through its three grid values.  The profile is smooth through dt = 0,
     but there its coefficients shrink to the rounding level of the first
@@ -309,15 +308,13 @@ def second_knot(obs, z_hat, lambda1):
     max g >= -lambda1, so any excursion is floating-point noise.
     """
     w = _aligned_coeffs(obs, z_hat)
-    dt_grid, trig = _profile_sweep(obs.n_freq)
-    n_grid = dt_grid.size
+    n, n_grid, half = obs.n_freq, 16 * obs.n_freq, 8 * obs.n_freq
     h = 2.0 * math.pi / n_grid
-    j0 = n_grid // 2
-    prof = np.empty(n_grid)
-    profile = _theta_profile(w, lambda1)
-    prof[dt_grid != 0.0] = profile(trig)[0]
+    # a and Gamma at dt = h, 2h, ..., (half - 1) h, then -half h, ..., -h
+    a_dt, c_dt = _uniform_sums(np.stack([w / math.sqrt(n), np.full(n, 1.0 / n)]), n_grid)[:, 1:]
+    swept = _profile_at(lambda1, (lambda1 - a_dt.real, 1.0 - c_dt.real, a_dt.imag))[0]
     limit = _profile_limit(w, lambda1)
-    prof[j0] = limit
+    prof = np.concatenate([swept[half - 1:], [limit], swept[:half - 1]])  # at h (j - half)
 
     is_max = _local_max_mask_1d(prof)
     is_max[int(np.argmax(prof))] = True  # a flat profile (noiseless spike) has no strict maximum
@@ -325,7 +322,7 @@ def second_knot(obs, z_hat, lambda1):
     idx = idx[np.argsort(-prof[idx])[:6]]
 
     gap = 1e-3 * h
-    mid = dt_grid[idx]
+    mid = h * (idx - half)  # h times whole offsets: the neighbours of dt = 0 read exactly -h, h
     before, at, after = prof[idx - 1], prof[idx], prof[(idx + 1) % n_grid]
     bend = before - 2.0 * at + after
     start = mid + 0.5 * h * np.divide(before - after, bend, out=np.zeros_like(bend),
@@ -337,8 +334,8 @@ def second_knot(obs, z_hat, lambda1):
     keep = c > a
     a, c, start = a[keep], c[keep], start[keep]
     b = np.where((a < start) & (start < c), start, 0.5 * (a + c))
-    x, m, _, _, dth = maximize_bracketed(
-        lambda dt: profile(_profile_trig(dt, obs.n_freq), derivatives=True), a, b, c)
+    profile = _theta_profile(w, lambda1)
+    x, m, _, _, dth = maximize_bracketed(lambda dt: profile(dt, derivatives=True), a, b, c)
     dts, dths = np.append(wrap_delta(x), 0.0), np.append(dth, 0.0)
     vals = np.append(m, limit if split.any() else -np.inf)
     g_best = vals.max()

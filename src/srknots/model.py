@@ -254,11 +254,11 @@ def load_observation(path):
     if missing:
         raise SchemaError("observation file missing keys: %s" % sorted(missing))
     fc = doc["fc"]
-    if not isinstance(fc, int) or fc < 1:
+    if type(fc) is not int or fc < 1:  # JSON true is a bool, an int subclass
         raise SchemaError("fc must be an integer >= 1, got %r" % (fc,))
     sigma = doc.get("sigma", None)
     if sigma is not None:
-        if not isinstance(sigma, (int, float)) or not (sigma > 0 and math.isfinite(sigma)):
+        if type(sigma) not in (int, float) or not (sigma > 0 and math.isfinite(sigma)):
             raise SchemaError("sigma must be a positive finite number or null, got %r" % (sigma,))
         sigma = float(sigma)
     rows = doc["y"]
@@ -271,7 +271,7 @@ def load_observation(path):
         if (
             not isinstance(row, list)
             or len(row) != 2
-            or not all(isinstance(v, (int, float)) for v in row)
+            or not all(type(v) in (int, float) for v in row)
             or not all(math.isfinite(v) for v in row)
         ):
             raise SchemaError("y[%d] must be a [re, im] pair of finite numbers" % i)

@@ -3,7 +3,8 @@
 The package computes each quantity one way.  The second ways kept here are
 independent of it: numerical quadrature of the Kac-Rice integrals g_bar and
 h_bar, the gamma-function constant of the unknown-variance density, the
-field X with its gradient and Hessian from the derivatives of Z, the regressed field and
+field X with its gradient and Hessian from the derivatives of Z, trigonometric
+sums on a uniform grid as one dense matrix product, the regressed field and
 the ratio g at arbitrary points of the torus, the Karhunen-Loeve variance
 estimators through the design correlation and its pseudo-inverse, the
 Dirichlet kernel in ratio form, the correlation rho with its derivatives,
@@ -199,6 +200,14 @@ def z_deriv(obs, t, order=1):
     coef = obs.y * (1j * k) ** order
     vals = np.exp(1j * np.multiply.outer(t, k)) @ coef / math.sqrt(obs.n_freq)
     return complex(vals[0]) if scalar else vals
+
+
+def dense_uniform_sums(coef, n_points):
+    """sum_k coef_k e^{i k t_j} at t_j = 2 pi j / n_points, k = -f_c..f_c
+    along the last axis of coef, as one product with the exp(i k t) matrix."""
+    n = coef.shape[-1]
+    t = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
+    return coef @ np.exp(1j * np.outer(np.arange(-(n // 2), n // 2 + 1), t))
 
 
 def x_grad(obs, z):

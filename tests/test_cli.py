@@ -202,6 +202,14 @@ def test_non_finite_sigma_in_observation_file_is_a_schema_error(tmp_path, capsys
     assert "positive finite number" in err
 
 
+def test_json_booleans_in_observation_file_are_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "bools.json"
+    path.write_text('{"fc": true, "sigma": true, "y": [[1, 0], [true, false], [0, 1]]}')
+    code, out, err = _run(capsys, "knots", "--obs", str(path))
+    assert (code, out) == (2, "")
+    assert "fc must be an integer" in err
+
+
 @pytest.mark.parametrize("command, extra", [("calibrate", []), ("power", ["--spike", "2.0"])])
 def test_t_rice_below_its_smallest_cutoff_is_a_usage_error(capsys, command, extra):
     argv = [command, "--fc", "1", "--seed", "1", "--reps", "3", *extra]

@@ -11,6 +11,7 @@ from oracles import (
     NearSingular,
     brent_maximize,
     correlation,
+    dense_uniform_sums,
     g_ratio,
     regressed_value,
     torus_delta,
@@ -24,10 +25,11 @@ from srknots.errors import DegenerateProcess, NotAMaximum
 from srknots.knots import (
     FIRST_KNOT_GRID_FACTOR,
     KnotCertificate,
+    _local_max_mask_1d,
     _newton_peaks,
     _profile_limit,
-    _profile_trig,
     _theta_profile,
+    _uniform_sums,
     compute_certificate,
     first_knot,
     hessian_and_alphas,
@@ -111,6 +113,17 @@ def test_first_knot_degenerate(monkeypatch):
         first_knot(Observation(f_c=3, y=y, sigma=1.0))
 
 
+@pytest.mark.parametrize("f_c, k", [(3, -1), (3, 3), (7, 4), (30, -20)])
+def test_first_knot_single_frequency_is_degenerate(monkeypatch, f_c, k):
+    # |Z| = |y_k| is constant, but its swept values differ by rounding: a
+    # sweep flat to 1e-12 has no grid-local maximum, so nothing is polished
+    monkeypatch.setattr(knots, "maximize_bracketed", None)
+    y = np.zeros(2 * f_c + 1, dtype=complex)
+    y[k + f_c] = 1.3 - 0.4j
+    with pytest.raises(DegenerateProcess):
+        first_knot(Observation(f_c=f_c, y=y, sigma=1.0))
+
+
 def _spiky_obs(f_c, seed, weight, pair):
     """A noisy draw at f_c with one spike of the given weight, or with a pair
     of spikes (weight, 0.9 weight) a quarter of 2*pi/f_c apart."""
@@ -143,6 +156,64 @@ def test_first_knot_matches_zero_padded_fft(f_c):
         gap = 1.0 - f_fft.max() / lambda1**2
         assert -1e-12 <= gap <= 0.5 * (f_c * h) ** 2
         assert _circular_distance(z_hat.t, h * int(np.argmax(f_fft))) <= h
+
+
+@pytest.mark.parametrize("f_c", [1, 2, 3, 7, 30, 120])
+def test_uniform_sums_match_dense_product(f_c):
+    # the zero-padded FFT against the exp(i k t) matrix, at each grid size a
+    # sweep takes, on one row and on a stack of rows of different scales
+    n = 2 * f_c + 1
+    rng = np.random.default_rng(f_c)
+    coef = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))) * [[1.0], [1e3]]
+    for n_points in (16 * n, 32 * n, 64 * n):
+        for rows in (coef[0], coef):
+            err = np.abs(_uniform_sums(rows, n_points) - dense_uniform_sums(rows, n_points))
+            assert np.all(err <= 1e-13 * np.abs(rows).sum(axis=-1, keepdims=True))
+
+
+def test_certificate_matches_dense_sweeps(monkeypatch):
+    # the sweeps only bracket: with the dense product in place of the FFT,
+    # lambda1 and t_hat are the same and the second knot moves by rounding
+    cases = [(f_c, seed, weight, pair) for f_c in (3, 7, 15, 30)
+             for seed, weight, pair in ((1, 0.0, False), (2, 0.0, False), (3, 50.0, False),
+                                        (4, 1e5, False), (5, 1e3, True), (6, 1e5, True))]
+    cases += [(120, 1, 0.0, False), (120, 4, 1e5, False), (120, 5, 1e3, True)]
+    observations = [_spiky_obs(*case) for case in cases]
+    by_fft = [compute_certificate(obs) for obs in observations]
+    calls = []
+
+    def dense(coef, n_points):
+        calls.append(n_points)
+        return dense_uniform_sums(coef, n_points)
+
+    monkeypatch.setattr(knots, "_uniform_sums", dense)
+    for case, obs, ref in zip(cases, observations, by_fft):
+        cert = compute_certificate(obs)
+        assert (cert.lambda1, cert.z_hat.t) == (ref.lambda1, ref.z_hat.t), case
+        assert abs(cert.lambda2 - ref.lambda2) <= 1e-12 * ref.lambda1, case
+        assert _circular_distance(cert.y_hat.t, ref.y_hat.t) <= 1e-7, case
+        assert _circular_distance(cert.y_hat.theta, ref.y_hat.theta) <= 1e-7, case
+    assert len(calls) == 2 * len(cases)  # the |Z| sweep and the profile's
+
+
+def test_local_max_mask_1d():
+    # the right end of each plateau, against the rule written with two
+    # rolls; a sequence whose finite entries are flat to 1e-12 has none,
+    # though rounding leaves the rolled rule some
+    def rolled(v):
+        return np.isfinite(v) & (v >= np.roll(v, 1)) & (v > np.roll(v, -1))
+
+    rng = np.random.default_rng(3)
+    random = rng.standard_normal(240)
+    plateau = np.repeat(rng.integers(0, 5, 30).astype(float), 8)
+    masked = np.where(rng.random(240) < 0.3, -np.inf, random)
+    for v in (random, plateau, masked, np.roll(plateau, 3)):
+        assert np.array_equal(_local_max_mask_1d(v), rolled(v))
+    assert _local_max_mask_1d(np.array([5.0, 1.0, 1.0, 5.0])).tolist() == [True, False, False, False]
+    flat = 3.0 + 1e-13 * rng.standard_normal(240)
+    assert rolled(flat).any()
+    for v in (flat, -flat, np.zeros(240), np.where(np.isinf(masked), -np.inf, flat)):
+        assert not _local_max_mask_1d(v).any()
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -229,6 +300,24 @@ def test_first_knot_brent_fallback(monkeypatch, newton):
     else:
         assert lambda1 == pytest.approx(all_brent, rel=1e-14)
         assert _circular_distance(z_hat.t, z_ref.t) < 1e-7
+
+
+def test_second_knot_splits_the_bracket_next_to_zero():
+    # replication 690 of criterion 1's f_c = 7 run: the profile's best grid
+    # point is dt = -h, so its bracket holds dt = 0 and must split there.  A
+    # grid whose neighbours of 0 read h (1 + eps) missed the split, and the
+    # polish then ran into dt = 0 and returned lambda2 = lambda1
+    obs = synthesize(AtomicMeasure.empty(), 7, 1.0, RngStream(2113, 690).generator())
+    z_hat, lambda1 = first_knot(obs)
+    profile = _theta_profile(_aligned_coeffs(obs, z_hat), lambda1)
+    h = TWO_PI / (16 * obs.n_freq)
+    offsets = np.arange(-8 * obs.n_freq, 8 * obs.n_freq)
+    offsets = offsets[offsets != 0]
+    assert offsets[np.argmax(profile(h * offsets)[0])] == -1
+    fine = np.linspace(-math.pi, math.pi, 20001)
+    best = profile(fine[np.abs(fine) > 1e-6])[0].max()
+    _, lambda2 = second_knot(obs, z_hat, lambda1)
+    assert best - 1e-12 * lambda1 <= lambda2 - lambda1 <= best + 1e-5 * lambda1
 
 
 def test_second_knot_noiseless_atom():
@@ -330,7 +419,7 @@ def test_theta_profile_matches_g_ratio_oracle():
     step = dth[1] - dth[0]
     for obs, z_hat, lambda1, w in _profile_instances():
         dts = rng.uniform(0.05, math.pi, 6) * rng.choice([-1.0, 1.0], 6)
-        m, dth_star = _theta_profile(w, lambda1)(_profile_trig(dts, w.size))
+        m, dth_star = _theta_profile(w, lambda1)(dts)
         for dt, m_dt, arg in zip(dts, m, dth_star):
             g = g_ratio(obs, z_hat, lambda1, w, np.full(dth.size, dt), dth)
             j = int(np.argmax(g))
@@ -352,8 +441,8 @@ def test_theta_profile_tends_to_eigenvalue_limit():
         assert _profile_limit(w, lambda1) == pytest.approx(
             limit, abs=1e-12 * max(1.0, lambda1))
         profile = _theta_profile(w, lambda1)
-        near = profile(_profile_trig(np.array([1e-4, -1e-4]), w.size))[0]
-        far = profile(_profile_trig(np.array([1e-3, -1e-3]), w.size))[0]
+        near = profile(np.array([1e-4, -1e-4]))[0]
+        far = profile(np.array([1e-3, -1e-3]))[0]
         assert np.all(np.abs(near - limit) < 0.2 * np.abs(far - limit))
         assert abs(0.5 * (near[0] + near[1]) - limit) < 1e-6 * max(1.0, lambda1)
 
@@ -365,13 +454,13 @@ def test_theta_profile_derivatives_match_differences():
     for obs, z_hat, lambda1, w in _profile_instances():
         profile = _theta_profile(w, lambda1)
         dts = rng.uniform(0.05, math.pi, 6) * rng.choice([-1.0, 1.0], 6)
-        m, m1, m2, dth = profile(_profile_trig(dts, w.size), derivatives=True)
-        plain_m, plain_dth = profile(_profile_trig(dts, w.size))
+        m, m1, m2, dth = profile(dts, derivatives=True)
+        plain_m, plain_dth = profile(dts)
         assert np.max(np.abs(m - plain_m)) <= 1e-14 * max(1.0, lambda1)
         assert np.max(np.abs(dth - plain_dth)) <= 1e-13
         step = 1e-4
-        up = profile(_profile_trig(dts + step, w.size))[0]
-        down = profile(_profile_trig(dts - step, w.size))[0]
+        up = profile(dts + step)[0]
+        down = profile(dts - step)[0]
         scale = max(1.0, lambda1) * obs.f_c**2
         assert np.max(np.abs(m1 - (up - down) / (2.0 * step))) < 1e-6 * scale
         assert np.max(np.abs(m2 - (up - 2.0 * m + down) / step**2)) < 1e-6 * scale * obs.f_c

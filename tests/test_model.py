@@ -101,6 +101,19 @@ def test_load_rejects_non_finite_sigma(tmp_path, token):
         load_observation(path)
 
 
+@pytest.mark.parametrize("text, match", [
+    ('{"fc": true, "sigma": 1.0, "y": [[1, 0], [0, 1], [1, 1]]}', "fc must be an integer"),
+    ('{"fc": 1, "sigma": true, "y": [[1, 0], [0, 1], [1, 1]]}', "sigma must be"),
+    ('{"fc": 1, "sigma": 1.0, "y": [[1, 0], [true, false], [0, 1]]}', r"y\[1\] must be"),
+])
+def test_load_rejects_json_booleans(tmp_path, text, match):
+    # Python reads JSON true and false as bool, a subclass of int
+    path = tmp_path / "obs.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=match):
+        load_observation(path)
+
+
 def test_dirichlet_values():
     assert dirichlet(3, 0.0) == pytest.approx(7.0, abs=1e-12)
     assert dirichlet(3, TWO_PI / 7.0) == pytest.approx(0.0, abs=1e-12)
