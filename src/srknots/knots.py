@@ -125,7 +125,7 @@ def _newton_peaks(obs, t0, radius):
 
 
 def z_peaks(obs, n_points, keep=None, margin=0.0):
-    """Every local maximum of |Z|: returns (t, |Z(t)|, the swept |Z|).
+    """Every local maximum of |Z|: returns (t, |Z(t)|).
 
     |Z| is swept on n_points grid points t_j = h j (h = 2 pi / n_points) by
     one zero-padded FFT (_uniform_sums).  The grid-local maxima among the
@@ -150,7 +150,7 @@ def z_peaks(obs, n_points, keep=None, margin=0.0):
         k, block = _z_block(obs)
         t_star[refused] = maximize_bracketed(lambda t: _modulus_sq(k, block, t),
                                              t0[refused] - h, t0[refused], t0[refused] + h)[0]
-    return t_star, np.abs(z_eval(obs, t_star)), swept
+    return t_star, np.abs(z_eval(obs, t_star))
 
 
 def first_knot(obs):
@@ -159,12 +159,12 @@ def first_knot(obs):
     Every local maximum of |Z| comes from z_peaks on a sweep of
     FIRST_KNOT_GRID_FACTOR * N points, which brackets each in (t0 - h, t0 + h).
     The largest polished value wins, and ties within 1e-9 of it (relative)
-    go to the smallest t.  |Z| constant to 1e-12 (relative) on the sweep
-    raises DegenerateProcess.
+    go to the smallest t.  A sweep without a grid-local maximum (|Z|
+    constant to 1e-12 of its largest value, _local_max_mask_1d) raises
+    DegenerateProcess.
     """
-    t_star, vals, swept = z_peaks(obs, FIRST_KNOT_GRID_FACTOR * obs.n_freq)
-    top = swept.max()
-    if top - swept.min() <= 1e-12 * top:
+    t_star, vals = z_peaks(obs, FIRST_KNOT_GRID_FACTOR * obs.n_freq)
+    if t_star.size == 0:
         raise DegenerateProcess(
             "|Z| is constant to within 1e-12: no isolated maximizer exists"
         )

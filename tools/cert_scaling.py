@@ -2,12 +2,11 @@
 """Cost of the knot certificate against f_c, layer by layer.
 
     python3 tools/cert_scaling.py
-    python3 tools/cert_scaling.py --fc 7 15 30 60 120 --draws 40 --passes 5
 
-For each f_c (in the order given) the script draws --draws null observations
-synthesize(AtomicMeasure.empty(), f_c, 1.0, RngStream(11, r)), r < --draws,
-and runs compute_certificate on each once to warm up.  It then times
---passes passes of each layer over all draws, one layer after the other:
+For each f_c of F_CS (in that order) the script draws DRAWS null
+observations synthesize(AtomicMeasure.empty(), f_c, 1.0, RngStream(11, r)),
+r < DRAWS, and runs compute_certificate on each once to warm up.  It then
+times PASSES passes of each layer over all draws, one layer after the other:
 first_knot, second_knot and hessian_and_alphas (at each draw's own first
 knot), then compute_certificate.  It prints one Markdown table row per f_c
 with the best pass in ms per call, and the peak resident set size of the
@@ -18,7 +17,6 @@ One BLAS thread is used unless OPENBLAS_NUM_THREADS is set.  It imports the
 package from the src directory next to this script.
 """
 
-import argparse
 import os
 import resource
 import sys
@@ -36,11 +34,15 @@ from srknots.knots import (  # noqa: E402
 )
 from srknots.model import AtomicMeasure, RngStream, synthesize  # noqa: E402
 
+F_CS = (7, 15, 30, 60, 120)
+DRAWS = 40
+PASSES = 15
 
-def best_ms_per_call(fun, args_list, passes):
-    """The fastest of `passes` passes of fun over args_list, in ms per call."""
+
+def best_ms_per_call(fun, args_list):
+    """The fastest of PASSES passes of fun over args_list, in ms per call."""
     best = float("inf")
-    for _ in range(passes):
+    for _ in range(PASSES):
         start = time.perf_counter()
         for args in args_list:
             fun(*args)
@@ -48,25 +50,19 @@ def best_ms_per_call(fun, args_list, passes):
     return 1e3 * best / len(args_list)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fc", type=int, nargs="+", default=[7, 15, 30, 60, 120])
-    parser.add_argument("--draws", type=int, default=40)
-    parser.add_argument("--passes", type=int, default=5)
-    args = parser.parse_args(argv)
-
+def main():
     print("| `f_c` | first_knot | second_knot | hessian_and_alphas | compute_certificate "
           "| peak RSS (MB) |")
     print("|---|---|---|---|---|---|")
-    for f_c in args.fc:
+    for f_c in F_CS:
         draws = [synthesize(AtomicMeasure.empty(), f_c, 1.0, RngStream(11, r))
-                 for r in range(args.draws)]
+                 for r in range(DRAWS)]
         certs = [compute_certificate(obs) for obs in draws]
         at_knot = [(obs, cert.z_hat, cert.lambda1) for obs, cert in zip(draws, certs)]
-        row = [best_ms_per_call(first_knot, [(obs,) for obs in draws], args.passes),
-               best_ms_per_call(second_knot, at_knot, args.passes),
-               best_ms_per_call(hessian_and_alphas, at_knot, args.passes),
-               best_ms_per_call(compute_certificate, [(obs,) for obs in draws], args.passes)]
+        row = [best_ms_per_call(first_knot, [(obs,) for obs in draws]),
+               best_ms_per_call(second_knot, at_knot),
+               best_ms_per_call(hessian_and_alphas, at_knot),
+               best_ms_per_call(compute_certificate, [(obs,) for obs in draws])]
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print("| %d | %s | %.0f |" % (f_c, " | ".join("%.3f" % ms for ms in row), peak_mb),
               flush=True)
