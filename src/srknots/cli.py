@@ -108,8 +108,8 @@ def _parse_spike(text, need_location):
         weight = float(parts[0])
     except ValueError:
         raise SchemaError("bad --spike %r: weight must be a number" % text)
-    if not weight > 0:
-        raise SchemaError("bad --spike %r: weight must be positive" % text)
+    if not 0 < weight < math.inf:
+        raise SchemaError("bad --spike %r: weight must be positive and finite" % text)
     if need_location:
         if len(parts) not in (2, 3):
             raise SchemaError(
@@ -120,6 +120,8 @@ def _parse_spike(text, need_location):
             phase = float(parts[2]) if len(parts) == 3 else 0.0
         except ValueError:
             raise SchemaError("bad --spike %r: location/phase must be numbers" % text)
+        if not (math.isfinite(location) and math.isfinite(phase)):
+            raise SchemaError("bad --spike %r: location/phase must be finite" % text)
         return weight, location, phase
     if len(parts) != 1:
         raise SchemaError(

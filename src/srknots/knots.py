@@ -211,7 +211,7 @@ def _profile_at(lambda1, sums):
 
 def _theta_profile(w, lambda1):
     """The profile m(dt) = max over dtheta of g at fixed dt != 0, as a function
-    profile(dt) -> (m, the maximizing dtheta) of a 1-D array dt.
+    profile(dt) -> (m, m', m'', the maximizing dtheta) of a 1-D array dt.
 
     With a = a1 + i a2 = sum_k w_k e^{ik dt} / sqrt N and c = Gamma(dt), m is
     the larger root of
@@ -224,9 +224,8 @@ def _theta_profile(w, lambda1):
     sin^2(k dt / 2) sums, which carry no cancellation: lambda1 - a1, 1 - c
     (the sinc identity), and lambda1^2 - |a|^2 = (lambda1 - a1)(lambda1 + a1) - a2^2.
 
-    profile(dt, derivatives=True) returns (m, m', m'', dtheta).  The quadratic
-    reads (lambda1 + m)^2 = |b|^2, so implicit differentiation gives
-    r m' = Re(conj(b) (a' + c' m)) and
+    The quadratic reads (lambda1 + m)^2 = |b|^2, so implicit differentiation
+    gives r m' = Re(conj(b) (a' + c' m)) and
     r m'' = |b'|^2 - m'^2 + Re(conj(b) (a'' + c'' m + 2 c' m')), where
     b' = a' + c' m + c m' and r = lambda1 + m - c Re(b) is the square root of
     the discriminant (so r m' is -(v' m^2 + 2 u' m + q') / 2 for the
@@ -252,11 +251,10 @@ def _theta_profile(w, lambda1):
     basis[:, :2] *= -1.0
     const[:2] = 0.0
 
-    def profile(dt, derivatives=False):
-        rows = 9 if derivatives else 3
+    def profile(dt):
         kdt = np.multiply.outer(dt, k)
         trig = np.concatenate([np.sin(0.5 * kdt) ** 2, np.sin(kdt)], axis=1)
-        return _profile_at(lambda1, (trig @ basis[:, :rows] + const[:rows]).T)
+        return _profile_at(lambda1, (trig @ basis + const).T)
 
     return profile
 
@@ -335,7 +333,7 @@ def second_knot(obs, z_hat, lambda1):
     a, c, start = a[keep], c[keep], start[keep]
     b = np.where((a < start) & (start < c), start, 0.5 * (a + c))
     profile = _theta_profile(w, lambda1)
-    x, m, _, _, dth = maximize_bracketed(lambda dt: profile(dt, derivatives=True), a, b, c)
+    x, m, _, _, dth = maximize_bracketed(profile, a, b, c)
     dts, dths = np.append(wrap_delta(x), 0.0), np.append(dth, 0.0)
     vals = np.append(m, limit if split.any() else -np.inf)
     g_best = vals.max()

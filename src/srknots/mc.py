@@ -147,17 +147,14 @@ class AlternativeSpec:
 
     n_spikes: int = 0
     weights: Tuple[float, ...] = ()
-    min_separation: Optional[float] = None
 
     def __post_init__(self):
         if self.n_spikes not in (0, 1, 2):
             raise ValueError("n_spikes must be 0, 1 or 2")
         if len(self.weights) != self.n_spikes:
             raise ValueError("need exactly one weight per spike")
-        if any(not w > 0 for w in self.weights):
-            raise ValueError("spike weights must be positive")
-        if self.min_separation is not None and not 0 < self.min_separation <= math.pi:
-            raise ValueError("min_separation must be in (0, pi]")
+        if any(not 0 < w < math.inf for w in self.weights):
+            raise ValueError("spike weights must be positive and finite")
 
     @property
     def alt_id(self):
@@ -169,8 +166,8 @@ class AlternativeSpec:
         )
 
     def separation(self, f_c):
-        """min_separation, or 2 pi / f_c; no two points of the circle are over pi apart."""
-        sep = self.min_separation if self.min_separation is not None else TWO_PI / f_c
+        """2 pi / f_c; no two points of the circle are over pi apart."""
+        sep = TWO_PI / f_c
         if sep > math.pi:
             raise ValueError("two spikes cannot be %g apart; 2 pi / f_c needs f_c >= 2" % sep)
         return sep
@@ -198,21 +195,15 @@ class ExperimentConfig:
     statistics: Tuple[str, ...]
     alternative: AlternativeSpec = AlternativeSpec()
     sigma: float = 1.0
-    sigma_mode: str = "known"
 
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
-        if self.sigma_mode not in ("known", "unknown"):
-            raise ValueError("sigma_mode must be 'known' or 'unknown'")
         if not self.statistics:
             raise ValueError("at least one statistic is required")
         for name in self.statistics:
-            needs = statistic_needs(name)
-            if needs.known_sigma and self.sigma_mode == "unknown":
-                raise ValueError("statistic %r needs sigma_mode='known'" % name)
             check_cutoff(name, self.f_c)
         if self.alternative.n_spikes == 2:
             self.alternative.separation(self.f_c)  # raises where no pair is that far apart
@@ -259,9 +250,9 @@ class EcdfTable:
     columns: Dict[str, np.ndarray]
 
 
-def ecdf_multi(named_values, n_grid=513):
-    """Empirical CDFs of named samples from [0,1] on one uniform evaluation grid."""
-    grid = np.linspace(0.0, 1.0, n_grid)
+def ecdf_multi(named_values):
+    """Empirical CDFs of named samples from [0,1] on one uniform 513-point grid."""
+    grid = np.linspace(0.0, 1.0, 513)
     columns = {}
     for name, values in named_values.items():
         v = np.sort(np.asarray(values, dtype=float))
@@ -290,19 +281,18 @@ def empirical_level(values, alpha):
 
 
 def emit_csv(table, path):
-    """One row per (rep, statistic): rep,statistic,value,fc,sigma_mode,alt_id,seed."""
+    """One row per (rep, statistic): rep,statistic,value,fc,alt_id,seed."""
     cfg = table.config
-    lines = ["rep,statistic,value,fc,sigma_mode,alt_id,seed"]
+    lines = ["rep,statistic,value,fc,alt_id,seed"]
     for rep in range(cfg.reps):
         for name in cfg.statistics:
             lines.append(
-                "%d,%s,%s,%d,%s,%s,%d"
+                "%d,%s,%s,%d,%s,%d"
                 % (
                     rep,
                     name,
                     format(table.values[name][rep], ".17g"),
                     cfg.f_c,
-                    cfg.sigma_mode,
                     cfg.alternative.alt_id,
                     cfg.seed,
                 )
@@ -372,59 +362,31 @@ def emit_svg(curves, path, title=""):
 
 
 def _figure_panels(fig_id, seed, reps):
+    """The panels of one figure, from its table of (f_c, statistics, spike
+    weights) with each weight a function of N = 2 f_c + 1: the level of rice
+    and spacing (fig3), the power of rice and the grids against one spike
+    (fig4) and two (fig5), and rice against t_rice in level and power (fig6)."""
     grid_stats = tuple("grid_spacing_%d" % p for p in DEFAULT_GRID_SIZES)
-    if fig_id == "fig3":
-        return [
-            ExperimentConfig(
-                f_c=f_c, reps=reps, seed=seed, statistics=("rice", "spacing")
-            )
-            for f_c in (3, 5, 7)
-        ]
-    if fig_id == "fig4":
-        panels = []
-        for weight_of in (lambda n: math.log(n), lambda n: math.sqrt(n)):
-            for f_c in (3, 5, 7):
-                alt = AlternativeSpec(n_spikes=1, weights=(weight_of(2 * f_c + 1),))
-                panels.append(
-                    ExperimentConfig(
-                        f_c=f_c,
-                        reps=reps,
-                        seed=seed,
-                        statistics=("rice",) + grid_stats,
-                        alternative=alt,
-                    )
-                )
-        return panels
-    if fig_id == "fig5":
-        f_c = 7
-        log_n = math.log(2 * f_c + 1)
-        sqrt_n = math.sqrt(2 * f_c + 1)
-        pairs = ((log_n, log_n), (log_n, sqrt_n), (sqrt_n, sqrt_n))
-        return [
-            ExperimentConfig(
-                f_c=f_c,
-                reps=reps,
-                seed=seed,
-                statistics=("rice", "grid_spacing_50"),
-                alternative=AlternativeSpec(n_spikes=2, weights=pair),
-            )
-            for pair in pairs
-        ]
-    if fig_id == "fig6":
-        f_c = 3
-        n = 2 * f_c + 1
-        alts = [
-            AlternativeSpec(),
-            AlternativeSpec(n_spikes=1, weights=(math.log(n),)),
-            AlternativeSpec(n_spikes=1, weights=(math.sqrt(n),)),
-        ]
-        return [
-            ExperimentConfig(
-                f_c=f_c, reps=reps, seed=seed, statistics=("rice", "t_rice"), alternative=alt
-            )
-            for alt in alts
-        ]
-    raise ValueError("unknown figure id %r" % fig_id)
+    figures = {
+        "fig3": [(f_c, ("rice", "spacing"), ()) for f_c in (3, 5, 7)],
+        "fig4": [(f_c, ("rice",) + grid_stats, (weight,))
+                 for weight in (math.log, math.sqrt) for f_c in (3, 5, 7)],
+        "fig5": [(7, ("rice", "grid_spacing_50"), pair) for pair in
+                 ((math.log, math.log), (math.log, math.sqrt), (math.sqrt, math.sqrt))],
+        "fig6": [(3, ("rice", "t_rice"), weights) for weights in ((), (math.log,), (math.sqrt,))],
+    }
+    if fig_id not in figures:
+        raise ValueError("unknown figure id %r" % fig_id)
+    return [
+        ExperimentConfig(
+            f_c=f_c,
+            reps=reps,
+            seed=seed,
+            statistics=statistics,
+            alternative=AlternativeSpec(len(weights), tuple(w(2 * f_c + 1) for w in weights)),
+        )
+        for f_c, statistics, weights in figures[fig_id]
+    ]
 
 
 def reproduce_figure(fig_id, seed, reps=2000, out_dir="out"):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,16 @@ def test_simulate_spike_validation(tmp_path, capsys):
     assert _run(capsys, *base, "--spike", "abc:1.0")[0] == 2
     assert _run(capsys, *base, "--spike", "2.0")[0] == 2  # location is required here
     assert _run(capsys, *base, "--spike", "-1.0:0.5")[0] == 2
+    # a non-finite weight, location or phase is a usage error, caught before
+    # any arithmetic can warn
+    power = ["power", "--fc", "3", "--seed", "1", "--reps", "2", "--stat", "rice"]
+    for argv in (base + ["--spike", "inf:1"], base + ["--spike", "nan:1"],
+                 base + ["--spike", "1:nan"], base + ["--spike", "1:1:inf"],
+                 power + ["--spike", "inf"], power + ["--spike", "nan"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = _run(capsys, *argv)
+        assert code == 2 and err.startswith("error: bad --spike"), argv
 
 
 def test_knots_payload(obs_file, capsys):

@@ -419,7 +419,7 @@ def test_theta_profile_matches_g_ratio_oracle():
     step = dth[1] - dth[0]
     for obs, z_hat, lambda1, w in _profile_instances():
         dts = rng.uniform(0.05, math.pi, 6) * rng.choice([-1.0, 1.0], 6)
-        m, dth_star = _theta_profile(w, lambda1)(dts)
+        m, _, _, dth_star = _theta_profile(w, lambda1)(dts)
         for dt, m_dt, arg in zip(dts, m, dth_star):
             g = g_ratio(obs, z_hat, lambda1, w, np.full(dth.size, dt), dth)
             j = int(np.argmax(g))
@@ -454,10 +454,7 @@ def test_theta_profile_derivatives_match_differences():
     for obs, z_hat, lambda1, w in _profile_instances():
         profile = _theta_profile(w, lambda1)
         dts = rng.uniform(0.05, math.pi, 6) * rng.choice([-1.0, 1.0], 6)
-        m, m1, m2, dth = profile(dts, derivatives=True)
-        plain_m, plain_dth = profile(dts)
-        assert np.max(np.abs(m - plain_m)) <= 1e-14 * max(1.0, lambda1)
-        assert np.max(np.abs(dth - plain_dth)) <= 1e-13
+        m, m1, m2, _ = profile(dts)
         step = 1e-4
         up = profile(dts + step)[0]
         down = profile(dts - step)[0]

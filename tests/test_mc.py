@@ -35,12 +35,9 @@ def test_alternative_spec_validation():
         AlternativeSpec(n_spikes=3, weights=(1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         AlternativeSpec(n_spikes=1, weights=())
-    with pytest.raises(ValueError):
-        AlternativeSpec(n_spikes=1, weights=(0.0,))
-    with pytest.raises(ValueError):
-        AlternativeSpec(n_spikes=2, weights=(1.0, 1.0), min_separation=0.0)
-    with pytest.raises(ValueError):
-        AlternativeSpec(n_spikes=2, weights=(1.0, 1.0), min_separation=math.pi + 1e-9)
+    for weight in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            AlternativeSpec(n_spikes=1, weights=(weight,))
     assert AlternativeSpec().alt_id == "null"
     assert AlternativeSpec(n_spikes=1, weights=(2.0,)).alt_id == "1spike_2"
     assert AlternativeSpec(n_spikes=2, weights=(1.0, 2.5)).alt_id == "2spike_1_2.5"
@@ -52,11 +49,7 @@ def test_two_spike_separation():
     for _ in range(200):
         t1, t2 = spec.draw_measure(7, rng).locations
         assert circular_distance(t1, t2) >= TWO_PI / 7
-    tight = AlternativeSpec(n_spikes=2, weights=(1.0, 1.0), min_separation=3.0)
-    for _ in range(50):
-        t1, t2 = tight.draw_measure(7, rng).locations
-        assert circular_distance(t1, t2) >= 3.0
-    # at f_c = 2 the default separation is pi: antipodal pairs, whose
+    # at f_c = 2 the separation is pi: antipodal pairs, whose
     # distance can read pi less a rounding error
     for _ in range(50):
         t1, t2 = spec.draw_measure(2, rng).locations
@@ -66,14 +59,17 @@ def test_two_spike_separation():
         spec.draw_measure(1, rng)
 
 
-@pytest.mark.parametrize("sep", [TWO_PI / 7, TWO_PI / 3, 3.0])
+@pytest.mark.parametrize("sep", [TWO_PI / 7, TWO_PI / 3])
 def test_two_spike_law_matches_rejection(sep):
     # two-sample KS against uniform pairs drawn again until they are sep
-    # apart, on t1, t2 and their distance, inside the 1% band
-    spec = AlternativeSpec(n_spikes=2, weights=(1.0, 1.0), min_separation=sep)
+    # apart, on t1, t2 and their distance, inside the 1% band; sep is the
+    # separation 2 pi / f_c of f_c = 7 and f_c = 3
+    f_c = round(TWO_PI / sep)
+    spec = AlternativeSpec(n_spikes=2, weights=(1.0, 1.0))
+    assert spec.separation(f_c) == sep
     n = 3000
     gen = RngStream(43, 0).generator()
-    new = np.array([spec.draw_measure(7, gen).locations for _ in range(n)])
+    new = np.array([spec.draw_measure(f_c, gen).locations for _ in range(n)])
     ref = np.array([two_spike_rejection_sample(sep, gen) for _ in range(n)])
     band = 1.63 * math.sqrt(2.0 / n)
     for f in (lambda d: d[:, 0], lambda d: d[:, 1],
@@ -89,8 +85,6 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(**{**ok, "sigma": 0.0})
     with pytest.raises(ValueError):
-        ExperimentConfig(**{**ok, "sigma_mode": "plugin"})
-    with pytest.raises(ValueError):
         ExperimentConfig(**{**ok, "statistics": ()})
     with pytest.raises(ValueError):
         ExperimentConfig(**{**ok, "statistics": ("rice", "bogus")})
@@ -98,18 +92,11 @@ def test_experiment_config_validation():
         ExperimentConfig(**{**ok, "statistics": ("grid_spacing_x",)})
     with pytest.raises(ValueError):
         ExperimentConfig(**{**ok, "statistics": ("grid_spacing_1",)})
-    # statistics that consume the true noise level are refused when it is
-    # treated as unknown
-    for name in ("rice", "spacing", "grid", "grid_spacing_10"):
-        with pytest.raises(ValueError):
-            ExperimentConfig(**{**ok, "statistics": (name,), "sigma_mode": "unknown"})
-    ExperimentConfig(**{**ok, "statistics": ("t_rice", "t_grid"), "sigma_mode": "unknown"})
-    # two spikes at the default separation 2 pi / f_c need f_c >= 2
+    # two spikes at the separation 2 pi / f_c need f_c >= 2
     spikes = AlternativeSpec(n_spikes=2, weights=(1.0, 1.0))
     ExperimentConfig(**{**ok, "f_c": 2, "alternative": spikes})
     with pytest.raises(ValueError, match="f_c >= 2"):
         ExperimentConfig(**{**ok, "f_c": 1, "alternative": spikes})
-    ExperimentConfig(**{**ok, "f_c": 1, "alternative": AlternativeSpec(2, (1.0, 1.0), 1.0)})
 
 
 @pytest.mark.parametrize("sigma", [math.inf, math.nan])
@@ -212,12 +199,12 @@ def test_emit_csv_round_trip(tmp_path):
     path = tmp_path / "table.csv"
     emit_csv(table, str(path))
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "rep,statistic,value,fc,sigma_mode,alt_id,seed"
+    assert lines[0] == "rep,statistic,value,fc,alt_id,seed"
     assert len(lines) == 1 + 3 * 2
     for line in lines[1:]:
-        rep, name, value, fc, mode, alt, seed = line.split(",")
+        rep, name, value, fc, alt, seed = line.split(",")
         assert float(value) == table.values[name][int(rep)]  # 17g round-trips
-        assert (fc, mode, alt, seed) == ("3", "known", "null", "11")
+        assert (fc, alt, seed) == ("3", "null", "11")
 
 
 def test_emit_svg_structure(tmp_path):
@@ -293,3 +280,16 @@ def test_high_snr_spike_excludes_no_replication(reps, seed, weight):
         assert cert.lambda2 <= cert.lambda1
         grid_max = _regressed_field_grid_max(obs, cert.z_hat, cert.lambda1)
         assert cert.lambda2 >= grid_max - 1e-9 * max(1.0, cert.lambda1)
+
+
+@pytest.mark.parametrize("f_c", [15, 30])
+def test_exact_statistics_uniform_null_at_large_cutoff(f_c):
+    # the acceptance gate stops at f_c = 7; rice, t_rice and grid stay
+    # uniform under the null at f_c = 15 and 30, inside the 1% KS band
+    config = ExperimentConfig(f_c=f_c, reps=1200, seed=6001,
+                              statistics=("rice", "t_rice", "grid"))
+    table = run_experiment(config)
+    assert table.n_excluded == 0
+    bound = 1.63 / math.sqrt(config.reps)
+    for name in config.statistics:
+        assert ks_uniform(table.values[name]) < bound, name
