@@ -86,14 +86,10 @@ def _z_block(obs):
     return k, obs.y[:, None] * (1j * k[:, None]) ** np.arange(3) / math.sqrt(obs.n_freq)
 
 
-def _z012(k, block, t):
-    """Z, Z' and Z'' at all of t from one exp(i k t) matrix times the block."""
-    return (np.exp(1j * np.outer(t, k)) @ block).T
-
-
 def _modulus_sq(k, block, t):
-    """|Z|^2 and its first two t-derivatives at all of t (_z012)."""
-    z0, z1, z2 = _z012(k, block, t)
+    """|Z|^2 and its first two t-derivatives at all of t, from Z, Z' and Z''
+    as one exp(i k t) matrix times the block (_z_block)."""
+    z0, z1, z2 = (np.exp(1j * np.outer(t, k)) @ block).T
     return (np.abs(z0) ** 2, 2.0 * (z0.conj() * z1).real,
             2.0 * (np.abs(z1) ** 2 + (z0.conj() * z2).real))
 
@@ -387,9 +383,10 @@ def compute_certificate(obs):
     z_hat, lambda1 = first_knot(obs)
     y_hat, lambda2 = second_knot(obs, z_hat, lambda1)
     big_r, alpha2, alpha3 = hessian_and_alphas(obs, z_hat, lambda1)
-    # grad X(z_hat) = (Re, Im) of e^{-i theta_hat} (Z'(t_hat), Z(t_hat))
-    z0, z1, _ = _z012(*_z_block(obs), np.array([z_hat.t])) * np.exp(-1j * z_hat.theta)
-    grad_norm = math.hypot(z1[0].real, z0[0].imag)
+    # grad X(z_hat) = (X_t, X_theta) = (-sum k Im w_k, sum Im w_k) / sqrt N
+    w = _aligned_coeffs(obs, z_hat)
+    k = np.arange(-obs.f_c, obs.f_c + 1)
+    grad_norm = math.hypot(k @ w.imag, w.imag.sum()) / math.sqrt(obs.n_freq)
     return KnotCertificate(
         z_hat=z_hat,
         lambda1=lambda1,

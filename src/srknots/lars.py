@@ -18,11 +18,12 @@ step, half the distance to the crossing that the secant of the peak gap (the
 largest off-support peak of |Z^(lambda)| less lambda) over the last two
 solved points predicts, kept within 1% and 10% of lambda (1% on a leg's
 first step and wherever the peak gap did not rise), and re-solve h = 0 by
-Newton with the analytic Jacobian (_Leg.system, from Gamma and Z up to
-second order at the active points) from the secant prediction, halving the
-decrement when Newton fails.  The next knot is the largest lambda at which
-the off-support maximum of |Z^(lambda)| reaches lambda.  The residual
-Z^(lambda) is itself the Z of the Fourier data
+Newton with the analytic Jacobian from the secant prediction, halving the
+decrement when Newton fails.  The Jacobian (_Leg.system) needs Z and the
+Gram tables G_m = [Gamma^(m)(x_i - x_j)] up to second order at the active
+points, and reads them all from one e^{ikx} table.  The next knot is the
+largest lambda at which the off-support maximum of |Z^(lambda)| reaches
+lambda.  The residual Z^(lambda) is itself the Z of the Fourier data
 y_res = y - (2 sigma^2 / sqrt N) sum_i a_i e^{-ik x_i} (_residual), so that
 maximum comes from the one route to the peaks of |Z| that the first knot
 also takes: knots.z_peaks sweeps y_res on the 64N-point event grid and
@@ -43,8 +44,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .knots import _newton_peaks, _z012, _z_block, first_knot, second_knot, z_peaks
-from .model import Observation, kernel_gamma, wrap_delta, z_eval
+from .knots import _newton_peaks, _z_block, first_knot, second_knot, z_peaks
+from .model import Observation, wrap_delta, z_eval
 
 _MERGE_RADIUS = 1e-3
 _COND_LIMIT = 1e14
@@ -113,6 +114,8 @@ class _Leg:
         self.lam_prev = float(lam_prev)
         self.lambda_min = lambda_min
         self.k, self.z_block = _z_block(obs)
+        # rows (ik)^m / N, m = 0, 1, 2: Gamma^(m)(t) = sum_k (ik)^m e^{ikt} / N
+        self.gamma_block = (1j * self.k) ** np.arange(3)[:, None] / obs.n_freq
         # A tracked peak may move this far between two lambdas of a bracket:
         # a quarter of the Fourier node spacing 2 pi / N.
         self.track_radius = 0.5 * math.pi / obs.n_freq
@@ -127,21 +130,20 @@ class _Leg:
             da/dx   = M^{-1} (diag(W') + s G_1 diag(a)),
             dW'/dx  = diag(Z''(x) - s G_2 a) + s G_2 diag(a) - s G_1 da/dx,
 
-        and h = 2 Re(conj(c p) W'), since W(x_j) = c p_j for every x.  Raises
-        _PathStop when M is not finite or its condition number exceeds
-        _COND_LIMIT.
+        and h = 2 Re(conj(c p) W'), since W(x_j) = c p_j for every x.  Z and
+        the G_m come from one table E = [e^{ik x_i}]: (Z, Z', Z'') is E times
+        the block y (ik)^(0, 1, 2) / sqrt N, and G_m = Re(E diag((ik)^m / N) E^H).
+        Raises _PathStop when M is not finite or its condition number
+        exceeds _COND_LIMIT.
         """
-        d = x[:, None] - x[None, :]
-        g0, g1, g2 = (
-            kernel_gamma(self.obs.f_c, d.ravel(), order=order).reshape(d.shape)
-            for order in range(3)
-        )
+        e = np.exp(1j * np.outer(x, self.k))
+        g0, g1, g2 = np.real((e * self.gamma_block[:, None, :]) @ e.conj().T)
         s = self.two_s2
         m = s * g0
         if not np.all(np.isfinite(m)) or np.linalg.cond(m) > _COND_LIMIT:
             raise _PathStop("path_stop_singular_gram")
         cp = (lam / self.lam_prev) * self.prev_vals
-        z0, z1, z2 = _z012(self.k, self.z_block, x)
+        z0, z1, z2 = (e @ self.z_block).T
         a = np.linalg.solve(m, z0 - cp)
         w1 = z1 - s * (g1 @ a)
         da = np.linalg.solve(m, np.diag(w1) + s * g1 * a)
@@ -191,12 +193,13 @@ class _Leg:
         def off_discs(t):
             return np.min(np.abs(wrap_delta(t[:, None] - x[None, :])), axis=1) >= _MERGE_RADIUS
 
-        t_peak = z_peaks(res, _EVENT_GRID_FACTOR * self.obs.n_freq, keep=off_discs,
-                         margin=_MERGE_RADIUS)[0]
-        cand = np.concatenate([t_peak[off_discs(t_peak)], x - _MERGE_RADIUS, x + _MERGE_RADIUS])
-        cand_vals = np.abs(z_eval(res, cand))
-        n_peaks = cand.size - 2 * x.size
-        peak = float(np.max(cand_vals[:n_peaks])) if n_peaks else -math.inf
+        t_peak, peak_vals = z_peaks(res, _EVENT_GRID_FACTOR * self.obs.n_freq, keep=off_discs,
+                                    margin=_MERGE_RADIUS)
+        kept = off_discs(t_peak)
+        edges = np.concatenate([x - _MERGE_RADIUS, x + _MERGE_RADIUS])
+        cand = np.concatenate([t_peak[kept], edges])
+        cand_vals = np.concatenate([peak_vals[kept], np.abs(z_eval(res, edges))])
+        peak = float(np.max(peak_vals[kept], initial=-math.inf))
         best = int(np.argmax(cand_vals))
         return float(cand_vals[best]), float(cand[best] % (2.0 * math.pi)), peak
 

@@ -155,26 +155,14 @@ class Observation:
         return ModelContext(self.f_c)
 
 
-def kernel_gamma(f_c, t, order=0):
-    """Gamma(t) = D_N(t)/N and its derivatives, by term-wise differentiation.
-
-    order 0: (1/N)(1 + 2 sum cos(kt));  order 1: -(2/N) sum k sin(kt);
-    order 2: -(2/N) sum k^2 cos(kt).
-    """
+def kernel_gamma(f_c, t):
+    """Gamma(t) = D_N(t)/N = (1/N)(1 + 2 sum_{k=1}^{f_c} cos(kt))."""
     n = 2 * f_c + 1
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     k = np.arange(1, f_c + 1, dtype=float)
-    kt = np.multiply.outer(t, k)
-    if order == 0:
-        out = (1.0 + 2.0 * np.cos(kt) @ np.ones_like(k)) / n
-    elif order == 1:
-        out = -(2.0 / n) * (np.sin(kt) @ k)
-    elif order == 2:
-        out = -(2.0 / n) * (np.cos(kt) @ (k * k))
-    else:
-        raise ValueError("order must be 0, 1 or 2")
+    out = (1.0 + 2.0 * np.cos(np.multiply.outer(t, k)) @ np.ones_like(k)) / n
     return float(out[0]) if scalar else out
 
 

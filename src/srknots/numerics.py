@@ -6,7 +6,7 @@ Everything here is a pure function of its arguments.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaln, stdtr
+from scipy.special import erfc, gammaln, log_ndtr, stdtr
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -23,6 +23,13 @@ def normal_sf(x):
     """Standard normal survival function 1 - Phi(x), via erfc (no cancellation for large x)."""
     x = np.asarray(x, dtype=float)
     out = 0.5 * erfc(x * _INV_SQRT2)
+    return float(out) if out.ndim == 0 else out
+
+
+def normal_sf_ratio(x1, x2):
+    """The survival ratio (1 - Phi(x1)) / (1 - Phi(x2)), as
+    exp(log_ndtr(-x1) - log_ndtr(-x2)): finite where both tails underflow."""
+    out = np.exp(log_ndtr(np.negative(x1)) - log_ndtr(np.negative(x2)))
     return float(out) if out.ndim == 0 else out
 
 

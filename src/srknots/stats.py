@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NonPositiveDenominator, OutOfRange
 from .model import TorusPoint, kernel_gamma, z_eval
-from .numerics import RngStream, normal_pdf, normal_sf, student_pdf, student_sf
+from .numerics import RngStream, normal_pdf, normal_sf, normal_sf_ratio, student_pdf, student_sf
 
 
 # The half-width K of the lattice window that lambda2_bar maximizes over.
@@ -147,7 +147,7 @@ def spacing_statistic(lambda1, lambda2, sigma):
     nominal 5% is around 11% for f_c = 7); it is kept as the comparison
     baseline that the Rice and randomized-grid corrections repair.
     """
-    value = normal_sf(lambda1 / sigma) / normal_sf(lambda2 / sigma)
+    value = normal_sf_ratio(lambda1 / sigma, lambda2 / sigma)
     aux = {"lambda1": lambda1, "lambda2": lambda2, "sigma": sigma}
     return _checked("spacing", value, aux)
 
@@ -180,7 +180,7 @@ def grid_spacing_test(obs, p, sigma):
     """Spacing test on the fixed p x p grid: exactly uniform under the null
     (finite Gaussian vector, no continuum pathology)."""
     lambda1_n, _, lambda2_n = grid_knots(obs, p)
-    value = normal_sf(lambda1_n / sigma) / normal_sf(lambda2_n / sigma)
+    value = normal_sf_ratio(lambda1_n / sigma, lambda2_n / sigma)
     aux = {"lambda1_n": lambda1_n, "lambda2_n": lambda2_n, "sigma": sigma, "p": p}
     return _checked("grid_spacing_%d" % p, value, aux)
 
@@ -260,7 +260,7 @@ def lambda2_bar(lambda1, lambda2, hess, u_draw, ctx):
 
 def grid_test_known(lambda1, lambda2_bar_value, sigma):
     """S-Grid: Phi-bar(lambda1/sigma) / Phi-bar(lambda2_bar/sigma)."""
-    value = normal_sf(lambda1 / sigma) / normal_sf(lambda2_bar_value / sigma)
+    value = normal_sf_ratio(lambda1 / sigma, lambda2_bar_value / sigma)
     aux = {"lambda1": lambda1, "lambda2_bar": lambda2_bar_value, "sigma": sigma}
     return _checked("grid", value, aux)
 

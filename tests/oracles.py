@@ -7,11 +7,12 @@ field X with its gradient and Hessian from the derivatives of Z, trigonometric
 sums on a uniform grid as one dense matrix product, the regressed field and
 the ratio g at arbitrary points of the torus, the Karhunen-Loeve variance
 estimators through the design correlation and its pseudo-inverse, the
-Dirichlet kernel in ratio form, the correlation rho with its derivatives,
-the residual of a LARS knot as a sum of kernels, the Voronoi draw by
-rejection from a box around the cell, two spike locations at a least
-separation by rejection of uniform pairs, and bounded Brent search for a
-local maximum on an interval, which sees values only.
+Dirichlet kernel in ratio form, the derivatives of Gamma term by term, the
+correlation rho with its derivatives, the Newton system of a LARS leg from
+those derivatives, the residual of a LARS knot as a sum of kernels, the
+Voronoi draw by rejection from a box around the cell, two spike locations at
+a least separation by rejection of uniform pairs, and bounded Brent search
+for a local maximum on an interval, which sees values only.
 
 g_ratio evaluates g(y) = (X(y) - lambda1) / (1 - rho(y - z_hat)).  Near z_hat
 both numerator and denominator vanish quadratically, so there the ratio is
@@ -260,6 +261,22 @@ def dirichlet(f_c, t):
     return float(out[0]) if scalar else out
 
 
+def gamma_deriv(f_c, t, order):
+    """Gamma'(t) (order 1) or Gamma''(t) (order 2) by term-wise
+    differentiation of Gamma(t) = (1/N)(1 + 2 sum cos(kt)):
+    -(2/N) sum k sin(kt) and -(2/N) sum k^2 cos(kt)."""
+    n = 2 * f_c + 1
+    k = np.arange(1, f_c + 1, dtype=float)
+    kt = np.multiply.outer(np.asarray(t, dtype=float), k)
+    if order == 1:
+        out = -(2.0 / n) * (np.sin(kt) @ k)
+    elif order == 2:
+        out = -(2.0 / n) * (np.cos(kt) @ (k * k))
+    else:
+        raise ValueError("order must be 1 or 2")
+    return float(out) if out.ndim == 0 else out
+
+
 def correlation(ctx, dz):
     """Correlation rho(dz) = Gamma(dt) cos(dtheta) of the field X under the null."""
     dt, dth = float(dz[0]), float(dz[1])
@@ -270,7 +287,7 @@ def correlation_grad(ctx, dz):
     """Gradient of rho at dz: (Gamma'(dt) cos(dtheta), -Gamma(dt) sin(dtheta))."""
     dt, dth = float(dz[0]), float(dz[1])
     g = kernel_gamma(ctx.f_c, dt)
-    g1 = kernel_gamma(ctx.f_c, dt, order=1)
+    g1 = gamma_deriv(ctx.f_c, dt, 1)
     return np.array([g1 * math.cos(dth), -g * math.sin(dth)])
 
 
@@ -278,8 +295,8 @@ def correlation_hess(ctx, dz):
     """Hessian of rho at dz (2x2 symmetric)."""
     dt, dth = float(dz[0]), float(dz[1])
     g = kernel_gamma(ctx.f_c, dt)
-    g1 = kernel_gamma(ctx.f_c, dt, order=1)
-    g2 = kernel_gamma(ctx.f_c, dt, order=2)
+    g1 = gamma_deriv(ctx.f_c, dt, 1)
+    g2 = gamma_deriv(ctx.f_c, dt, 2)
     c, s = math.cos(dth), math.sin(dth)
     return np.array([[g2 * c, -g1 * s], [-g1 * s, -g * c]])
 
@@ -401,7 +418,7 @@ def _design_cache(f_c):
 
     rho = kernel_gamma(f_c, off_t) * np.cos(off_th)
     g0 = kernel_gamma(f_c, off_t)
-    g1 = kernel_gamma(f_c, off_t, order=1)
+    g1 = gamma_deriv(f_c, off_t, 1)
     rho_grad = np.stack([g1 * np.cos(off_th), -g0 * np.sin(off_th)], axis=1)
 
     ddt = off_t[:, None] - off_t[None, :]
@@ -450,6 +467,24 @@ def design_sigma_hat_cond(obs, z):
 
 
 # ------------------------------------------------------------ the LARS path
+
+
+def lars_system(leg, lam, x):
+    """(h, dh/dx, a) of the stationarity system of a LARS leg at (lambda, x)
+    (lars._Leg.system), with G_m = [Gamma^(m)(x_i - x_j)] from kernel_gamma
+    and gamma_deriv on the pairwise differences, and Z, Z', Z'' from z_deriv."""
+    d = np.subtract.outer(x, x)
+    g0 = kernel_gamma(leg.obs.f_c, d.ravel()).reshape(d.shape)
+    g1, g2 = (gamma_deriv(leg.obs.f_c, d, order) for order in (1, 2))
+    s = leg.two_s2
+    m = s * g0
+    cp = (lam / leg.lam_prev) * leg.prev_vals
+    z0, z1, z2 = (z_deriv(leg.obs, x, order) for order in range(3))
+    a = np.linalg.solve(m, z0 - cp)
+    w1 = z1 - s * (g1 @ a)
+    da = np.linalg.solve(m, np.diag(w1) + s * g1 * a)
+    dw1 = np.diag(z2 - s * (g2 @ a)) + s * g2 * a - s * (g1 @ da)
+    return 2.0 * np.real(np.conj(cp) * w1), 2.0 * np.real(np.conj(cp)[:, None] * dw1), a
 
 
 def lars_residual_kernel_sum(obs, path, k, t):

@@ -368,6 +368,16 @@ def test_power_takes_bare_weights(capsys):
                 "--stat", "rice")[0] == 2
 
 
+def test_grid_power_at_a_high_signal_to_noise_ratio(capsys):
+    # lambda2-bar passes 38 sigma on some of these reps, where both Gaussian
+    # tails of the grid ratio underflow as plain floats
+    code, out, _ = _run(capsys, "power", "--fc", "3", "--seed", "1", "--reps", "20",
+                        "--stat", "grid", "--spike", "60")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["excluded"] == 0 and payload["power_at_0.05"] == 1
+
+
 def test_power_two_spikes_need_room_on_the_circle(capsys):
     # the default separation 2 pi / f_c is pi at f_c = 2 (antipodal pairs)
     # and 2 pi at f_c = 1, which no pair reaches: a usage error

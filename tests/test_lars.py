@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import lars_residual_kernel_sum
+from oracles import lars_residual_kernel_sum, lars_system, z_deriv
 
 from srknots import knots, lars
 from srknots.knots import first_knot, second_knot
@@ -69,6 +69,29 @@ def test_entering_point_on_exhibit_paths(seed, index):
     path = lars_run(obs, 1.0, LarsOptions(k_max=4))
     assert path.status == "reached_k_max"
     _path_invariants(obs, path)
+
+
+def test_system_matches_the_kernel_derivative_oracle(monkeypatch):
+    # Every Newton system solved along the exhibit paths, against G_m and Z
+    # up to second order from term-wise derivatives (oracles.lars_system).
+    states = []
+    real = lars._Leg.system
+
+    def spy(leg, lam, x):
+        states.append((leg, lam, np.array(x)))
+        return real(leg, lam, x)
+
+    monkeypatch.setattr(lars._Leg, "system", spy)
+    for seed, index in _EXHIBITS:
+        lars_run(_gaussian_obs(seed, index), 1.0, LarsOptions(k_max=4))
+    assert len(states) > 50
+    for leg, lam, x in states:
+        (h, jac, a), (h_o, jac_o, a_o) = real(leg, lam, x), lars_system(leg, lam, x)
+        # h vanishes on the path; its scale is that of the terms 2 Re(conj(c p) Z')
+        # it sums, with |c p_j| = lambda
+        assert np.max(np.abs(h - h_o)) <= 1e-12 * 2.0 * lam * np.max(np.abs(z_deriv(leg.obs, x)))
+        assert np.max(np.abs(jac - jac_o)) <= 1e-12 * np.max(np.abs(jac_o))
+        assert np.max(np.abs(a - a_o)) <= 1e-12 * np.max(np.abs(a_o))
 
 
 def _leg_at_knot(obs, path, j):

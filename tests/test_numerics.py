@@ -21,6 +21,7 @@ from srknots.numerics import (
     maximize_bracketed,
     normal_pdf,
     normal_sf,
+    normal_sf_ratio,
     student_pdf,
     student_sf,
 )
@@ -40,6 +41,16 @@ def test_normal_sf_monotone_and_values():
     assert np.all(np.diff(sf) < 0)
     # deep tail keeps relative accuracy (erfc route, no 1 - Phi cancellation)
     assert normal_sf(10.0) == pytest.approx(7.61985302416053e-24, rel=1e-12)
+
+
+def test_normal_sf_ratio_beyond_the_underflow_of_normal_sf():
+    # both tails underflow as plain floats (normal_sf(40) is 0), the ratio does not
+    assert normal_sf(40.0) == 0.0
+    value = normal_sf_ratio(45.0, 40.0)
+    assert isinstance(value, float) and math.isfinite(value) and 0.0 < value <= 1.0
+    x1 = np.linspace(-2.0, 10.0, 97)
+    x2 = x1 - np.linspace(0.0, 3.0, 97)
+    assert normal_sf_ratio(x1, x2) == pytest.approx(normal_sf(x1) / normal_sf(x2), rel=1e-12)
 
 
 def test_student_sf_monotone_and_symmetry():
