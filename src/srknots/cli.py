@@ -224,7 +224,8 @@ def _run_level_summary(args, alternative, failed_rejects):
     A replication that failed is counted as a rejection at every level when
     `failed_rejects` (calibration: a failure cannot hide excess level) and as
     a non-rejection otherwise (power: it cannot add power).  The KS distance
-    is taken over the finite p-values; `excluded` counts the failed reps.
+    is taken over the finite p-values, and reads null when every rep
+    failed; `excluded` counts the failed reps.
     """
     stat = _stat_internal(args.stat, args.grid)
     try:
@@ -250,7 +251,7 @@ def _run_level_summary(args, alternative, failed_rejects):
         "reps": args.reps,
         "seed": args.seed,
         "alt_id": alternative.alt_id,
-        "ks_uniform": ks_uniform(values[finite]),
+        "ks_uniform": ks_uniform(values[finite]) if finite.any() else None,
         "level": {
             "0.01": empirical_level(counted, 0.01),
             "0.05": empirical_level(counted, 0.05),

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProcess, NotAMaximum
-from .model import TorusPoint, _aligned_coeffs, wrap_delta, z_eval
+from .model import TorusPoint, _aligned_coeffs, wrap_angle, wrap_delta, z_eval
 from .numerics import maximize_bracketed
 
 # The first knot's coarse |Z| sweep takes this many points per frequency.
@@ -67,48 +67,50 @@ def _uniform_sums(coef, n_points):
 
 
 def _local_max_mask_1d(vals):
-    """Grid-local maxima of a periodic sequence: the right end of each
-    plateau; -inf entries are never one, and a sequence whose finite entries
-    are flat to 1e-12 of their largest magnitude (a constant, up to the
-    rounding of its sweep) has none."""
-    padded = np.concatenate([vals[-1:], vals, vals[:1]])
+    """Grid-local maxima of each periodic sequence along the last axis: the
+    right end of each plateau; -inf entries are never one, and a sequence
+    whose finite entries are flat to 1e-12 of their largest magnitude (a
+    constant, up to the rounding of its sweep) has none."""
+    padded = np.concatenate([vals[..., -1:], vals, vals[..., :1]], axis=-1)
     finite = np.isfinite(vals)
-    mask = finite & (vals >= padded[:-2]) & (vals > padded[2:])
-    if mask.any():
-        top, bottom = vals[mask].max(), vals[finite].min()
-        mask &= top - bottom > 1e-12 * max(abs(top), abs(bottom))
-    return mask
+    mask = finite & (vals >= padded[..., :-2]) & (vals > padded[..., 2:])
+    top = np.max(vals, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    bottom = np.min(vals, axis=-1, keepdims=True, where=finite, initial=np.inf)
+    return mask & (top - bottom > 1e-12 * np.maximum(np.abs(top), np.abs(bottom)))
 
 
 def _z_block(obs):
-    """(k, the (N, 3) block y * (ik)^(0, 1, 2) / sqrt N)."""
+    """(k, the (..., N, 3) block y * (ik)^(0, 1, 2) / sqrt N)."""
     k = np.arange(-obs.f_c, obs.f_c + 1)
-    return k, obs.y[:, None] * (1j * k[:, None]) ** np.arange(3) / math.sqrt(obs.n_freq)
+    return k, obs.y[..., None] * (1j * k[:, None]) ** np.arange(3) / math.sqrt(obs.n_freq)
 
 
 def _modulus_sq(k, block, t):
     """|Z|^2 and its first two t-derivatives at all of t, from Z, Z' and Z''
-    as one exp(i k t) matrix times the block (_z_block)."""
-    z0, z1, z2 = (np.exp(1j * np.outer(t, k)) @ block).T
+    as the exp(i k t) row at each point times the block (_z_block); a block
+    with a row per point broadcasts along the last axis of t."""
+    z = (np.exp(1j * t[..., None] * k)[..., None] * block).sum(axis=-2)
+    z0, z1, z2 = z[..., 0], z[..., 1], z[..., 2]
     return (np.abs(z0) ** 2, 2.0 * (z0.conj() * z1).real,
             2.0 * (np.abs(z1) ** 2 + (z0.conj() * z2).real))
 
 
 def _newton_peaks(obs, t0, radius):
-    """Newton on d|Z|^2/dt = 0 from every start in t0 at once.
+    """Newton on d|Z|^2/dt = 0 from every start in t0 at once; obs holds
+    one observation, or a stack with one row per start.
 
-    Each iteration takes f = |Z|^2, f' and f'' at all points from one
-    product (_modulus_sq) and steps by f'/f''.  A point stops once its step
-    is below 1e-14; at most 8 steps are taken.  Returns (t, ok): ok is False where
-    f'' >= 0 was met, where t is not finite, or where t ended more than
-    `radius` from its start.
+    Each iteration takes f = |Z|^2, f' and f'' at all points (_modulus_sq)
+    and steps by f'/f''.  A point stops once its step is below 1e-14; at
+    most 8 steps are taken.  Returns (t, ok): ok is False where f'' >= 0 was
+    met, where t is not finite, or where t ended more than `radius` from its
+    start.
     """
     k, block = _z_block(obs)
     t = np.array(t0, dtype=float)
     ok = np.ones(t.size, dtype=bool)
     active = ok.copy()
     for _ in range(8):
-        _, f1, f2 = _modulus_sq(k, block, t[active])
+        _, f1, f2 = _modulus_sq(k, block[active] if block.ndim == 3 else block, t[active])
         concave = f2 < 0.0
         step = np.divide(f1, f2, out=np.zeros_like(f1), where=concave)
         t[active] -= step
@@ -121,32 +123,57 @@ def _newton_peaks(obs, t0, radius):
 
 
 def z_peaks(obs, n_points, keep=None, margin=0.0):
-    """Every local maximum of |Z|: returns (t, |Z(t)|).
+    """Every local maximum of |Z| of each row: returns (t, |Z(t)|, row).
 
     |Z| is swept on n_points grid points t_j = h j (h = 2 pi / n_points) by
-    one zero-padded FFT (_uniform_sums).  The grid-local maxima among the
-    points where keep(t_j) holds (all of them when keep is None) are polished
-    together by Newton on d|Z|^2/dt = 0 (_newton_peaks), which may move each
-    up to h + margin from its start.  Newton reaches the rounding floor of
-    the gradient in two or three steps; a search on values alone would stall
-    at sqrt(eps).  The starts on which Newton meets f'' >= 0, ends non-finite
-    or moves too far go together to Newton kept inside the bracket
-    (t_j - h, t_j, t_j + h) on |Z|^2 (numerics.maximize_bracketed), which
-    may end at a bracket end where |Z| rises out of it.
+    one zero-padded FFT of the stack (_uniform_sums).  The grid-local maxima
+    among the points where keep(t_j) holds (all of them when keep is None)
+    are polished together by Newton on d|Z|^2/dt = 0 (_newton_peaks), which
+    may move each up to h + margin from its start.  Newton reaches the
+    rounding floor of the gradient in two or three steps; a search on values
+    alone would stall at sqrt(eps).  The starts on which Newton meets
+    f'' >= 0, ends non-finite or moves too far go together to Newton kept
+    inside the bracket (t_j - h, t_j, t_j + h) on |Z|^2
+    (numerics.maximize_bracketed), which may end at a bracket end where |Z|
+    rises out of it.  Every peak is polished on its own row of the data, so
+    its value does not depend on the other rows of the stack.
     """
     h = 2.0 * math.pi / n_points
     t_grid = h * np.arange(n_points)
-    swept = np.abs(_uniform_sums(obs.y, n_points)) / math.sqrt(obs.n_freq)
+    swept = np.abs(_uniform_sums(np.atleast_2d(obs.y), n_points)) / math.sqrt(obs.n_freq)
     masked = swept if keep is None else np.where(keep(t_grid), swept, -np.inf)
-    t0 = t_grid[_local_max_mask_1d(masked)]
-    t_star, ok = _newton_peaks(obs, t0, h + margin)
+    rows, cols = np.nonzero(_local_max_mask_1d(masked))
+    t0 = t_grid[cols]
+    starts = obs if obs.y.ndim == 1 else obs.rows(rows)  # a stack: one row per start
+    t_star, ok = _newton_peaks(starts, t0, h + margin)
 
     refused = ~ok
     if refused.any():
-        k, block = _z_block(obs)
+        k, block = _z_block(starts)
+        block = block[refused] if block.ndim == 3 else block
         t_star[refused] = maximize_bracketed(lambda t: _modulus_sq(k, block, t),
                                              t0[refused] - h, t0[refused], t0[refused] + h)[0]
-    return t_star, np.abs(z_eval(obs, t_star))
+    return t_star, np.abs(z_eval(starts, t_star)), rows
+
+
+_DEGENERATE = "|Z| is constant to within 1e-12: no isolated maximizer exists"
+
+
+def _first_knots(obs):
+    """(t_hat, theta_hat, lambda1, degenerate) of each row of the stack obs;
+    see first_knot.  A degenerate row holds the values at t_hat = 0, which
+    mean nothing."""
+    n_rows = np.atleast_2d(obs.y).shape[0]
+    t_star, vals, rows = z_peaks(obs, FIRST_KNOT_GRID_FACTOR * obs.n_freq)
+    best = np.full(n_rows, -np.inf)
+    np.maximum.at(best, rows, vals)
+    tied = vals >= best[rows] - 1e-9 * best[rows]
+    t_hat = np.full(n_rows, np.inf)
+    np.minimum.at(t_hat, rows[tied], t_star[tied] % (2.0 * math.pi))
+    degenerate = np.isinf(best)
+    t_hat[degenerate] = 0.0
+    z_at = z_eval(obs, t_hat)
+    return t_hat, np.arctan2(z_at.imag, z_at.real) % (2.0 * math.pi), np.abs(z_at), degenerate
 
 
 def first_knot(obs):
@@ -157,20 +184,13 @@ def first_knot(obs):
     The largest polished value wins, and ties within 1e-9 of it (relative)
     go to the smallest t.  A sweep without a grid-local maximum (|Z|
     constant to 1e-12 of its largest value, _local_max_mask_1d) raises
-    DegenerateProcess.
+    DegenerateProcess.  It is the stacked route (_first_knots) on a stack
+    of one.
     """
-    t_star, vals = z_peaks(obs, FIRST_KNOT_GRID_FACTOR * obs.n_freq)
-    if t_star.size == 0:
-        raise DegenerateProcess(
-            "|Z| is constant to within 1e-12: no isolated maximizer exists"
-        )
-    best = vals.max()
-    tied = vals >= best - 1e-9 * best
-    t_hat = float(np.min(t_star[tied] % (2.0 * math.pi)))
-    z_at = z_eval(obs, t_hat)
-    lambda1 = abs(z_at)
-    theta_hat = math.atan2(z_at.imag, z_at.real)
-    return TorusPoint.make(t_hat, theta_hat), float(lambda1)
+    t_hat, theta_hat, lambda1, degenerate = _first_knots(obs)
+    if degenerate[0]:
+        raise DegenerateProcess(_DEGENERATE)
+    return TorusPoint.make(t_hat[0], theta_hat[0]), float(lambda1[0])
 
 
 def _larger_root(u, q, e, f):
@@ -207,7 +227,9 @@ def _profile_at(lambda1, sums):
 
 def _theta_profile(w, lambda1):
     """The profile m(dt) = max over dtheta of g at fixed dt != 0, as a function
-    profile(dt) -> (m, m', m'', the maximizing dtheta) of a 1-D array dt.
+    profile(dt) -> (m, m', m'', the maximizing dtheta) of an array dt.  With
+    w of shape (B, N) and lambda1 of shape (B,), one profile per row, and
+    the last axis of dt runs over the rows.
 
     With a = a1 + i a2 = sum_k w_k e^{ik dt} / sqrt N and c = Gamma(dt), m is
     the larger root of
@@ -228,56 +250,133 @@ def _theta_profile(w, lambda1):
     quadratic v m^2 + 2 u m + q above).  Where r = 0 (the flat profile of a
     noiseless spike) m' and m'' read 0.
 
-    Every sum is one product: each of a1, a2, c and their first two
-    derivatives is sum (C_k cos k dt + S_k sin k dt) = sum C_k -
+    Every sum is one row of products, summed: each of a1, a2, c and their
+    first two derivatives is sum (C_k cos k dt + S_k sin k dt) = sum C_k -
     2 sum C_k sin^2(k dt / 2) + sum S_k sin k dt, with C, S read off
     (1, ik, -k^2) w_k / sqrt N and (1, ik, -k^2) / N.  The constant sums of
     a1 and c are lambda1 (up to the first knot's rounding) and 1, so those
     two rows give lambda1 - a1 and 1 - c without their constants.
     """
-    n = w.size
+    n = w.shape[-1]
     k = np.arange(-(n // 2), n // 2 + 1)
     ik_pow = np.array([np.ones(n), 1j * k, -k * k])
-    a_pow, c_pow = ik_pow * (w / math.sqrt(n)), ik_pow / n  # a, a', a'' and c, c', c''
+    a_pow = ik_pow * (w[..., None, :] / math.sqrt(n))           # a, a', a''
+    c_pow = np.broadcast_to(ik_pow / n, a_pow.shape)            # c, c', c''
     # rows a1, c, a2, then their first and then their second derivatives
-    cos_part = np.stack([a_pow.real, c_pow.real, a_pow.imag], axis=1).reshape(9, n)
-    sin_part = np.stack([-a_pow.imag, -c_pow.imag, a_pow.real], axis=1).reshape(9, n)
-    basis = np.concatenate([-2.0 * cos_part, sin_part], axis=1).T
-    const = cos_part.sum(axis=1)
-    basis[:, :2] *= -1.0
-    const[:2] = 0.0
+    rows = a_pow.shape[:-2] + (9, n)
+    cos_part = np.stack([a_pow.real, c_pow.real, a_pow.imag], axis=-2).reshape(rows)
+    sin_part = np.stack([-a_pow.imag, -c_pow.imag, a_pow.real], axis=-2).reshape(rows)
+    basis = np.concatenate([-2.0 * cos_part, sin_part], axis=-1)
+    const = cos_part.sum(axis=-1)
+    basis[..., :2, :] *= -1.0
+    const[..., :2] = 0.0
 
     def profile(dt):
-        kdt = np.multiply.outer(dt, k)
-        trig = np.concatenate([np.sin(0.5 * kdt) ** 2, np.sin(kdt)], axis=1)
-        return _profile_at(lambda1, (trig @ basis + const).T)
+        kdt = dt[..., None] * k
+        trig = np.concatenate([np.sin(0.5 * kdt) ** 2, np.sin(kdt)], axis=-1)
+        sums = (trig[..., None, :] * basis).sum(axis=-1) + const
+        return _profile_at(lambda1, np.moveaxis(sums, -1, 0))
 
     return profile
 
 
 def _local_moments(w):
     """(x0, beta, alpha3) = sum (1, k^2, k) Re(w_k) / sqrt N for the aligned
-    coefficients w (_aligned_coeffs); see hessian_and_alphas."""
-    k = np.arange(w.size) - w.size // 2
-    sqrt_n = math.sqrt(w.size)
-    return (float(w.real.sum()) / sqrt_n, float((k * k) @ w.real) / sqrt_n,
-            float(k @ w.real) / sqrt_n)
+    coefficients w (_aligned_coeffs), along the last axis; see
+    hessian_and_alphas."""
+    k = np.arange(w.shape[-1]) - w.shape[-1] // 2
+    sqrt_n = math.sqrt(w.shape[-1])
+    re = w.real
+    return re.sum(axis=-1) / sqrt_n, (re * (k * k)).sum(axis=-1) / sqrt_n, (re * k).sum(axis=-1) / sqrt_n
 
 
 def _profile_limit(w, lambda1):
     """The dt -> 0 limit of the profile: the top eigenvalue of
-    Lt^{-1/2} R Lt^{-1/2} minus lambda1.
+    Lt^{-1/2} R Lt^{-1/2} minus lambda1, for each row of w.
 
     It is the larger root of the dt^2 coefficients of the profile quadratic,
     alpha1 m^2 + (beta + alpha1 lambda1) m + (lambda1 beta - alpha3^2) = 0 with
     beta = alpha2 + alpha1 lambda1 = -X_tt(z_hat), which is the characteristic
     equation of that matrix shifted by lambda1.
     """
-    f_c = w.size // 2
+    f_c = w.shape[-1] // 2
     alpha1 = f_c * (f_c + 1) / 3.0
     _, beta, alpha3 = _local_moments(w)
-    return float(_larger_root(0.5 * (beta + alpha1 * lambda1), lambda1 * beta - alpha3 * alpha3,
-                              0.5 * (alpha1 * lambda1 - beta), alpha3 * math.sqrt(alpha1))[0])
+    limit = _larger_root(0.5 * (beta + alpha1 * lambda1), lambda1 * beta - alpha3 * alpha3,
+                         0.5 * (alpha1 * lambda1 - beta), alpha3 * math.sqrt(alpha1))[0]
+    return float(limit) if np.ndim(limit) == 0 else limit
+
+
+def _first_per_row(rows, keys, mask, n_rows):
+    """For each row, the index of the entry that sorts first by keys (the
+    first key most significant, ties to the earlier entry) among those
+    where mask holds."""
+    idx = np.flatnonzero(mask)
+    order = idx[np.lexsort((idx,) + tuple(key[idx] for key in reversed(keys)) + (rows[idx],))]
+    sorted_rows = rows[order]
+    head = np.flatnonzero(np.concatenate([[True], sorted_rows[1:] != sorted_rows[:-1]]))
+    first = np.full(n_rows, -1)
+    first[sorted_rows[head]] = order[head]
+    return first
+
+
+def _second_knots(obs, t_hat, theta_hat, lambda1):
+    """(t, theta, lambda2) of the second knot of each row of the stack obs,
+    whose first knots are (t_hat, theta_hat) and lambda1; see second_knot."""
+    w = _aligned_coeffs(obs, (t_hat, theta_hat))
+    n_rows = w.shape[0]
+    n, n_grid, half = obs.n_freq, 16 * obs.n_freq, 8 * obs.n_freq
+    h = 2.0 * math.pi / n_grid
+    # a at dt = h, 2h, ..., (half - 1) h, then -half h, ..., -h on each row, and Gamma
+    sums = _uniform_sums(np.concatenate([w / math.sqrt(n), np.full((1, n), 1.0 / n)]), n_grid)
+    a_dt, c_dt = sums[:-1, 1:], sums[-1, 1:]
+    l1 = lambda1[:, None]
+    swept = _profile_at(l1, (l1 - a_dt.real, 1.0 - c_dt.real, a_dt.imag))[0]
+    limit = _profile_limit(w, lambda1)
+    prof = np.concatenate([swept[:, half - 1:], limit[:, None], swept[:, :half - 1]], axis=1)
+
+    is_max = _local_max_mask_1d(prof)
+    is_max[np.arange(n_rows), np.argmax(prof, axis=1)] = True  # a flat profile has no strict maximum
+    near_top = is_max & (prof >= prof.max(axis=1, keepdims=True) - 1e-2 * l1)
+    order = np.argsort(np.where(near_top, -prof, np.inf), axis=1, kind="stable")[:, :6]
+    rows, slot = np.nonzero(np.take_along_axis(near_top, order, axis=1))
+    idx = order[rows, slot]
+
+    gap = 1e-3 * h
+    mid = h * (idx - half)  # h times whole offsets: the neighbours of dt = 0 read exactly -h, h
+    before, at, after = prof[rows, idx - 1], prof[rows, idx], prof[rows, (idx + 1) % n_grid]
+    bend = before - 2.0 * at + after
+    start = mid + 0.5 * h * np.divide(before - after, bend, out=np.zeros_like(bend),
+                                      where=bend < 0.0)
+    split = np.abs(mid) <= h
+    a = np.concatenate([mid - h, np.full(np.count_nonzero(split), gap)])
+    c = np.concatenate([np.where(split, -gap, mid + h), mid[split] + h])
+    start = np.concatenate([start, start[split]])
+    owner = np.concatenate([rows, rows[split]])
+    place = np.concatenate([slot, 6 + slot[split]])  # the order of a row's brackets
+    keep = c > a
+    a, c, start, owner, place = a[keep], c[keep], start[keep], owner[keep], place[keep]
+    b = np.where((a < start) & (start < c), start, 0.5 * (a + c))
+    profile = _theta_profile(w[owner], lambda1[owner])
+    x, m, _, _, dth = maximize_bracketed(profile, a, b, c)
+
+    # the limit stands in, at dt = 0, for each row with a bracket around 0
+    has_split = np.zeros(n_rows, dtype=bool)
+    has_split[rows[split]] = True
+    every = np.arange(n_rows)
+    cand_row = np.concatenate([owner, every])
+    dts = np.concatenate([wrap_delta(x), np.zeros(n_rows)])
+    dths = np.concatenate([dth, np.zeros(n_rows)])
+    vals = np.concatenate([m, np.where(has_split, limit, -np.inf)])
+    g_best = np.full(n_rows, -np.inf)
+    np.maximum.at(g_best, cand_row, vals)
+    tied = vals >= g_best[cand_row] - 1e-9 * lambda1[cand_row]
+    key = (dts + t_hat[cand_row]) % (2.0 * math.pi)
+    win = _first_per_row(cand_row, (key, np.concatenate([place, np.full(n_rows, 12)])), tied,
+                         n_rows)
+
+    lambda2 = lambda1 + np.minimum(np.maximum(g_best, -lambda1), 0.0)
+    return wrap_angle(t_hat + dts[win]), wrap_angle(theta_hat + dths[win]), lambda2
 
 
 def second_knot(obs, z_hat, lambda1):
@@ -299,48 +398,46 @@ def second_knot(obs, z_hat, lambda1):
     stands in as one more candidate, attained at y_hat = z_hat.  Ties within
     1e-9 lambda1 go to the smallest t.  The result is clamped to
     [0, lambda1]: g <= 0 always, and the theta-circle guarantees
-    max g >= -lambda1, so any excursion is floating-point noise.
+    max g >= -lambda1, so any excursion is floating-point noise.  It is the
+    stacked route (_second_knots) on a stack of one, all of whose brackets
+    take one maximize_bracketed call.
     """
-    w = _aligned_coeffs(obs, z_hat)
-    n, n_grid, half = obs.n_freq, 16 * obs.n_freq, 8 * obs.n_freq
-    h = 2.0 * math.pi / n_grid
-    # a and Gamma at dt = h, 2h, ..., (half - 1) h, then -half h, ..., -h
-    a_dt, c_dt = _uniform_sums(np.stack([w / math.sqrt(n), np.full(n, 1.0 / n)]), n_grid)[:, 1:]
-    swept = _profile_at(lambda1, (lambda1 - a_dt.real, 1.0 - c_dt.real, a_dt.imag))[0]
-    limit = _profile_limit(w, lambda1)
-    prof = np.concatenate([swept[half - 1:], [limit], swept[:half - 1]])  # at h (j - half)
+    t, theta, lambda2 = _second_knots(obs, np.array([z_hat.t]), np.array([z_hat.theta]),
+                                      np.array([float(lambda1)]))
+    return TorusPoint.make(t[0], theta[0]), float(lambda2[0])
 
-    is_max = _local_max_mask_1d(prof)
-    is_max[int(np.argmax(prof))] = True  # a flat profile (noiseless spike) has no strict maximum
-    idx = np.nonzero(is_max & (prof >= prof.max() - 1e-2 * lambda1))[0]
-    idx = idx[np.argsort(-prof[idx])[:6]]
 
-    gap = 1e-3 * h
-    mid = h * (idx - half)  # h times whole offsets: the neighbours of dt = 0 read exactly -h, h
-    before, at, after = prof[idx - 1], prof[idx], prof[(idx + 1) % n_grid]
-    bend = before - 2.0 * at + after
-    start = mid + 0.5 * h * np.divide(before - after, bend, out=np.zeros_like(bend),
-                                      where=bend < 0.0)
-    split = np.abs(mid) <= h
-    a = np.concatenate([mid - h, np.full(np.count_nonzero(split), gap)])
-    c = np.concatenate([np.where(split, -gap, mid + h), mid[split] + h])
-    start = np.concatenate([start, start[split]])
-    keep = c > a
-    a, c, start = a[keep], c[keep], start[keep]
-    b = np.where((a < start) & (start < c), start, 0.5 * (a + c))
-    profile = _theta_profile(w, lambda1)
-    x, m, _, _, dth = maximize_bracketed(profile, a, b, c)
-    dts, dths = np.append(wrap_delta(x), 0.0), np.append(dth, 0.0)
-    vals = np.append(m, limit if split.any() else -np.inf)
-    g_best = vals.max()
-    tied = np.nonzero(vals >= g_best - 1e-9 * lambda1)[0]
-    win = tied[np.argmin((dts[tied] + z_hat.t) % (2.0 * math.pi))]
-    dt_star, dth_star = float(dts[win]), float(dths[win])
+def _local_geometry(obs, t_hat, theta_hat, lambda1):
+    """(alpha2, alpha3, |grad X(z_hat)|, errors) of each row of the stack
+    obs at its first knot; errors holds per row the NotAMaximum that
+    hessian_and_alphas raises, or None."""
+    ctx = obs.context()
+    k = np.arange(-obs.f_c, obs.f_c + 1)
+    w = _aligned_coeffs(obs, (t_hat, theta_hat))
+    x0, beta, alpha3 = _local_moments(w)
+    sqrt_n = math.sqrt(obs.n_freq)
+    alpha2 = (w.real * (k**2 - ctx.alpha1)).sum(axis=-1) / sqrt_n
+    # grad X(z_hat) = (X_t, X_theta) = (-sum k Im w_k, sum Im w_k) / sqrt N
+    grad_norm = np.hypot((w.imag * k).sum(axis=-1), w.imag.sum(axis=-1)) / sqrt_n
+    mismatch = max(1.0, ctx.alpha1) * np.abs(x0 - lambda1)
+    errors = []
+    for i in range(w.shape[0]):
+        if not (x0[i] > 0.0 and beta[i] * x0[i] > alpha3[i] * alpha3[i]):
+            errors.append(NotAMaximum(
+                "-X''(z_hat) = [[%g, %g], [%g, %g]] is not positive definite; "
+                "z_hat is not a strict maximum" % (beta[i], -alpha3[i], -alpha3[i], x0[i])))
+        elif mismatch[i] > 1e-9 * lambda1[i]:
+            errors.append(NotAMaximum(
+                "alpha formulas disagree with the analytic Hessian by %g" % (mismatch[i],)))
+        else:
+            errors.append(None)
+    return alpha2, alpha3, grad_norm, errors
 
-    g_final = min(max(g_best, -lambda1), 0.0)
-    lambda2 = lambda1 + g_final
-    y_hat = TorusPoint.make(z_hat.t + dt_star, z_hat.theta + dth_star)
-    return y_hat, float(lambda2)
+
+def _remainder(alpha2, alpha3):
+    """R = [[-alpha2, alpha3], [alpha3, 0]] for each pair."""
+    return np.stack([np.stack([-alpha2, alpha3], axis=-1),
+                     np.stack([alpha3, np.zeros_like(alpha3)], axis=-1)], axis=-2)
 
 
 def hessian_and_alphas(obs, z_hat, lambda1):
@@ -357,43 +454,72 @@ def hessian_and_alphas(obs, z_hat, lambda1):
     X''(z_hat) + Lambda-tilde*lambda1 up to max(1, alpha1) |x0 - lambda1|,
     which must not exceed 1e-9 lambda1 (z_hat and lambda1 belong together),
     and -X''(z_hat) is positive definite iff x0 > 0 and beta x0 > alpha3^2.
-    Either failure raises NotAMaximum.
+    Either failure raises NotAMaximum.  It is the stacked route
+    (_local_geometry) on a stack of one.
     """
-    ctx = obs.context()
-    k = np.arange(-obs.f_c, obs.f_c + 1)
-    w = _aligned_coeffs(obs, z_hat)
-    x0, beta, alpha3 = _local_moments(w)
-    alpha2 = float((k**2 - ctx.alpha1) @ w.real / math.sqrt(obs.n_freq))
-    big_r = np.array([[-alpha2, alpha3], [alpha3, 0.0]])
-    if not (x0 > 0.0 and beta * x0 > alpha3 * alpha3):
-        raise NotAMaximum(
-            "-X''(z_hat) = [[%g, %g], [%g, %g]] is not positive definite; "
-            "z_hat is not a strict maximum" % (beta, -alpha3, -alpha3, x0)
-        )
-    mismatch = max(1.0, ctx.alpha1) * abs(x0 - lambda1)
-    if mismatch > 1e-9 * lambda1:
-        raise NotAMaximum(
-            "alpha formulas disagree with the analytic Hessian by %g" % (mismatch,)
-        )
-    return big_r, alpha2, alpha3
+    alpha2, alpha3, _, errors = _local_geometry(obs, np.array([z_hat.t]),
+                                                np.array([z_hat.theta]), np.array([lambda1]))
+    if errors[0] is not None:
+        raise errors[0]
+    return _remainder(alpha2, alpha3)[0], float(alpha2[0]), float(alpha3[0])
 
 
-def compute_certificate(obs):
-    """Full knot computation: first knot, second knot, Hessian remainder."""
-    z_hat, lambda1 = first_knot(obs)
-    y_hat, lambda2 = second_knot(obs, z_hat, lambda1)
-    big_r, alpha2, alpha3 = hessian_and_alphas(obs, z_hat, lambda1)
-    # grad X(z_hat) = (X_t, X_theta) = (-sum k Im w_k, sum Im w_k) / sqrt N
-    w = _aligned_coeffs(obs, z_hat)
-    k = np.arange(-obs.f_c, obs.f_c + 1)
-    grad_norm = math.hypot(k @ w.imag, w.imag.sum()) / math.sqrt(obs.n_freq)
-    return KnotCertificate(
-        z_hat=z_hat,
+def compute_certificates(obs):
+    """The certificate of each row of the stack obs, and per row the
+    SrknotsError that stopped it (None where none did).
+
+    The certificate holds one array per field over all rows (z_hat and
+    y_hat as TorusPoints of arrays, R as an (R, 2, 2) array); a row that
+    failed reads nan.  The first knots of the stack come first; the local
+    geometry and the second knots are taken on the rows that have one.
+    Every quantity of a row is computed from that row alone, so it does not
+    depend on the stack it came in.
+    """
+    t_hat, theta_hat, lambda1, degenerate = _first_knots(obs)
+    errors = [DegenerateProcess(_DEGENERATE) if d else None for d in degenerate]
+    fields = np.full((6, len(errors)), np.nan)  # alpha2, alpha3, grad, t_y, theta_y, lambda2
+    live = np.flatnonzero(~degenerate)
+    if live.size:
+        rows = obs.rows(live)
+        alpha2, alpha3, grad_norm, geometry = _local_geometry(
+            rows, t_hat[live], theta_hat[live], lambda1[live])
+        fields[:3, live] = alpha2, alpha3, grad_norm
+        for i, err in zip(live, geometry):
+            errors[i] = err
+        live = np.flatnonzero([err is None for err in errors])
+        if live.size:
+            fields[3:, live] = _second_knots(obs.rows(live), t_hat[live], theta_hat[live],
+                                             lambda1[live])
+    bad = np.array([err is not None for err in errors])
+    t_hat, theta_hat, lambda1 = (np.where(bad, np.nan, v) for v in (t_hat, theta_hat, lambda1))
+    alpha2, alpha3, grad_norm, t_y, theta_y, lambda2 = fields
+    cert = KnotCertificate(
+        z_hat=TorusPoint(t_hat, theta_hat),
         lambda1=lambda1,
-        y_hat=y_hat,
+        y_hat=TorusPoint(t_y, theta_y),
         lambda2=lambda2,
-        R=big_r,
+        R=_remainder(alpha2, alpha3),
         alpha2=alpha2,
         alpha3=alpha3,
         grad_norm_at_zhat=grad_norm,
+    )
+    return cert, errors
+
+
+def compute_certificate(obs):
+    """Full knot computation: first knot, second knot, Hessian remainder;
+    the stacked route (compute_certificates) on a stack of one, which raises
+    the error that stopped it."""
+    cert, errors = compute_certificates(obs)
+    if errors[0] is not None:
+        raise errors[0]
+    return KnotCertificate(
+        z_hat=TorusPoint.make(cert.z_hat.t[0], cert.z_hat.theta[0]),
+        lambda1=float(cert.lambda1[0]),
+        y_hat=TorusPoint.make(cert.y_hat.t[0], cert.y_hat.theta[0]),
+        lambda2=float(cert.lambda2[0]),
+        R=cert.R[0],
+        alpha2=float(cert.alpha2[0]),
+        alpha3=float(cert.alpha3[0]),
+        grad_norm_at_zhat=float(cert.grad_norm_at_zhat[0]),
     )

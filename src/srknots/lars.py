@@ -193,7 +193,7 @@ class _Leg:
         def off_discs(t):
             return np.min(np.abs(wrap_delta(t[:, None] - x[None, :])), axis=1) >= _MERGE_RADIUS
 
-        t_peak, peak_vals = z_peaks(res, _EVENT_GRID_FACTOR * self.obs.n_freq, keep=off_discs,
+        t_peak, peak_vals, _ = z_peaks(res, _EVENT_GRID_FACTOR * self.obs.n_freq, keep=off_discs,
                                     margin=_MERGE_RADIUS)
         kept = off_discs(t_peak)
         edges = np.concatenate([x - _MERGE_RADIUS, x + _MERGE_RADIUS])

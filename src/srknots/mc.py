@@ -1,13 +1,22 @@
 """Monte-Carlo harness: null calibration, power under spike alternatives,
 ECDF/KS summaries, and the figure panels (CSV + SVG).
 
-STATISTICS records what each statistic needs, and evaluate_statistics is the
-one route from statistic names to p-values: run_experiment calls it once per
-replication, and `srknots test` once on its observation.
+STATISTICS records what each statistic needs, and _evaluate_block is the one
+route from statistic names to p-values.  It takes a stack of observations
+(model.Observation with an (R, N) y) and runs every layer once over the
+stack: the certificates (knots.compute_certificates), the Voronoi draws and
+lambda2-bar, the variance estimates and each statistic's stacked route in
+stats.  A replication that fails stays the failure of its own row: the
+layers return, per row, the SrknotsError that stopped it, and the later
+layers run on the rows that have a certificate.  run_experiment takes its
+replications in blocks of BLOCK_REPS, and evaluate_statistics, behind
+`srknots test`, is the block route on a stack of one.
 
 Replication r of a run with seed s draws everything from RngStream(s, r), in
-the fixed order (spike locations, noise, Voronoi uniform), so each
-replication can be recomputed alone and any subset of statistics can be
+the fixed order (spike locations, noise, Voronoi uniform), before its block
+is evaluated.  Every value of a row is computed from that row alone, with
+arithmetic that does not depend on the number of rows, so each replication
+can be recomputed alone, in any block, and any subset of statistics can be
 recomputed in isolation.
 """
 
@@ -19,23 +28,28 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import SrknotsError
-from .knots import compute_certificate
-from .model import TWO_PI, AtomicMeasure, synthesize
+from .knots import compute_certificates
+from .model import TWO_PI, AtomicMeasure, Observation, synthesize
 from .numerics import RngStream
 from .stats import (
-    grid_spacing_test,
-    grid_test_known,
-    grid_test_unknown,
-    lambda2_bar,
-    rice_known,
-    rice_unknown,
-    spacing_statistic,
-    voronoi_sample,
+    _grid_known,
+    _grid_spacing,
+    _grid_unknown,
+    _lambda2_bar,
+    _one,
+    _rice_known,
+    _rice_unknown,
+    _spacing,
+    _voronoi,
 )
 from .variance import sigma_hat_cond, sigma_hat_grid
 
 DEFAULT_GRID_SIZES = (3, 10, 32, 50)
+
+# Replications per block of run_experiment: enough to spread the Python
+# overhead of a layer call over many rows, few enough that the largest
+# temporary (the 50 x 50 grid of grid_spacing_50 per row) stays near 3 MB.
+BLOCK_REPS = 32
 
 
 @dataclass(frozen=True)
@@ -87,56 +101,85 @@ def check_cutoff(name, f_c):
         raise ValueError("statistic %r needs f_c >= %d, got %d" % (name, min_fc, f_c))
 
 
-def evaluate_statistics(obs, statistics, sigma, rng):
-    """{name: TestReport, or the message of the SrknotsError that stopped it}
-    for each statistic on obs.  sigma (None allowed where no statistic reads
-    it) is the known noise level; rng draws the Voronoi uniform.
-
-    The certificate is computed once, then the Voronoi draw and lambda2-bar
-    once if grid or t_grid is asked for; if either fails, so does every
-    statistic that needs the certificate.  Layer functions are looked up by
-    their module-level names on each call, so replacing a name reroutes it.
-    """
+def _check_statistics(statistics, sigma, f_c):
     needs = {name: statistic_needs(name) for name in statistics}
     for name, need in needs.items():
         if need.known_sigma and not (sigma is not None and sigma > 0):
             raise ValueError("statistic %r needs a positive known noise level" % name)
-        check_cutoff(name, obs.f_c)
+        check_cutoff(name, f_c)
+    return needs
+
+
+def _evaluate_block(obs, statistics, sigma, uniforms):
+    """{name: (rows, report, errors)} for each statistic on the stack obs:
+    report is the statistic's TestReport over the rows `rows` of the stack
+    (its value and aux entries are arrays), and errors holds, per row of the
+    stack, the SrknotsError that stopped it or None.  sigma (None allowed
+    where no statistic reads it) is the known noise level, and uniforms the
+    (R, 2) Voronoi uniforms (None when no statistic is randomized).
+
+    The certificates are computed once, then the Voronoi draws and
+    lambda2-bar once if grid or t_grid is asked for; a row whose certificate
+    failed fails every statistic that needs one, with the same error.
+    """
+    needs = _check_statistics(statistics, sigma, obs.f_c)
     ctx = obs.context()
-    cert = l2_bar = cert_error = None
+    n_rows = obs.y.shape[0]
+    cert_errors = [None] * n_rows
     if any(n.certificate for n in needs.values()):
-        try:
-            cert = compute_certificate(obs)
-            if any(n.randomized for n in needs.values()):
-                hess = np.asarray(cert.R) - ctx.lambda_tilde() * cert.lambda1
-                u_draw = voronoi_sample(hess, rng)
-                l2_bar = lambda2_bar(cert.lambda1, cert.lambda2, hess, u_draw, ctx)
-        except SrknotsError as exc:
-            cert_error = str(exc)
+        cert, cert_errors = compute_certificates(obs)
+        good = np.flatnonzero([err is None for err in cert_errors])
+        at = obs.rows(good)
+        z_hat = (cert.z_hat.t[good], cert.z_hat.theta[good])
+        lambda1, lambda2 = cert.lambda1[good], cert.lambda2[good]
+        if any(n.randomized for n in needs.values()):
+            hess = cert.R[good] - ctx.lambda_tilde() * lambda1[:, None, None]
+            u_draw = _voronoi(hess, uniforms[good])
+            l2_bar = _lambda2_bar(lambda1, lambda2, hess, u_draw, ctx.alpha1)
 
     out = {}
     for name in statistics:
-        if cert_error is not None and needs[name].certificate:
-            out[name] = cert_error
+        side = _grid_side(name)
+        if side is not None:
+            out[name] = (np.arange(n_rows),) + _grid_spacing(obs, side, sigma)
             continue
-        try:
-            if name == "rice":
-                out[name] = rice_known(cert, sigma, ctx)
-            elif name == "t_rice":
-                out[name] = rice_unknown(cert, sigma_hat_cond(obs, cert.z_hat), ctx)
-            elif name == "spacing":
-                out[name] = spacing_statistic(cert.lambda1, cert.lambda2, sigma)
-            elif name == "grid":
-                out[name] = grid_test_known(cert.lambda1, l2_bar, sigma)
-            elif name == "t_grid":
-                out[name] = grid_test_unknown(
-                    cert.lambda1, l2_bar, sigma_hat_grid(obs, cert.z_hat), ctx
-                )
-            else:
-                out[name] = grid_spacing_test(obs, _grid_side(name), sigma)
-        except SrknotsError as exc:
-            out[name] = str(exc)
+        if name == "rice":
+            stacked = _rice_known(lambda1, lambda2, cert.alpha2[good], cert.alpha3[good], sigma,
+                                  ctx.alpha1)
+        elif name == "t_rice":
+            var_est = sigma_hat_cond(at, z_hat)
+            stacked = _rice_unknown(lambda1, lambda2, cert.R[good], var_est.value, var_est.dof,
+                                    ctx)
+        elif name == "spacing":
+            stacked = _spacing(lambda1, lambda2, sigma)
+        elif name == "grid":
+            stacked = _grid_known(lambda1, l2_bar, sigma)
+        else:
+            var_est = sigma_hat_grid(at, z_hat)
+            stacked = _grid_unknown(lambda1, l2_bar, var_est.value, var_est.dof, ctx)
+        report, errors = stacked
+        merged = list(cert_errors)
+        for row, err in zip(good, errors):
+            merged[row] = err
+        out[name] = (good, report, merged)
     return out
+
+
+def evaluate_statistics(obs, statistics, sigma, rng):
+    """{name: TestReport, or the message of the SrknotsError that stopped it}
+    for each statistic on the one observation obs.  sigma (None allowed
+    where no statistic reads it) is the known noise level; rng draws the
+    Voronoi uniform when grid or t_grid is asked for.
+
+    It is the block route (_evaluate_block) on a stack of one.
+    """
+    needs = _check_statistics(statistics, sigma, obs.f_c)
+    uniforms = None
+    if any(n.randomized for n in needs.values()):
+        uniforms = rng.uniform(size=2)[None]
+    evaluated = _evaluate_block(obs.rows([0]), statistics, sigma, uniforms)
+    return {name: _one((report, errors)) if errors[0] is None else str(errors[0])
+            for name, (_, report, errors) in evaluated.items()}
 
 
 @dataclass(frozen=True)
@@ -220,26 +263,34 @@ class ExperimentTable:
         return len({rep for rep, _, _ in self.failures})
 
 
-def _one_rep(config, rep):
-    rng = RngStream(config.seed, rep).generator()
-    measure = config.alternative.draw_measure(config.f_c, rng)
-    obs = synthesize(measure, config.f_c, config.sigma, rng)
-    return evaluate_statistics(obs, config.statistics, config.sigma, rng)
-
-
 def run_experiment(config):
     """Evaluate every requested statistic on each of `reps` independent
-    observations, one replication after another; see the module docstring
-    for the determinism contract."""
+    observations, in blocks of BLOCK_REPS replications: each block draws
+    its replications one after another, then evaluates them as one stack
+    (_evaluate_block).  See the module docstring for the determinism
+    contract."""
     values = {name: np.empty(config.reps) for name in config.statistics}
     failures = []
-    for rep in range(config.reps):
-        for name, report in _one_rep(config, rep).items():
-            if isinstance(report, str):
-                values[name][rep] = np.nan
-                failures.append((rep, name, report))
-            else:
-                values[name][rep] = report.value
+    randomized = any(statistic_needs(name).randomized for name in config.statistics)
+    for first in range(0, config.reps, BLOCK_REPS):
+        block = range(first, min(first + BLOCK_REPS, config.reps))
+        ys, uniforms = [], []
+        for rep in block:
+            rng = RngStream(config.seed, rep).generator()
+            measure = config.alternative.draw_measure(config.f_c, rng)
+            ys.append(synthesize(measure, config.f_c, config.sigma, rng).y)
+            if randomized:
+                uniforms.append(rng.uniform(size=2))
+        obs = Observation(f_c=config.f_c, y=np.array(ys), sigma=config.sigma)
+        evaluated = _evaluate_block(obs, config.statistics, config.sigma,
+                                    np.array(uniforms) if randomized else None)
+        for name, (rows, report, errors) in evaluated.items():
+            column = values[name][first:first + len(block)]
+            column[rows] = report.value
+            for row, err in enumerate(errors):
+                if err is not None:
+                    column[row] = np.nan
+                    failures.append((first + row, name, str(err)))
     failures.sort()
     return ExperimentTable(config=config, values=values, failures=failures)
 

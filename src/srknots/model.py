@@ -127,7 +127,12 @@ class AtomicMeasure:
 
 @dataclass(frozen=True)
 class Observation:
-    """Noisy Fourier data y in C^N with cutoff f_c; sigma is None when the noise level is unknown."""
+    """Noisy Fourier data y in C^N with cutoff f_c; sigma is None when the noise level is unknown.
+
+    y may also be an (R, N) stack of R observations at one cutoff and noise
+    level: the Monte-Carlo harness evaluates a block of replications as one
+    stack, and the layers that take a stack return one value per row.
+    """
 
     f_c: int
     y: np.ndarray
@@ -137,7 +142,7 @@ class Observation:
         if self.f_c < 1:
             raise ValueError("f_c must be >= 1, got %r" % (self.f_c,))
         y = np.asarray(self.y, dtype=complex)
-        if y.shape != (2 * self.f_c + 1,):
+        if y.ndim not in (1, 2) or y.shape[-1] != 2 * self.f_c + 1:
             raise ValueError(
                 "y must have length 2*f_c+1 = %d, got %r" % (2 * self.f_c + 1, y.shape)
             )
@@ -154,6 +159,10 @@ class Observation:
     def context(self):
         return ModelContext(self.f_c)
 
+    def rows(self, index):
+        """The stack of the rows `index` of this observation's stack."""
+        return Observation(self.f_c, np.atleast_2d(self.y)[index], self.sigma)
+
 
 def kernel_gamma(f_c, t):
     """Gamma(t) = D_N(t)/N = (1/N)(1 + 2 sum_{k=1}^{f_c} cos(kt))."""
@@ -162,7 +171,7 @@ def kernel_gamma(f_c, t):
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     k = np.arange(1, f_c + 1, dtype=float)
-    out = (1.0 + 2.0 * np.cos(np.multiply.outer(t, k)) @ np.ones_like(k)) / n
+    out = (1.0 + 2.0 * np.cos(np.multiply.outer(t, k)).sum(axis=-1)) / n
     return float(out[0]) if scalar else out
 
 
@@ -191,20 +200,24 @@ def synthesize(measure, f_c, sigma, stream):
 
 
 def z_eval(obs, t):
-    """Z(t) = (1/sqrt(N)) sum_k y_k e^{ikt}; vectorized over t."""
+    """Z(t) = (1/sqrt(N)) sum_k y_k e^{ikt}, at every t; for a stack, t
+    broadcasts against its rows (t of shape (R,) takes one point per row).
+
+    Each value is the sum along the last axis of its own row of products,
+    so it does not depend on how many points or rows are evaluated with it."""
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
     k = np.arange(-obs.f_c, obs.f_c + 1)
-    vals = np.exp(1j * np.multiply.outer(t, k)) @ obs.y / math.sqrt(obs.n_freq)
-    return complex(vals[0]) if scalar else vals
+    vals = (np.exp(1j * t[..., None] * k) * obs.y).sum(axis=-1) / math.sqrt(obs.n_freq)
+    return complex(vals) if vals.ndim == 0 else vals
 
 
 def _aligned_coeffs(obs, z):
     """w_k = y_k exp(i(k t - theta)) at z = (t, theta): the Fourier data rotated
-    so that X(z + (dt, dtheta)) = Re(e^{-i dtheta} sum_k w_k e^{ik dt}) / sqrt N."""
+    so that X(z + (dt, dtheta)) = Re(e^{-i dtheta} sum_k w_k e^{ik dt}) / sqrt N.
+    For a stack, t and theta are arrays with one point per row."""
     k = np.arange(-obs.f_c, obs.f_c + 1)
-    return obs.y * np.exp(1j * (k * z[0] - z[1]))
+    t, theta = (np.asarray(c, dtype=float)[..., None] for c in z)
+    return obs.y * np.exp(1j * (k * t - theta))
 
 
 def _fmt17(x):

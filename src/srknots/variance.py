@@ -42,13 +42,18 @@ class VarianceEstimate:
     dof: int
 
 
+def _estimate(value, dof):
+    return VarianceEstimate(value=float(value) if value.ndim == 0 else value, dof=dof)
+
+
 def sigma_hat_grid(obs, z):
-    """Estimate sigma^2 regressing out X(z); (2N-1) * value / sigma^2 is chi-square(2N-1)."""
+    """Estimate sigma^2 regressing out X(z); (2N-1) * value / sigma^2 is chi-square(2N-1).
+    For a stack obs and z = (t, theta) arrays, value holds one estimate per row."""
     w = _aligned_coeffs(obs, z)
-    re_res = w.real - w.real.mean()
+    re_res = w.real - w.real.mean(axis=-1, keepdims=True)
     dof = 2 * obs.n_freq - 1
-    value = float((re_res @ re_res + w.imag @ w.imag) / dof)
-    return VarianceEstimate(value=value, dof=dof)
+    return _estimate(((re_res * re_res).sum(axis=-1) + (w.imag * w.imag).sum(axis=-1)) / dof,
+                     dof)
 
 
 def sigma_hat_cond(obs, z):
@@ -56,13 +61,14 @@ def sigma_hat_cond(obs, z):
 
     Unlike the grid variant this is independent of the local maximum geometry
     (value and gradient both conditioned away), which is what the studentized
-    knot tests require at z = z_hat.
+    knot tests require at z = z_hat.  Stacks as sigma_hat_grid does.
     """
     w = _aligned_coeffs(obs, z)
     k = np.arange(-obs.f_c, obs.f_c + 1)
-    re_res = w.real - w.real.mean()
+    re_res = w.real - w.real.mean(axis=-1, keepdims=True)
     # the constant and k vectors are orthogonal, so both projections come off at once
-    im_res = w.imag - w.imag.mean() - (k @ w.imag) / (k @ k) * k
+    im_res = (w.imag - w.imag.mean(axis=-1, keepdims=True)
+              - (w.imag * k).sum(axis=-1, keepdims=True) / (k @ k) * k)
     dof = 2 * obs.n_freq - 3
-    value = float((re_res @ re_res + im_res @ im_res) / dof)
-    return VarianceEstimate(value=value, dof=dof)
+    return _estimate(((re_res * re_res).sum(axis=-1) + (im_res * im_res).sum(axis=-1)) / dof,
+                     dof)

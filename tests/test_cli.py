@@ -403,14 +403,16 @@ def test_failed_rep_stays_in_the_denominator(monkeypatch, capsys):
         finite[alt] = np.delete(run_experiment(config).values["rice"], failing)
         rng = RngStream(seed, failing).generator()
         targets.append(synthesize(alt.draw_measure(fc, rng), fc, 1.0, rng).y)
-    real = mc.compute_certificate
+    real = mc.compute_certificates
 
     def flaky(obs):
-        if any(np.array_equal(obs.y, y) for y in targets):
-            raise NotAMaximum("injected failure")
-        return real(obs)
+        # the certificates of a block, with the target rep's turned into a failure
+        cert, errors = real(obs)
+        return cert, [NotAMaximum("injected failure")
+                      if any(np.array_equal(row, y) for y in targets) else err
+                      for row, err in zip(obs.y, errors)]
 
-    monkeypatch.setattr(mc, "compute_certificate", flaky)
+    monkeypatch.setattr(mc, "compute_certificates", flaky)
     argv = ("--fc", str(fc), "--seed", str(seed), "--reps", str(reps), "--stat", "rice")
 
     code, out, _ = _run(capsys, "power", *argv, "--spike", "4")
@@ -428,6 +430,26 @@ def test_failed_rep_stays_in_the_denominator(monkeypatch, capsys):
     for alpha in ("0.01", "0.05", "0.10"):
         expected = (np.count_nonzero(finite[null] <= float(alpha)) + 1) / reps
         assert payload["level"][alpha] == expected
+
+
+def test_level_summary_when_every_rep_fails(monkeypatch, capsys):
+    # with no finite p-value the KS distance is null, and the level counts
+    # every rep: a rejection in calibrate, a non-rejection in power
+    real = mc.compute_certificates
+
+    def failing(obs):
+        cert, errors = real(obs)
+        return cert, [NotAMaximum("injected failure")] * len(errors)
+
+    monkeypatch.setattr(mc, "compute_certificates", failing)
+    argv = ("--fc", "3", "--seed", "4", "--reps", "5", "--stat", "rice")
+    for command, extra, level in (("calibrate", (), 1.0), ("power", ("--spike", "4"), 0.0)):
+        code, out, _ = _run(capsys, command, *argv, *extra)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ks_uniform"] is None
+        assert payload["excluded"] == 5
+        assert payload["level"] == {"0.01": level, "0.05": level, "0.10": level}
 
 
 def test_reproduce_tiny(tmp_path, capsys):

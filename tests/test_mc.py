@@ -152,6 +152,35 @@ def test_rep_is_a_function_of_its_stream():
         assert grid_test_known(cert.lambda1, l2_bar, config.sigma).value == table.values["grid"][rep]
 
 
+_ALL_NINE = ("rice", "t_rice", "spacing", "grid", "t_grid", "grid_spacing_3",
+             "grid_spacing_10", "grid_spacing_32", "grid_spacing_50")
+
+
+@pytest.mark.parametrize("f_c, seed, alternative", [
+    (7, 701, AlternativeSpec()),
+    (15, 1703765494, AlternativeSpec(1, (math.sqrt(31.0),))),
+])
+def test_block_matches_rep_by_rep(f_c, seed, alternative):
+    # reps 0-24 taken as one block by run_experiment and each alone through
+    # evaluate_statistics (the block route on a stack of one): every value
+    # and every failure the same, bit for bit
+    config = ExperimentConfig(f_c=f_c, reps=25, seed=seed, statistics=_ALL_NINE,
+                              alternative=alternative)
+    assert config.reps <= mc.BLOCK_REPS
+    table = run_experiment(config)
+    failures = []
+    for rep in range(config.reps):
+        rng = RngStream(seed, rep).generator()
+        obs = synthesize(alternative.draw_measure(f_c, rng), f_c, config.sigma, rng)
+        for name, report in mc.evaluate_statistics(obs, _ALL_NINE, config.sigma, rng).items():
+            if isinstance(report, str):
+                failures.append((rep, name, report))
+                assert np.isnan(table.values[name][rep])
+            else:
+                assert report.value == table.values[name][rep], (rep, name)
+    assert sorted(failures) == table.failures
+
+
 def test_exact_statistics_uniform_null(mc_table):
     config = ExperimentConfig(
         f_c=3, reps=300, seed=2026, statistics=("rice", "spacing", "grid_spacing_10")

@@ -15,10 +15,14 @@ from oracles import (
     rng_normal,
     rng_uniform,
 )
+from scipy.special import erfcx, log_ndtr, ndtr
+from scipy.stats import t as student_t
 
 from srknots.numerics import (
     RngStream,
+    log_normal_sf,
     maximize_bracketed,
+    mills_ratio,
     normal_pdf,
     normal_sf,
     normal_sf_ratio,
@@ -60,6 +64,64 @@ def test_student_sf_monotone_and_symmetry():
         assert np.all(np.diff(sf) < 0)
         assert student_sf(0.0, dof) == pytest.approx(0.5, abs=1e-15)
         assert student_sf(-2.0, dof) == pytest.approx(1.0 - student_sf(2.0, dof), abs=1e-14)
+
+
+_TINY = np.finfo(float).tiny
+
+
+def test_gaussian_tails_match_scipy():
+    # normal_sf, log_normal_sf and normal_sf_ratio against scipy.special on
+    # x in [-40, 1e4].  Where scipy's ndtr flushes a subnormal tail to 0,
+    # normal_sf returns that subnormal.
+    x = np.concatenate([np.linspace(-40.0, 40.0, 8001), np.geomspace(40.0, 1e4, 2000)])
+    ref = ndtr(-x)
+    sf = normal_sf(x)
+    normal = ref >= _TINY
+    assert np.all(np.abs(sf - ref)[normal] <= 1e-12 * ref[normal])
+    assert np.all(sf[~normal] < _TINY)
+    log_ref = log_ndtr(-x)
+    assert np.all(np.abs(log_normal_sf(x) - log_ref) <= 1e-12 * np.abs(log_ref) + 1e-300)
+    # a ratio read from two logs carries their absolute error, which grows
+    # like x^2 eps: 1e-14 (1 + x1^2) relative
+    for shift in (0.1, 1.0, 3.0):
+        x2 = x - shift
+        ratio_ref = np.exp(log_ndtr(-x) - log_ndtr(-x2))
+        kept = ratio_ref >= _TINY
+        err = np.abs(normal_sf_ratio(x, x2) - ratio_ref)[kept] / ratio_ref[kept]
+        assert np.all(err <= 1e-14 * (1.0 + x[kept] ** 2))
+    assert math.isinf(log_normal_sf(math.inf)) and log_normal_sf(-math.inf) == 0.0
+
+
+def test_mills_ratio_matches_scipy():
+    # M(x) = sqrt(pi / 2) erfcx(x / sqrt 2), through erfc up to x = 30 and
+    # Laplace's continued fraction past it: 1e-12 relative
+    x = np.concatenate([np.linspace(0.0, 40.0, 4001), np.geomspace(40.0, 1e4, 400)])
+    ref = math.sqrt(0.5 * math.pi) * erfcx(x / math.sqrt(2.0))
+    assert np.all(np.abs(mills_ratio(x) - ref) <= 1e-12 * ref)
+
+
+def test_student_functions_match_scipy():
+    # odd dof from 5 to 481 on t in [-1e4, 1e4]: sf and pdf within
+    # 1e-12 max(1, dof / 40) relative, where scipy's value is a normal
+    # double; where scipy flushes a subnormal sf to 0, ours is below the
+    # smallest normal double too
+    t = np.concatenate([np.linspace(-40.0, 40.0, 1601), np.geomspace(40.0, 1e4, 200),
+                        -np.geomspace(40.0, 1e4, 200)])
+    for dof in range(5, 482, 2):
+        bound = 1e-12 * max(1.0, dof / 40.0)
+        ref = student_t.sf(t, dof)
+        sf = student_sf(t, dof)
+        normal = ref >= _TINY
+        assert np.all(np.abs(sf - ref)[normal] <= bound * ref[normal]), dof
+        assert np.all(sf[~normal] < _TINY), dof
+        pdf_ref = student_t.pdf(t, dof)
+        kept = pdf_ref >= _TINY
+        assert np.all(np.abs(student_pdf(t, dof) - pdf_ref)[kept] <= bound * pdf_ref[kept]), dof
+    # several dofs in one call, scalars in and out
+    two = student_sf(np.array([[2.0], [2.0]]), np.array([[5], [29]]))
+    assert two[:, 0] == pytest.approx([student_sf(2.0, 5), student_sf(2.0, 29)], rel=1e-15)
+    assert isinstance(student_sf(2.0, 5), float)
+    assert student_sf(math.inf, 7) == 0.0 and student_sf(-math.inf, 7) == 1.0
 
 
 def test_student_pdf_normalization():
@@ -212,28 +274,34 @@ def test_maximize_1d_flat_slope_bisects_the_longer_side():
 
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# The certificate and a LARS path, run in a fresh interpreter, which then
-# must not have loaded scipy.optimize: the package's one use of scipy is
-# scipy.special.  (Here the test modules have loaded it through scipy.stats.)
-_NO_OPTIMIZE = """
+# Every statistic through run_experiment and a LARS path, run in a fresh
+# interpreter, which then must not have loaded any part of scipy: the
+# package's special functions are built on math and numpy alone.  (Here the
+# test modules have loaded scipy as an oracle.)
+_NO_SCIPY = """
 import sys
-from srknots import (AtomicMeasure, LarsOptions, RngStream, compute_certificate, lars_run,
-                     synthesize)
-spike = AtomicMeasure.from_atoms([(2.0, 1.5)])
-compute_certificate(synthesize(AtomicMeasure.empty(), 7, 1.0, RngStream(3, 0)))
-compute_certificate(synthesize(spike, 7, 0.0, RngStream(0)))
+from srknots import (AlternativeSpec, AtomicMeasure, ExperimentConfig, LarsOptions, RngStream,
+                     compute_certificate, lars_run, run_experiment, synthesize)
+stats = ("rice", "t_rice", "spacing", "grid", "t_grid", "grid_spacing_3", "grid_spacing_10",
+         "grid_spacing_32", "grid_spacing_50")
+table = run_experiment(ExperimentConfig(f_c=7, reps=3, seed=1, statistics=stats))
+assert not table.failures, table.failures
+run_experiment(ExperimentConfig(f_c=3, reps=2, seed=1, statistics=("rice",),
+                                alternative=AlternativeSpec(1, (60.0,))))
+compute_certificate(synthesize(AtomicMeasure.from_atoms([(2.0, 1.5)]), 7, 0.0, RngStream(0)))
 null3 = synthesize(AtomicMeasure.empty(), 3, 1.0, RngStream(5, 0))
 path = lars_run(null3, 1.0, LarsOptions(k_max=4))
 assert len(path.knots) >= 2, path.status
-assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+assert not loaded, "scipy modules were imported: %s" % loaded
 """
 
 
-def test_package_does_not_import_scipy_optimize():
+def test_package_does_not_import_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(_REPO, "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _NO_OPTIMIZE], env=env,
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from oracles import g_bar, h_bar, voronoi_rejection_sample
+from scipy.special import erfcx
 from scipy.stats import ks_2samp
 
 from srknots import stats
@@ -132,9 +133,15 @@ def test_rice_known_scale_equivariance(obs_seed42):
 
 def test_rice_known_nonpositive_denominator():
     ctx = ModelContext(3)
-    # both survival terms underflow to zero at lambda2 = 60
+    # B(lambda2) = (alpha1 + alpha2) + alpha1 M(1) = -6 + 4 M(1) < 0 at lambda2 = 1
     with pytest.raises(NonPositiveDenominator):
-        rice_known(_cert(61.0, 60.0), 1.0, ctx)
+        rice_known(_cert(2.0, 1.0, alpha2=-10.0), 1.0, ctx)
+    # where both phi underflow (knots past 38 sigma) the ratio is still a
+    # p-value: exp(-(61^2 - 60^2) / 2) (61 + M(61)) / (60 + M(60)), M the
+    # Mills ratio sqrt(pi / 2) erfcx(x / sqrt 2)
+    mills = [math.sqrt(0.5 * math.pi) * erfcx(x / math.sqrt(2.0)) for x in (61.0, 60.0)]
+    expected = math.exp(-60.5) * (61.0 + mills[0]) / (60.0 + mills[1])
+    assert rice_known(_cert(61.0, 60.0), 1.0, ctx).value == pytest.approx(expected, rel=1e-13)
 
 
 def test_h_bar_zero_remainder_value():
