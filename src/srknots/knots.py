@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProcess, NotAMaximum
+from .errors import DegenerateProcess, NotAMaximum, row_errors
 from .model import TorusPoint, _aligned_coeffs, wrap_angle, wrap_delta, z_eval
 from .numerics import maximize_bracketed
 
@@ -159,17 +159,32 @@ def z_peaks(obs, n_points, keep=None, margin=0.0):
 _DEGENERATE = "|Z| is constant to within 1e-12: no isolated maximizer exists"
 
 
+def _winners(rows, vals, t, n_rows, scale=None):
+    """The winner of each row among the candidates (rows, vals, t), the rule
+    of both knots: the largest value first, then the smallest t among the
+    values within 1e-9 scale of it (scale per row; the largest value itself
+    when None), then the earlier candidate.  Returns per row (the largest
+    value, the winner's t, the winner's index): -inf, inf and -1 on a row
+    with no such candidate."""
+    best = np.full(n_rows, -np.inf)
+    np.maximum.at(best, rows, vals)
+    scale = best if scale is None else scale
+    tied = vals >= best[rows] - 1e-9 * scale[rows]
+    t_win = np.full(n_rows, np.inf)
+    np.fmin.at(t_win, rows[tied], t[tied])
+    at_min = np.flatnonzero(tied & (t == t_win[rows]))
+    win = np.full(n_rows, rows.size)
+    np.minimum.at(win, rows[at_min], at_min)
+    return best, t_win, np.where(win < rows.size, win, -1)
+
+
 def _first_knots(obs):
     """(t_hat, theta_hat, lambda1, degenerate) of each row of the stack obs;
     see first_knot.  A degenerate row holds the values at t_hat = 0, which
     mean nothing."""
     n_rows = np.atleast_2d(obs.y).shape[0]
     t_star, vals, rows = z_peaks(obs, FIRST_KNOT_GRID_FACTOR * obs.n_freq)
-    best = np.full(n_rows, -np.inf)
-    np.maximum.at(best, rows, vals)
-    tied = vals >= best[rows] - 1e-9 * best[rows]
-    t_hat = np.full(n_rows, np.inf)
-    np.minimum.at(t_hat, rows[tied], t_star[tied] % (2.0 * math.pi))
+    best, t_hat, _ = _winners(rows, vals, t_star % (2.0 * math.pi), n_rows)
     degenerate = np.isinf(best)
     t_hat[degenerate] = 0.0
     z_at = z_eval(obs, t_hat)
@@ -182,7 +197,7 @@ def first_knot(obs):
     Every local maximum of |Z| comes from z_peaks on a sweep of
     FIRST_KNOT_GRID_FACTOR * N points, which brackets each in (t0 - h, t0 + h).
     The largest polished value wins, and ties within 1e-9 of it (relative)
-    go to the smallest t.  A sweep without a grid-local maximum (|Z|
+    go to the smallest t (_winners).  A sweep without a grid-local maximum (|Z|
     constant to 1e-12 of its largest value, _local_max_mask_1d) raises
     DegenerateProcess.  It is the stacked route (_first_knots) on a stack
     of one.
@@ -302,30 +317,16 @@ def _profile_limit(w, lambda1):
     f_c = w.shape[-1] // 2
     alpha1 = f_c * (f_c + 1) / 3.0
     _, beta, alpha3 = _local_moments(w)
-    limit = _larger_root(0.5 * (beta + alpha1 * lambda1), lambda1 * beta - alpha3 * alpha3,
-                         0.5 * (alpha1 * lambda1 - beta), alpha3 * math.sqrt(alpha1))[0]
-    return float(limit) if np.ndim(limit) == 0 else limit
+    return _larger_root(0.5 * (beta + alpha1 * lambda1), lambda1 * beta - alpha3 * alpha3,
+                        0.5 * (alpha1 * lambda1 - beta), alpha3 * math.sqrt(alpha1))[0]
 
 
-def _first_per_row(rows, keys, mask, n_rows):
-    """For each row, the index of the entry that sorts first by keys (the
-    first key most significant, ties to the earlier entry) among those
-    where mask holds."""
-    idx = np.flatnonzero(mask)
-    order = idx[np.lexsort((idx,) + tuple(key[idx] for key in reversed(keys)) + (rows[idx],))]
-    sorted_rows = rows[order]
-    head = np.flatnonzero(np.concatenate([[True], sorted_rows[1:] != sorted_rows[:-1]]))
-    first = np.full(n_rows, -1)
-    first[sorted_rows[head]] = order[head]
-    return first
-
-
-def _second_knots(obs, t_hat, theta_hat, lambda1):
-    """(t, theta, lambda2) of the second knot of each row of the stack obs,
-    whose first knots are (t_hat, theta_hat) and lambda1; see second_knot."""
-    w = _aligned_coeffs(obs, (t_hat, theta_hat))
-    n_rows = w.shape[0]
-    n, n_grid, half = obs.n_freq, 16 * obs.n_freq, 8 * obs.n_freq
+def _second_knots(w, t_hat, theta_hat, lambda1):
+    """(t, theta, lambda2) of the second knot of each row of a stack whose
+    first knots are (t_hat, theta_hat) and lambda1, from its aligned
+    coefficients w (_aligned_coeffs); see second_knot."""
+    n_rows, n = w.shape
+    n_grid, half = 16 * n, 8 * n
     h = 2.0 * math.pi / n_grid
     # a at dt = h, 2h, ..., (half - 1) h, then -half h, ..., -h on each row, and Gamma
     sums = _uniform_sums(np.concatenate([w / math.sqrt(n), np.full((1, n), 1.0 / n)]), n_grid)
@@ -353,9 +354,8 @@ def _second_knots(obs, t_hat, theta_hat, lambda1):
     c = np.concatenate([np.where(split, -gap, mid + h), mid[split] + h])
     start = np.concatenate([start, start[split]])
     owner = np.concatenate([rows, rows[split]])
-    place = np.concatenate([slot, 6 + slot[split]])  # the order of a row's brackets
     keep = c > a
-    a, c, start, owner, place = a[keep], c[keep], start[keep], owner[keep], place[keep]
+    a, c, start, owner = a[keep], c[keep], start[keep], owner[keep]
     b = np.where((a < start) & (start < c), start, 0.5 * (a + c))
     profile = _theta_profile(w[owner], lambda1[owner])
     x, m, _, _, dth = maximize_bracketed(profile, a, b, c)
@@ -368,12 +368,8 @@ def _second_knots(obs, t_hat, theta_hat, lambda1):
     dts = np.concatenate([wrap_delta(x), np.zeros(n_rows)])
     dths = np.concatenate([dth, np.zeros(n_rows)])
     vals = np.concatenate([m, np.where(has_split, limit, -np.inf)])
-    g_best = np.full(n_rows, -np.inf)
-    np.maximum.at(g_best, cand_row, vals)
-    tied = vals >= g_best[cand_row] - 1e-9 * lambda1[cand_row]
-    key = (dts + t_hat[cand_row]) % (2.0 * math.pi)
-    win = _first_per_row(cand_row, (key, np.concatenate([place, np.full(n_rows, 12)])), tied,
-                         n_rows)
+    g_best, _, win = _winners(cand_row, vals, (dts + t_hat[cand_row]) % (2.0 * math.pi), n_rows,
+                              lambda1)
 
     lambda2 = lambda1 + np.minimum(np.maximum(g_best, -lambda1), 0.0)
     return wrap_angle(t_hat + dts[win]), wrap_angle(theta_hat + dths[win]), lambda2
@@ -396,41 +392,35 @@ def second_knot(obs, z_hat, lambda1):
     and (gap, hi) around it, with gap = 1e-3 of a grid step h, each started
     from its midpoint where the vertex falls outside it, and the limit
     stands in as one more candidate, attained at y_hat = z_hat.  Ties within
-    1e-9 lambda1 go to the smallest t.  The result is clamped to
-    [0, lambda1]: g <= 0 always, and the theta-circle guarantees
-    max g >= -lambda1, so any excursion is floating-point noise.  It is the
-    stacked route (_second_knots) on a stack of one, all of whose brackets
-    take one maximize_bracketed call.
+    1e-9 lambda1 go to the smallest t (_winners, the first knot's rule).
+    The result is clamped to [0, lambda1]: g <= 0 always, and the
+    theta-circle guarantees max g >= -lambda1, so any excursion is
+    floating-point noise.  It is the stacked route (_second_knots) on a
+    stack of one, all of whose brackets take one maximize_bracketed call.
     """
-    t, theta, lambda2 = _second_knots(obs, np.array([z_hat.t]), np.array([z_hat.theta]),
+    t_hat, theta_hat = np.array([z_hat.t]), np.array([z_hat.theta])
+    t, theta, lambda2 = _second_knots(_aligned_coeffs(obs, (t_hat, theta_hat)), t_hat, theta_hat,
                                       np.array([float(lambda1)]))
     return TorusPoint.make(t[0], theta[0]), float(lambda2[0])
 
 
-def _local_geometry(obs, t_hat, theta_hat, lambda1):
-    """(alpha2, alpha3, |grad X(z_hat)|, errors) of each row of the stack
-    obs at its first knot; errors holds per row the NotAMaximum that
-    hessian_and_alphas raises, or None."""
-    ctx = obs.context()
-    k = np.arange(-obs.f_c, obs.f_c + 1)
-    w = _aligned_coeffs(obs, (t_hat, theta_hat))
+def _local_geometry(w, lambda1, alpha1):
+    """(alpha2, alpha3, |grad X(z_hat)|, errors) of each row of a stack at
+    its first knot, from its aligned coefficients w (_aligned_coeffs);
+    errors holds per row the NotAMaximum that hessian_and_alphas raises, or
+    None."""
+    k = np.arange(w.shape[-1]) - w.shape[-1] // 2
     x0, beta, alpha3 = _local_moments(w)
-    sqrt_n = math.sqrt(obs.n_freq)
-    alpha2 = (w.real * (k**2 - ctx.alpha1)).sum(axis=-1) / sqrt_n
+    sqrt_n = math.sqrt(w.shape[-1])
+    alpha2 = (w.real * (k**2 - alpha1)).sum(axis=-1) / sqrt_n
     # grad X(z_hat) = (X_t, X_theta) = (-sum k Im w_k, sum Im w_k) / sqrt N
     grad_norm = np.hypot((w.imag * k).sum(axis=-1), w.imag.sum(axis=-1)) / sqrt_n
-    mismatch = max(1.0, ctx.alpha1) * np.abs(x0 - lambda1)
-    errors = []
-    for i in range(w.shape[0]):
-        if not (x0[i] > 0.0 and beta[i] * x0[i] > alpha3[i] * alpha3[i]):
-            errors.append(NotAMaximum(
-                "-X''(z_hat) = [[%g, %g], [%g, %g]] is not positive definite; "
-                "z_hat is not a strict maximum" % (beta[i], -alpha3[i], -alpha3[i], x0[i])))
-        elif mismatch[i] > 1e-9 * lambda1[i]:
-            errors.append(NotAMaximum(
-                "alpha formulas disagree with the analytic Hessian by %g" % (mismatch[i],)))
-        else:
-            errors.append(None)
+    mismatch = max(1.0, alpha1) * np.abs(x0 - lambda1)
+    errors = row_errors(~((x0 > 0.0) & (beta * x0 > alpha3 * alpha3)), lambda i: NotAMaximum(
+        "-X''(z_hat) = [[%g, %g], [%g, %g]] is not positive definite; "
+        "z_hat is not a strict maximum" % (beta[i], -alpha3[i], -alpha3[i], x0[i])))
+    errors = row_errors(mismatch > 1e-9 * lambda1, lambda i: NotAMaximum(
+        "alpha formulas disagree with the analytic Hessian by %g" % (mismatch[i],)), errors)
     return alpha2, alpha3, grad_norm, errors
 
 
@@ -457,8 +447,8 @@ def hessian_and_alphas(obs, z_hat, lambda1):
     Either failure raises NotAMaximum.  It is the stacked route
     (_local_geometry) on a stack of one.
     """
-    alpha2, alpha3, _, errors = _local_geometry(obs, np.array([z_hat.t]),
-                                                np.array([z_hat.theta]), np.array([lambda1]))
+    w = _aligned_coeffs(obs, (np.array([z_hat.t]), np.array([z_hat.theta])))
+    alpha2, alpha3, _, errors = _local_geometry(w, np.array([lambda1]), obs.context().alpha1)
     if errors[0] is not None:
         raise errors[0]
     return _remainder(alpha2, alpha3)[0], float(alpha2[0]), float(alpha3[0])
@@ -471,25 +461,26 @@ def compute_certificates(obs):
     The certificate holds one array per field over all rows (z_hat and
     y_hat as TorusPoints of arrays, R as an (R, 2, 2) array); a row that
     failed reads nan.  The first knots of the stack come first; the local
-    geometry and the second knots are taken on the rows that have one.
+    geometry and the second knots are taken on the rows that have one, from
+    one pass of their aligned coefficients (_aligned_coeffs).
     Every quantity of a row is computed from that row alone, so it does not
     depend on the stack it came in.
     """
     t_hat, theta_hat, lambda1, degenerate = _first_knots(obs)
-    errors = [DegenerateProcess(_DEGENERATE) if d else None for d in degenerate]
+    errors = row_errors(degenerate, lambda i: DegenerateProcess(_DEGENERATE))
     fields = np.full((6, len(errors)), np.nan)  # alpha2, alpha3, grad, t_y, theta_y, lambda2
     live = np.flatnonzero(~degenerate)
     if live.size:
-        rows = obs.rows(live)
-        alpha2, alpha3, grad_norm, geometry = _local_geometry(
-            rows, t_hat[live], theta_hat[live], lambda1[live])
+        w = _aligned_coeffs(obs.rows(live), (t_hat[live], theta_hat[live]))
+        alpha2, alpha3, grad_norm, geometry = _local_geometry(w, lambda1[live],
+                                                              obs.context().alpha1)
         fields[:3, live] = alpha2, alpha3, grad_norm
         for i, err in zip(live, geometry):
             errors[i] = err
-        live = np.flatnonzero([err is None for err in errors])
+        good = np.array([err is None for err in geometry])
+        live = live[good]
         if live.size:
-            fields[3:, live] = _second_knots(obs.rows(live), t_hat[live], theta_hat[live],
-                                             lambda1[live])
+            fields[3:, live] = _second_knots(w[good], t_hat[live], theta_hat[live], lambda1[live])
     bad = np.array([err is not None for err in errors])
     t_hat, theta_hat, lambda1 = (np.where(bad, np.nan, v) for v in (t_hat, theta_hat, lambda1))
     alpha2, alpha3, grad_norm, t_y, theta_y, lambda2 = fields

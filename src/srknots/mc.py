@@ -32,14 +32,13 @@ from .knots import compute_certificates
 from .model import TWO_PI, AtomicMeasure, Observation, synthesize
 from .numerics import RngStream
 from .stats import (
-    _grid_known,
+    _gauss_ratio,
     _grid_spacing,
     _grid_unknown,
     _lambda2_bar,
     _one,
     _rice_known,
     _rice_unknown,
-    _spacing,
     _voronoi,
 )
 from .variance import sigma_hat_cond, sigma_hat_grid
@@ -110,19 +109,20 @@ def _check_statistics(statistics, sigma, f_c):
     return needs
 
 
-def _evaluate_block(obs, statistics, sigma, uniforms):
+def _evaluate_block(obs, needs, sigma, uniforms):
     """{name: (rows, report, errors)} for each statistic on the stack obs:
     report is the statistic's TestReport over the rows `rows` of the stack
     (its value and aux entries are arrays), and errors holds, per row of the
-    stack, the SrknotsError that stopped it or None.  sigma (None allowed
-    where no statistic reads it) is the known noise level, and uniforms the
-    (R, 2) Voronoi uniforms (None when no statistic is randomized).
+    stack, the SrknotsError that stopped it or None.  needs maps each
+    statistic name, checked against sigma and the cutoff by the caller, to
+    its StatisticNeeds.  sigma (None allowed where no statistic reads it) is
+    the known noise level, and uniforms the (R, 2) Voronoi uniforms (None
+    when no statistic is randomized).
 
     The certificates are computed once, then the Voronoi draws and
     lambda2-bar once if grid or t_grid is asked for; a row whose certificate
     failed fails every statistic that needs one, with the same error.
     """
-    needs = _check_statistics(statistics, sigma, obs.f_c)
     ctx = obs.context()
     n_rows = obs.y.shape[0]
     cert_errors = [None] * n_rows
@@ -138,7 +138,7 @@ def _evaluate_block(obs, statistics, sigma, uniforms):
             l2_bar = _lambda2_bar(lambda1, lambda2, hess, u_draw, ctx.alpha1)
 
     out = {}
-    for name in statistics:
+    for name in needs:
         side = _grid_side(name)
         if side is not None:
             out[name] = (np.arange(n_rows),) + _grid_spacing(obs, side, sigma)
@@ -151,9 +151,9 @@ def _evaluate_block(obs, statistics, sigma, uniforms):
             stacked = _rice_unknown(lambda1, lambda2, cert.R[good], var_est.value, var_est.dof,
                                     ctx)
         elif name == "spacing":
-            stacked = _spacing(lambda1, lambda2, sigma)
+            stacked = _gauss_ratio("spacing", {"lambda1": lambda1, "lambda2": lambda2}, sigma)
         elif name == "grid":
-            stacked = _grid_known(lambda1, l2_bar, sigma)
+            stacked = _gauss_ratio("grid", {"lambda1": lambda1, "lambda2_bar": l2_bar}, sigma)
         else:
             var_est = sigma_hat_grid(at, z_hat)
             stacked = _grid_unknown(lambda1, l2_bar, var_est.value, var_est.dof, ctx)
@@ -177,7 +177,7 @@ def evaluate_statistics(obs, statistics, sigma, rng):
     uniforms = None
     if any(n.randomized for n in needs.values()):
         uniforms = rng.uniform(size=2)[None]
-    evaluated = _evaluate_block(obs.rows([0]), statistics, sigma, uniforms)
+    evaluated = _evaluate_block(obs.rows([0]), needs, sigma, uniforms)
     return {name: _one((report, errors)) if errors[0] is None else str(errors[0])
             for name, (_, report, errors) in evaluated.items()}
 
@@ -268,10 +268,11 @@ def run_experiment(config):
     observations, in blocks of BLOCK_REPS replications: each block draws
     its replications one after another, then evaluates them as one stack
     (_evaluate_block).  See the module docstring for the determinism
-    contract."""
+    contract.  ExperimentConfig has checked the statistics already."""
     values = {name: np.empty(config.reps) for name in config.statistics}
     failures = []
-    randomized = any(statistic_needs(name).randomized for name in config.statistics)
+    needs = {name: statistic_needs(name) for name in config.statistics}
+    randomized = any(n.randomized for n in needs.values())
     for first in range(0, config.reps, BLOCK_REPS):
         block = range(first, min(first + BLOCK_REPS, config.reps))
         ys, uniforms = [], []
@@ -282,7 +283,7 @@ def run_experiment(config):
             if randomized:
                 uniforms.append(rng.uniform(size=2))
         obs = Observation(f_c=config.f_c, y=np.array(ys), sigma=config.sigma)
-        evaluated = _evaluate_block(obs, config.statistics, config.sigma,
+        evaluated = _evaluate_block(obs, needs, config.sigma,
                                     np.array(uniforms) if randomized else None)
         for name, (rows, report, errors) in evaluated.items():
             column = values[name][first:first + len(block)]

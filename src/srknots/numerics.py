@@ -30,17 +30,6 @@ def _half_erfc(x):
     return 0.5 * np.asarray(_erfc(x * _INV_SQRT2), dtype=float)
 
 
-def normal_pdf(x):
-    """Standard normal density phi(x) = exp(-x^2/2)/sqrt(2*pi)."""
-    x = np.asarray(x, dtype=float)
-    return _out(np.exp(-0.5 * x * x) / _SQRT_2PI)
-
-
-def normal_sf(x):
-    """Standard normal survival function 1 - Phi(x), via erfc (no cancellation for large x)."""
-    return _out(_half_erfc(np.asarray(x, dtype=float)))
-
-
 def _laplace_mills(x):
     """Laplace's continued fraction 1/(x + 1/(x + 2/(x + 3/(x + ...)))) for the
     Mills ratio, taken _CF_TERMS deep from the bottom; converged for x >= 30."""

@@ -11,12 +11,13 @@ spacing statistic, which is the documented non-conservative baseline:
                   randomized lambda2-bar restores exact uniformity;
   grid_spacing_n  the spacing test on a fixed p x p grid, exactly uniform.
 
-Each statistic has one stacked route (_rice_known, _rice_unknown, _spacing,
-_grid_known, _grid_unknown, _grid_spacing): it takes one array entry per
-replication and returns a TestReport whose value and aux entries are arrays,
-with, per replication, the SrknotsError that stopped it (None where none
-did).  The public functions are that route on a stack of one; they return
-a plain TestReport or raise the error.
+Each statistic has one stacked route (_rice_known, _rice_unknown,
+_grid_unknown, and _gauss_ratio, which spacing, grid and grid_spacing_n
+share): it takes one array entry per replication and returns a TestReport
+whose value and aux entries are arrays, with, per replication, the
+SrknotsError that stopped it (None where none did).  The public functions
+are that route on a stack of one; they return a plain TestReport or raise
+the error.
 """
 
 import math
@@ -25,10 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonPositiveDenominator, OutOfRange
+from .errors import NonPositiveDenominator, OutOfRange, row_errors
 from .model import TorusPoint, kernel_gamma, z_eval
-from .numerics import (RngStream, mills_ratio, normal_pdf, normal_sf_ratio, student_pdf,
-                       student_sf)
+from .numerics import RngStream, mills_ratio, normal_sf_ratio, student_pdf, student_sf
 
 
 # The half-width K of the lattice window that lambda2_bar maximizes over.
@@ -49,10 +49,8 @@ def _checked(name, value, aux, errors=None):
     [0, 1] (up to 1e-9) is an OutOfRange error, unless an earlier error
     already stopped that entry."""
     value = np.asarray(value, dtype=float)
-    errors = [None] * value.size if errors is None else errors
-    for i in np.flatnonzero(~((value >= -1e-9) & (value <= 1.0 + 1e-9))):
-        if errors[i] is None:
-            errors[i] = OutOfRange("statistic %s = %.17g is outside [0, 1]" % (name, value[i]))
+    errors = row_errors(~((value >= -1e-9) & (value <= 1.0 + 1e-9)), lambda i: OutOfRange(
+        "statistic %s = %.17g is outside [0, 1]" % (name, value[i])), errors)
     return TestReport(name=name, value=value, aux=aux), errors
 
 
@@ -76,19 +74,12 @@ def _rice_b(ell, a1, a2, a3, sigma):
     return sigma * (a1 * ell + a2) + (a1 * sigma * sigma - a3 * a3) * mills_ratio(ell / sigma)
 
 
-def _g_bar_closed(ell, a1, a2, a3, sigma):
-    """g_bar(ell) = sigma phi(ell / sigma) B(ell / sigma) (rice_known)."""
-    return sigma * normal_pdf(ell / sigma) * _rice_b(ell, a1, a2, a3, sigma)
-
-
 def _rice_known(lambda1, lambda2, alpha2, alpha3, sigma, alpha1):
     """The stacked route of rice_known."""
     x1, x2 = lambda1 / sigma, lambda2 / sigma
     num, den = _rice_b(np.stack([lambda1, lambda2]), alpha1, alpha2, alpha3, sigma)
-    errors = [None if d > 0.0 else NonPositiveDenominator(
-        "g_bar(lambda2) = %g; the certificate does not describe a maximum"
-        % _g_bar_closed(l2, alpha1, a2, a3, sigma))
-        for d, l2, a2, a3 in zip(den, lambda2, alpha2, alpha3)]
+    errors = row_errors(~(den > 0.0), lambda i: NonPositiveDenominator(
+        "B(lambda2) = %g; the certificate does not describe a maximum" % den[i]))
     with np.errstate(divide="ignore", invalid="ignore"):
         value = np.exp(-0.5 * (x1 - x2) * (x1 + x2)) * num / den
     aux = {"lambda1": lambda1, "lambda2": lambda2, "sigma": sigma, "alpha2": alpha2,
@@ -160,8 +151,8 @@ def _rice_unknown(lambda1, lambda2, big_r, variance, var_dof, ctx):
     s_hat = np.sqrt(variance)
     t1, t2 = lambda1 / s_hat, lambda2 / s_hat
     num, den = h_bar_closed(np.stack([t1, t2]), big_r / s_hat[:, None, None], m, ctx)
-    errors = [None if d > 0.0 else NonPositiveDenominator("h_bar(T2) = %g is not positive" % d)
-              for d in den]
+    errors = row_errors(~(den > 0.0), lambda i: NonPositiveDenominator(
+        "h_bar(T2) = %g is not positive" % den[i]))
     with np.errstate(divide="ignore", invalid="ignore"):
         value = num / den
     aux = {"lambda1": lambda1, "lambda2": lambda2, "sigma_hat": s_hat, "dof": var_dof,
@@ -180,10 +171,15 @@ def rice_unknown(cert, var_est, ctx):
                               np.atleast_1d(var_est.value), var_est.dof, ctx))
 
 
-def _spacing(lambda1, lambda2, sigma):
-    """The stacked route of spacing_statistic."""
-    value = normal_sf_ratio(lambda1 / sigma, lambda2 / sigma)
-    return _checked("spacing", value, {"lambda1": lambda1, "lambda2": lambda2, "sigma": sigma})
+def _gauss_ratio(name, knots, sigma, **extra):
+    """The stacked route of spacing_statistic, grid_test_known and
+    grid_spacing_test: Phi-bar(l1 / sigma) / Phi-bar(l2 / sigma) in log
+    space (numerics.normal_sf_ratio), for knots = {key1: l1, key2: l2}, the
+    first knot then the second under their aux keys; aux holds them, sigma
+    and extra."""
+    l1, l2 = knots.values()
+    value = normal_sf_ratio(l1 / sigma, l2 / sigma)
+    return _checked(name, value, dict(knots, sigma=sigma, **extra))
 
 
 def spacing_statistic(lambda1, lambda2, sigma):
@@ -193,7 +189,8 @@ def spacing_statistic(lambda1, lambda2, sigma):
     nominal 5% is around 11% for f_c = 7); it is kept as the comparison
     baseline that the Rice and randomized-grid corrections repair.
     """
-    return _one(_spacing(np.atleast_1d(lambda1), np.atleast_1d(lambda2), sigma))
+    return _one(_gauss_ratio("spacing", {"lambda1": np.atleast_1d(lambda1),
+                                         "lambda2": np.atleast_1d(lambda2)}, sigma))
 
 
 def _grid_knots(obs, p):
@@ -229,11 +226,10 @@ def grid_knots(obs, p):
 
 
 def _grid_spacing(obs, p, sigma):
-    """The stacked route of grid_spacing_test."""
+    """grid_spacing_test on a stack: its grid knots, then the shared ratio route."""
     lambda1_n, _, lambda2_n = _grid_knots(obs, p)
-    value = normal_sf_ratio(lambda1_n / sigma, lambda2_n / sigma)
-    aux = {"lambda1_n": lambda1_n, "lambda2_n": lambda2_n, "sigma": sigma, "p": p}
-    return _checked("grid_spacing_%d" % p, value, aux)
+    return _gauss_ratio("grid_spacing_%d" % p, {"lambda1_n": lambda1_n, "lambda2_n": lambda2_n},
+                        sigma, p=p)
 
 
 def grid_spacing_test(obs, p, sigma):
@@ -249,12 +245,10 @@ def _quadratic(m, d, e):
             + d[..., 1] * (m[..., 1, 0] * e[..., 0] + m[..., 1, 1] * e[..., 1]))
 
 
-def _gauss_reduce(metric):
-    """Lagrange-reduced basis (u, v) of Z^2 under the quadratic form `metric`:
-    q(u) <= q(v) <= q(u + w) for all lattice w, and <u, v> <= 0.  A stack of
-    metrics (n, 2, 2) gives (n, 2) arrays u and v."""
-    a = np.asarray(metric, dtype=float)
-    stack = a.reshape(-1, 2, 2)
+def _gauss_reduce(stack):
+    """Lagrange-reduced basis (u, v) of Z^2 under each quadratic form of the
+    (n, 2, 2) stack, as (n, 2) arrays u and v: q(u) <= q(v) <= q(u + w) for
+    all lattice w, and <u, v> <= 0."""
     u = np.tile([1.0, 0.0], (len(stack), 1))
     v = np.tile([0.0, 1.0], (len(stack), 1))
     swap = (_quadratic(stack, u, u) > _quadratic(stack, v, v))[:, None]
@@ -267,8 +261,7 @@ def _gauss_reduce(metric):
         u, v = np.where(active[:, None], v, u), np.where(active[:, None], u, v)
         if not active.any():
             break
-    v = np.where((_quadratic(stack, u, v) > 0.0)[:, None], -v, v)
-    return (u, v) if a.ndim == 3 else (u[0], v[0])
+    return u, np.where((_quadratic(stack, u, v) > 0.0)[:, None], -v, v)
 
 
 def _voronoi(hess, x):
@@ -333,16 +326,10 @@ def lambda2_bar(lambda1, lambda2, hess, u_draw, ctx):
                               np.asarray(u_draw, dtype=float)[None], ctx.alpha1)[0])
 
 
-def _grid_known(lambda1, lambda2_bar_value, sigma):
-    """The stacked route of grid_test_known."""
-    value = normal_sf_ratio(lambda1 / sigma, lambda2_bar_value / sigma)
-    aux = {"lambda1": lambda1, "lambda2_bar": lambda2_bar_value, "sigma": sigma}
-    return _checked("grid", value, aux)
-
-
 def grid_test_known(lambda1, lambda2_bar_value, sigma):
     """S-Grid: Phi-bar(lambda1/sigma) / Phi-bar(lambda2_bar/sigma)."""
-    return _one(_grid_known(np.atleast_1d(lambda1), np.atleast_1d(lambda2_bar_value), sigma))
+    return _one(_gauss_ratio("grid", {"lambda1": np.atleast_1d(lambda1),
+                                      "lambda2_bar": np.atleast_1d(lambda2_bar_value)}, sigma))
 
 
 def _grid_unknown(lambda1, lambda2_bar_value, variance, var_dof, ctx):

@@ -44,8 +44,8 @@ from srknots.model import (
     wrap_delta,
     z_eval,
 )
-from srknots.numerics import normal_pdf, student_pdf
-from srknots.stats import _gauss_reduce
+from srknots.numerics import student_pdf
+from srknots.stats import _gauss_reduce, _rice_b
 
 RADIUS_SWITCH = 0.5
 
@@ -121,6 +121,32 @@ def integrate_upper(f, lower, scale, spec=None):
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand returned non-finite values")
     return float(np.dot(weights.ravel(), values))
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def normal_pdf(x):
+    """Standard normal density phi(x) = exp(-x^2/2)/sqrt(2*pi); a float for a
+    float, an array for an array."""
+    x = np.asarray(x, dtype=float)
+    out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return float(out) if out.ndim == 0 else out
+
+
+def normal_sf(x):
+    """Standard normal survival function 1 - Phi(x) = erfc(x / sqrt 2) / 2,
+    elementwise through math.erfc (no cancellation for large x); it
+    underflows to 0 past x = 38.5."""
+    out = 0.5 * np.asarray(_erfc(np.asarray(x, dtype=float) * (1.0 / math.sqrt(2.0))), dtype=float)
+    return float(out) if out.ndim == 0 else out
+
+
+def g_bar_closed(ell, a1, a2, a3, sigma):
+    """g_bar(ell) = sigma phi(ell / sigma) B(ell / sigma), with B the factor
+    stats._rice_b whose ratio rice_known takes: the closed form that g_bar
+    integrates numerically."""
+    return sigma * normal_pdf(ell / sigma) * _rice_b(ell, a1, a2, a3, sigma)
 
 
 def _alphas_from_r(big_r):
@@ -509,7 +535,7 @@ def voronoi_geometry(metric):
     maximum of 1 and the cell's extent, listed from the cell's vertices.
     """
     a = np.asarray(metric, dtype=float)
-    u, v = _gauss_reduce(a)
+    u, v = (basis[0] for basis in _gauss_reduce(a[None]))
     rel = np.array([u, v, u + v], dtype=float)
     normals = rel @ a                      # rows r' A
     halves = 0.5 * np.einsum("ij,ij->i", normals, rel)  # q(r)/2

@@ -21,6 +21,8 @@ from oracles import (
     gamma_ratio_unknown_variance,
     h_bar,
     integrate_upper,
+    normal_pdf,
+    normal_sf,
 )
 from scipy import stats as sps
 
@@ -36,8 +38,6 @@ from srknots.model import (
 )
 from srknots.numerics import (
     RngStream,
-    normal_pdf,
-    normal_sf,
     student_pdf,
     student_sf,
 )

@@ -12,6 +12,8 @@ from oracles import (
     QuadratureSpec,
     gamma_ratio_unknown_variance,
     integrate_upper,
+    normal_pdf,
+    normal_sf,
     rng_normal,
     rng_uniform,
 )
@@ -23,8 +25,6 @@ from srknots.numerics import (
     log_normal_sf,
     maximize_bracketed,
     mills_ratio,
-    normal_pdf,
-    normal_sf,
     normal_sf_ratio,
     student_pdf,
     student_sf,
@@ -198,7 +198,7 @@ def _with_derivatives(f, f1, f2):
     return lambda x: (f(x), f1(x), f2(x))
 
 
-def test_maximize_1d_quadratic():
+def test_maximize_bracketed_quadratic():
     fun = _with_derivatives(lambda x: -((x - 1.0) ** 2), lambda x: -2.0 * (x - 1.0),
                             lambda x: np.full_like(x, -2.0))
     argmax, val = maximize_bracketed(fun, 0.0, 0.3, 2.0)[:2]
@@ -206,7 +206,7 @@ def test_maximize_1d_quadratic():
     assert val[0] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_maximize_1d_cosine():
+def test_maximize_bracketed_cosine():
     # a fourth array from fun rides along with its point
     def fun(x):
         return np.cos(x), -np.sin(x), -np.cos(x), np.sin(x)
@@ -218,7 +218,7 @@ def test_maximize_1d_cosine():
     assert sine[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_maximize_1d_x_exp():
+def test_maximize_bracketed_x_exp():
     # several brackets at once, each with its own inner point
     fun = _with_derivatives(lambda x: x * np.exp(-x), lambda x: (1.0 - x) * np.exp(-x),
                             lambda x: (x - 2.0) * np.exp(-x))
@@ -227,7 +227,7 @@ def test_maximize_1d_x_exp():
     assert np.all(np.abs(val - math.exp(-1.0)) < 1e-15)
 
 
-def test_maximize_1d_degenerate_bracket():
+def test_maximize_bracketed_degenerate_bracket():
     fun = _with_derivatives(np.cos, np.sin, np.cos)
     with pytest.raises(ValueError):
         maximize_bracketed(fun, 1.0, 1.0, 1.0)
@@ -235,7 +235,7 @@ def test_maximize_1d_degenerate_bracket():
         maximize_bracketed(fun, [0.0, 0.0], [1.0, 2.0], [2.0, 1.0])
 
 
-def test_maximize_1d_max_at_bracket_end():
+def test_maximize_bracketed_max_at_bracket_end():
     # an end higher than the inner point: the search starts there and stays
     # when f' points out of the bracket; else it finds the maximum inside
     fun = _with_derivatives(np.sin, np.cos, lambda x: -np.sin(x))
@@ -245,7 +245,7 @@ def test_maximize_1d_max_at_bracket_end():
     assert argmax[2] == pytest.approx(0.5 * math.pi, abs=1e-12)
 
 
-def test_maximize_1d_min_then_max():
+def test_maximize_bracketed_min_then_max():
     # f = 3x - x^3 has its minimum at -1 and its maximum at 1.  At the inner
     # point f'' > 0, and the Newton step would land near the minimum, inside
     # the bracket: it must bisect up the slope instead, and never look left
@@ -262,7 +262,7 @@ def test_maximize_1d_min_then_max():
     assert len(calls) < 12
 
 
-def test_maximize_1d_flat_slope_bisects_the_longer_side():
+def test_maximize_bracketed_flat_slope_bisects_the_longer_side():
     # f = x^2 - x^4 at 0: f' = 0 exactly and f'' > 0, so the first step
     # bisects the longer side, here the right one, up to 1 / sqrt(2)
     fun = _with_derivatives(lambda x: x**2 - x**4, lambda x: 2.0 * x - 4.0 * x**3,

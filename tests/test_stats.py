@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import g_bar, h_bar, voronoi_rejection_sample
+from oracles import g_bar, g_bar_closed, h_bar, normal_pdf, normal_sf, voronoi_rejection_sample
 from scipy.special import erfcx
 from scipy.stats import ks_2samp
 
@@ -13,9 +13,8 @@ from srknots.errors import NonPositiveDenominator, OutOfRange
 from srknots.knots import KnotCertificate, compute_certificate, first_knot
 from srknots.mc import AlternativeSpec
 from srknots.model import AtomicMeasure, ModelContext, TorusPoint, synthesize
-from srknots.numerics import RngStream, normal_pdf, normal_sf
+from srknots.numerics import RngStream
 from srknots.stats import (
-    _g_bar_closed,
     _gauss_reduce,
     grid_knots,
     grid_spacing_test,
@@ -28,7 +27,7 @@ from srknots.stats import (
     spacing_statistic,
     voronoi_sample,
 )
-from srknots.variance import VarianceEstimate, sigma_hat_cond
+from srknots.variance import VarianceEstimate, sigma_hat_cond, sigma_hat_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,7 +88,7 @@ def test_g_bar_matches_closed_form():
         sigma = rng.uniform(0.5, 2.0)
         big_r = np.array([[-a2, a3], [a3, 0.0]])
         quad = g_bar(ell, big_r, sigma, ctx)
-        closed = _g_bar_closed(ell, ctx.alpha1, a2, a3, sigma)
+        closed = g_bar_closed(ell, ctx.alpha1, a2, a3, sigma)
         assert abs(quad - closed) < 1e-9 * max(1.0, abs(closed))
     # at both knots of real certificates the two routes agree to 1e-12
     # relative (both read exactly 0 where phi(lambda1) underflows)
@@ -97,7 +96,7 @@ def test_g_bar_matches_closed_form():
         ctx = obs.context()
         for ell in (cert.lambda1, cert.lambda2):
             quad = g_bar(ell, cert.R, 1.0, ctx)
-            closed = _g_bar_closed(ell, ctx.alpha1, cert.alpha2, cert.alpha3, 1.0)
+            closed = g_bar_closed(ell, ctx.alpha1, cert.alpha2, cert.alpha3, 1.0)
             assert abs(quad - closed) <= 1e-12 * abs(closed)
 
 
@@ -308,7 +307,7 @@ def test_voronoi_sample_membership_general():
         phi = rng.uniform(0.0, math.pi)
         rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
         metric = rot @ np.diag(eig) @ rot.T
-        u, v = _gauss_reduce(metric)
+        u, v = (basis[0] for basis in _gauss_reduce(metric[None]))
         assert abs(u[0] * v[1] - u[1] * v[0]) == 1
         assert abs(2.0 * (u @ metric @ v)) <= u @ metric @ u <= v @ metric @ v
         assert u @ metric @ v <= 0.0
@@ -394,6 +393,33 @@ def test_grid_test_unknown_dof_validation():
     assert report.name == "t_grid"
     assert 0.0 <= report.value <= 1.0
     assert report.aux["dof"] == 13
+
+
+@pytest.mark.parametrize("f_c", [3, 7])
+def test_grid_test_unknown_tends_to_the_kappa_power_limit(f_c):
+    # One spike of weight 1e6 (sigma = 1): H ~ -Lt lambda1, so lambda2-bar
+    # tends to kappa lambda1 with kappa = max_k 2 k'Lt U / k'Lt k over the
+    # same window and Voronoi draw U, and t_grid's p-value to kappa^(2N - 1),
+    # since Fbar_nu(T) / Fbar_nu(kappa T) -> kappa^nu.  The (2N - 1)-th root
+    # of the p-value is about lambda2-bar / lambda1, which is off kappa by
+    # k'R(k - 2U) / k'Lt k / lambda1, a few 1e-6 for a remainder R of noise
+    # size: 1e-4 leaves a wide margin.
+    ctx = ModelContext(f_c)
+    nu = 2 * ctx.n_freq - 1
+    window = np.arange(-stats._K_WINDOW, stats._K_WINDOW + 1)
+    k = np.stack(np.meshgrid(window, window, indexing="ij"), axis=-1).reshape(-1, 2)
+    k = k[np.any(k != 0, axis=1)].astype(float)
+    lt_k = k * np.array([ctx.alpha1, 1.0])
+    for rep in range(10):
+        rng = RngStream(1917 + f_c, rep).generator()
+        obs = synthesize(AlternativeSpec(1, (1e6,)).draw_measure(f_c, rng), f_c, 1.0, rng)
+        cert = compute_certificate(obs)
+        hess = np.asarray(cert.R) - ctx.lambda_tilde() * cert.lambda1
+        u = voronoi_sample(hess, rng)
+        l2b = lambda2_bar(cert.lambda1, cert.lambda2, hess, u, ctx)
+        p_value = grid_test_unknown(cert.lambda1, l2b, sigma_hat_grid(obs, cert.z_hat), ctx).value
+        kappa = np.max(2.0 * (lt_k @ u) / np.einsum("ij,ij->i", lt_k, k))
+        assert p_value ** (1.0 / nu) == pytest.approx(kappa, abs=1e-4)
 
 
 def test_grid_statistic_dominates_spacing():
