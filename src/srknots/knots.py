@@ -96,8 +96,8 @@ def _modulus_sq(k, block, t):
 
 
 def _newton_peaks(obs, t0, radius):
-    """Newton on d|Z|^2/dt = 0 from every start in t0 at once; obs holds
-    one observation, or a stack with one row per start.
+    """Newton on d|Z|^2/dt = 0 from every start in t0 at once; obs is a
+    stack with one row per start.
 
     Each iteration takes f = |Z|^2, f' and f'' at all points (_modulus_sq)
     and steps by f'/f''.  A point stops once its step is below 1e-14; at
@@ -110,7 +110,7 @@ def _newton_peaks(obs, t0, radius):
     ok = np.ones(t.size, dtype=bool)
     active = ok.copy()
     for _ in range(8):
-        _, f1, f2 = _modulus_sq(k, block[active] if block.ndim == 3 else block, t[active])
+        _, f1, f2 = _modulus_sq(k, block[active], t[active])
         concave = f2 < 0.0
         step = np.divide(f1, f2, out=np.zeros_like(f1), where=concave)
         t[active] -= step
@@ -144,13 +144,12 @@ def z_peaks(obs, n_points, keep=None, margin=0.0):
     masked = swept if keep is None else np.where(keep(t_grid), swept, -np.inf)
     rows, cols = np.nonzero(_local_max_mask_1d(masked))
     t0 = t_grid[cols]
-    starts = obs if obs.y.ndim == 1 else obs.rows(rows)  # a stack: one row per start
+    starts = obs.rows(rows)  # a stack: one row per start
     t_star, ok = _newton_peaks(starts, t0, h + margin)
 
     refused = ~ok
     if refused.any():
-        k, block = _z_block(starts)
-        block = block[refused] if block.ndim == 3 else block
+        k, block = _z_block(starts.rows(refused))
         t_star[refused] = maximize_bracketed(lambda t: _modulus_sq(k, block, t),
                                              t0[refused] - h, t0[refused], t0[refused] + h)[0]
     return t_star, np.abs(z_eval(starts, t_star)), rows

@@ -219,7 +219,7 @@ class _Leg:
         t, edge = cand
         res = self.residual(x, a)
         if edge is None:
-            t_new, ok = _newton_peaks(res, np.array([t]), self.track_radius)
+            t_new, ok = _newton_peaks(res.rows([0]), np.array([t]), self.track_radius)
             t = float(t_new[0] % (2.0 * math.pi))
             if not ok[0] or np.min(np.abs(wrap_delta(t - x))) < _MERGE_RADIUS:
                 return None

@@ -6,11 +6,12 @@ route from statistic names to p-values.  It takes a stack of observations
 (model.Observation with an (R, N) y) and runs every layer once over the
 stack: the certificates (knots.compute_certificates), the Voronoi draws and
 lambda2-bar, the variance estimates and each statistic's stacked route in
-stats.  A replication that fails stays the failure of its own row: the
-layers return, per row, the SrknotsError that stopped it, and the later
-layers run on the rows that have a certificate.  run_experiment takes its
-replications in blocks of BLOCK_REPS, and evaluate_statistics, behind
-`srknots test`, is the block route on a stack of one.
+stats.  A replication that fails stays the failure of its own row: every
+layer runs on every row (a failed certificate reads nan) and returns per
+row the SrknotsError that stopped it, the certificate's error first.
+run_experiment takes its replications in blocks of BLOCK_REPS, and
+evaluate_statistics, behind `srknots test`, is the block route on a stack
+of one.
 
 Replication r of a run with seed s draws everything from RngStream(s, r), in
 the fixed order (spike locations, noise, Voronoi uniform), before its block
@@ -32,13 +33,12 @@ from .knots import compute_certificates
 from .model import TWO_PI, AtomicMeasure, Observation, synthesize
 from .numerics import RngStream
 from .stats import (
-    _gauss_ratio,
     _grid_spacing,
-    _grid_unknown,
     _lambda2_bar,
     _one,
     _rice_known,
     _rice_unknown,
+    _tail_ratio,
     _voronoi,
 )
 from .variance import sigma_hat_cond, sigma_hat_grid
@@ -110,58 +110,48 @@ def _check_statistics(statistics, sigma, f_c):
 
 
 def _evaluate_block(obs, needs, sigma, uniforms):
-    """{name: (rows, report, errors)} for each statistic on the stack obs:
-    report is the statistic's TestReport over the rows `rows` of the stack
-    (its value and aux entries are arrays), and errors holds, per row of the
-    stack, the SrknotsError that stopped it or None.  needs maps each
-    statistic name, checked against sigma and the cutoff by the caller, to
-    its StatisticNeeds.  sigma (None allowed where no statistic reads it) is
-    the known noise level, and uniforms the (R, 2) Voronoi uniforms (None
-    when no statistic is randomized).
+    """{name: (report, errors)} for each statistic on the stack obs: report
+    is the statistic's TestReport over every row of the stack (its value and
+    aux entries are arrays), and errors holds, per row, the SrknotsError
+    that stopped it or None.  needs maps each statistic name, checked
+    against sigma and the cutoff by the caller, to its StatisticNeeds.
+    sigma (None allowed where no statistic reads it) is the known noise
+    level, and uniforms the (R, 2) Voronoi uniforms (None when no statistic
+    is randomized).
 
     The certificates are computed once, then the Voronoi draws and
     lambda2-bar once if grid or t_grid is asked for; a row whose certificate
-    failed fails every statistic that needs one, with the same error.
+    failed keeps that error in every statistic that needs one.
     """
     ctx = obs.context()
-    n_rows = obs.y.shape[0]
-    cert_errors = [None] * n_rows
     if any(n.certificate for n in needs.values()):
         cert, cert_errors = compute_certificates(obs)
-        good = np.flatnonzero([err is None for err in cert_errors])
-        at = obs.rows(good)
-        z_hat = (cert.z_hat.t[good], cert.z_hat.theta[good])
-        lambda1, lambda2 = cert.lambda1[good], cert.lambda2[good]
+        lambda1, lambda2 = cert.lambda1, cert.lambda2
         if any(n.randomized for n in needs.values()):
-            hess = cert.R[good] - ctx.lambda_tilde() * lambda1[:, None, None]
-            u_draw = _voronoi(hess, uniforms[good])
-            l2_bar = _lambda2_bar(lambda1, lambda2, hess, u_draw, ctx.alpha1)
+            hess = cert.R - ctx.lambda_tilde() * lambda1[:, None, None]
+            l2_bar = _lambda2_bar(lambda1, lambda2, hess, _voronoi(hess, uniforms), ctx.alpha1)
 
     out = {}
     for name in needs:
         side = _grid_side(name)
         if side is not None:
-            out[name] = (np.arange(n_rows),) + _grid_spacing(obs, side, sigma)
+            out[name] = _grid_spacing(obs, side, sigma)
             continue
         if name == "rice":
-            stacked = _rice_known(lambda1, lambda2, cert.alpha2[good], cert.alpha3[good], sigma,
-                                  ctx.alpha1)
+            stacked = _rice_known(lambda1, lambda2, cert.alpha2, cert.alpha3, sigma, ctx.alpha1)
         elif name == "t_rice":
-            var_est = sigma_hat_cond(at, z_hat)
-            stacked = _rice_unknown(lambda1, lambda2, cert.R[good], var_est.value, var_est.dof,
-                                    ctx)
+            var_est = sigma_hat_cond(obs, cert.z_hat)
+            stacked = _rice_unknown(lambda1, lambda2, cert.R, var_est.value, var_est.dof, ctx)
         elif name == "spacing":
-            stacked = _gauss_ratio("spacing", {"lambda1": lambda1, "lambda2": lambda2}, sigma)
+            stacked = _tail_ratio("spacing", {"lambda1": lambda1, "lambda2": lambda2}, sigma)
         elif name == "grid":
-            stacked = _gauss_ratio("grid", {"lambda1": lambda1, "lambda2_bar": l2_bar}, sigma)
+            stacked = _tail_ratio("grid", {"lambda1": lambda1, "lambda2_bar": l2_bar}, sigma)
         else:
-            var_est = sigma_hat_grid(at, z_hat)
-            stacked = _grid_unknown(lambda1, l2_bar, var_est.value, var_est.dof, ctx)
+            var_est = sigma_hat_grid(obs, cert.z_hat)
+            stacked = _tail_ratio("t_grid", {"lambda1": lambda1, "lambda2_bar": l2_bar},
+                                  np.sqrt(var_est.value), var_est.dof)
         report, errors = stacked
-        merged = list(cert_errors)
-        for row, err in zip(good, errors):
-            merged[row] = err
-        out[name] = (good, report, merged)
+        out[name] = report, [c if c is not None else e for c, e in zip(cert_errors, errors)]
     return out
 
 
@@ -179,7 +169,7 @@ def evaluate_statistics(obs, statistics, sigma, rng):
         uniforms = rng.uniform(size=2)[None]
     evaluated = _evaluate_block(obs.rows([0]), needs, sigma, uniforms)
     return {name: _one((report, errors)) if errors[0] is None else str(errors[0])
-            for name, (_, report, errors) in evaluated.items()}
+            for name, (report, errors) in evaluated.items()}
 
 
 @dataclass(frozen=True)
@@ -285,9 +275,9 @@ def run_experiment(config):
         obs = Observation(f_c=config.f_c, y=np.array(ys), sigma=config.sigma)
         evaluated = _evaluate_block(obs, needs, config.sigma,
                                     np.array(uniforms) if randomized else None)
-        for name, (rows, report, errors) in evaluated.items():
+        for name, (report, errors) in evaluated.items():
             column = values[name][first:first + len(block)]
-            column[rows] = report.value
+            column[:] = report.value
             for row, err in enumerate(errors):
                 if err is not None:
                     column[row] = np.nan

@@ -2,7 +2,8 @@
 
 Everything here is a pure function of its arguments.  The special functions
 take a scalar or an array and return a float or an array alike; they are
-built on math.erfc and math.lgamma alone.
+built on math.erfc and math.lgamma alone.  Both tails, Gaussian and Student,
+are computed as logs, so sf_ratio stays finite where its two tails underflow.
 """
 
 import math
@@ -74,12 +75,6 @@ def log_normal_sf(x):
     return _by_tail(x, _log_near, _log_far)
 
 
-def normal_sf_ratio(x1, x2):
-    """The survival ratio (1 - Phi(x1)) / (1 - Phi(x2)), as
-    exp(log_normal_sf(x1) - log_normal_sf(x2)): finite where both tails underflow."""
-    return _out(np.exp(np.asarray(log_normal_sf(x1)) - log_normal_sf(x2)))
-
-
 def _check_dof(dof):
     if not np.all(np.asarray(dof) > 0):
         raise ValueError("dof must be positive, got %r" % (dof,))
@@ -123,16 +118,18 @@ def _beta_fraction(a, b, z):
     return frac
 
 
-def student_sf(x, dof):
-    """Student t survival function; dof may be an array that broadcasts
-    with x, so the tails of several dofs take one call.
+def log_student_sf(x, dof):
+    """The log of the Student t survival function, finite where the tail
+    underflows; dof may be an array that broadcasts with x, so the tails of
+    several dofs take one call.
 
     The two-sided tail P(|T| > |t|) is the regularized incomplete beta
     I_z(dof/2, 1/2) at z = dof/(dof + t^2).  Where t^2 (dof + 2) > 3 dof,
     z lies inside the region where its continued fraction (_beta_fraction)
-    converges; elsewhere the fraction gives the central mass
+    converges, and the log of the tail is the sum of the logs of its
+    factors; elsewhere the fraction gives the central mass
     I_{1-z}(1/2, dof/2), which is below P(|T| <= sqrt 3) < 0.92 there, so
-    1 minus it does not cancel.  For t < 0, sf is 1 minus sf(-t)."""
+    log1p of minus it does not cancel.  For t < 0, sf is 1 minus sf(-t)."""
     _check_dof(dof)
     x = np.asarray(x, dtype=float)
     dof = np.broadcast_to(np.asarray(dof, dtype=float), x.shape)
@@ -145,9 +142,24 @@ def student_sf(x, dof):
     z = np.where(np.isinf(t2), 0.0, z)
     log_beta = np.asarray(_lgamma(a) + _lgamma(b) - _lgamma(a + b), dtype=float)
     with np.errstate(divide="ignore"):
-        mass = np.exp(a * np.log(z) + b * np.log1p(-z) - log_beta) / a * _beta_fraction(a, b, z)
-    tail = 0.5 * np.where(upper, mass, 1.0 - mass)
-    return _out(np.where(x < 0.0, 1.0 - tail, tail))
+        log_mass = (a * np.log(z) + b * np.log1p(-z) - log_beta - np.log(a)
+                    + np.log(_beta_fraction(a, b, z)))
+    log_tail = np.where(upper, log_mass, np.log1p(-np.exp(log_mass))) - math.log(2.0)
+    return _out(np.where(x < 0.0, np.log1p(-np.exp(log_tail)), log_tail))
+
+
+def student_sf(x, dof):
+    """Student t survival function, as exp(log_student_sf(x, dof))."""
+    return _out(np.exp(log_student_sf(x, dof)))
+
+
+def sf_ratio(x1, x2, dof=None):
+    """Fbar(x1) / Fbar(x2) for the Gaussian tail, or the Student tail of dof
+    degrees of freedom, as exp(log Fbar(x1) - log Fbar(x2)), both logs from
+    one call on the stack (x1, x2)."""
+    x = np.stack([x1, x2])
+    log_sf = log_normal_sf(x) if dof is None else log_student_sf(x, dof)
+    return _out(np.exp(log_sf[0] - log_sf[1]))
 
 
 def maximize_bracketed(fun, a, b, c):

@@ -11,13 +11,14 @@ spacing statistic, which is the documented non-conservative baseline:
                   randomized lambda2-bar restores exact uniformity;
   grid_spacing_n  the spacing test on a fixed p x p grid, exactly uniform.
 
-Each statistic has one stacked route (_rice_known, _rice_unknown,
-_grid_unknown, and _gauss_ratio, which spacing, grid and grid_spacing_n
-share): it takes one array entry per replication and returns a TestReport
-whose value and aux entries are arrays, with, per replication, the
-SrknotsError that stopped it (None where none did).  The public functions
-are that route on a stack of one; they return a plain TestReport or raise
-the error.
+Each statistic has one stacked route (_rice_known, _rice_unknown, and
+_tail_ratio, which spacing, grid, grid_spacing_n and t_grid share, with
+Gaussian tails or Student ones): it takes one array entry per replication
+and returns a TestReport whose value and aux entries are arrays, with, per
+replication, the SrknotsError that stopped it (None where none did); a nan
+entry reads nan with an error, and no warning.  The public functions are
+that route on a stack of one; they return a plain TestReport or raise the
+error.
 """
 
 import math
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import NonPositiveDenominator, OutOfRange, row_errors
 from .model import TorusPoint, kernel_gamma, z_eval
-from .numerics import RngStream, mills_ratio, normal_sf_ratio, student_pdf, student_sf
+from .numerics import RngStream, mills_ratio, sf_ratio, student_pdf, student_sf
 
 
 # The half-width K of the lattice window that lambda2_bar maximizes over.
@@ -171,15 +172,18 @@ def rice_unknown(cert, var_est, ctx):
                               np.atleast_1d(var_est.value), var_est.dof, ctx))
 
 
-def _gauss_ratio(name, knots, sigma, **extra):
-    """The stacked route of spacing_statistic, grid_test_known and
-    grid_spacing_test: Phi-bar(l1 / sigma) / Phi-bar(l2 / sigma) in log
-    space (numerics.normal_sf_ratio), for knots = {key1: l1, key2: l2}, the
-    first knot then the second under their aux keys; aux holds them, sigma
-    and extra."""
+def _tail_ratio(name, knots, scale, dof=None, **extra):
+    """The stacked route of spacing_statistic, grid_test_known,
+    grid_spacing_test and grid_test_unknown: Fbar(l1 / scale) /
+    Fbar(l2 / scale) in log space (numerics.sf_ratio), with Fbar the
+    Gaussian tail, or the Student tail of dof degrees of freedom when dof is
+    given, for knots = {key1: l1, key2: l2}, the first knot then the second
+    under their aux keys.  aux holds them, the scale as sigma (Gaussian) or
+    as sigma_hat with its dof (Student), and extra."""
     l1, l2 = knots.values()
-    value = normal_sf_ratio(l1 / sigma, l2 / sigma)
-    return _checked(name, value, dict(knots, sigma=sigma, **extra))
+    value = sf_ratio(l1 / scale, l2 / scale, dof)
+    noise = {"sigma": scale} if dof is None else {"sigma_hat": scale, "dof": dof}
+    return _checked(name, value, dict(knots, **noise, **extra))
 
 
 def spacing_statistic(lambda1, lambda2, sigma):
@@ -189,8 +193,8 @@ def spacing_statistic(lambda1, lambda2, sigma):
     nominal 5% is around 11% for f_c = 7); it is kept as the comparison
     baseline that the Rice and randomized-grid corrections repair.
     """
-    return _one(_gauss_ratio("spacing", {"lambda1": np.atleast_1d(lambda1),
-                                         "lambda2": np.atleast_1d(lambda2)}, sigma))
+    return _one(_tail_ratio("spacing", {"lambda1": np.atleast_1d(lambda1),
+                                        "lambda2": np.atleast_1d(lambda2)}, sigma))
 
 
 def _grid_knots(obs, p):
@@ -228,8 +232,8 @@ def grid_knots(obs, p):
 def _grid_spacing(obs, p, sigma):
     """grid_spacing_test on a stack: its grid knots, then the shared ratio route."""
     lambda1_n, _, lambda2_n = _grid_knots(obs, p)
-    return _gauss_ratio("grid_spacing_%d" % p, {"lambda1_n": lambda1_n, "lambda2_n": lambda2_n},
-                        sigma, p=p)
+    return _tail_ratio("grid_spacing_%d" % p, {"lambda1_n": lambda1_n, "lambda2_n": lambda2_n},
+                       sigma, p=p)
 
 
 def grid_spacing_test(obs, p, sigma):
@@ -328,26 +332,14 @@ def lambda2_bar(lambda1, lambda2, hess, u_draw, ctx):
 
 def grid_test_known(lambda1, lambda2_bar_value, sigma):
     """S-Grid: Phi-bar(lambda1/sigma) / Phi-bar(lambda2_bar/sigma)."""
-    return _one(_gauss_ratio("grid", {"lambda1": np.atleast_1d(lambda1),
-                                      "lambda2_bar": np.atleast_1d(lambda2_bar_value)}, sigma))
-
-
-def _grid_unknown(lambda1, lambda2_bar_value, variance, var_dof, ctx):
-    """The stacked route of grid_test_unknown: variance holds the grid
-    estimates, of dof var_dof; both tails take one student_sf call."""
-    m = ctx.m
-    _check_dof("grid_test_unknown", var_dof, m - 1, "grid")
-    s_hat = np.sqrt(variance)
-    num, den = student_sf(np.stack([lambda1 / s_hat, lambda2_bar_value / s_hat]), m - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = num / den
-    aux = {"lambda1": lambda1, "lambda2_bar": lambda2_bar_value, "sigma_hat": s_hat,
-           "dof": var_dof}
-    return _checked("t_grid", value, aux)
+    return _one(_tail_ratio("grid", {"lambda1": np.atleast_1d(lambda1),
+                                     "lambda2_bar": np.atleast_1d(lambda2_bar_value)}, sigma))
 
 
 def grid_test_unknown(lambda1, lambda2_bar_value, var_est, ctx):
     """T-Grid: Fbar_{m-1}(lambda1/sigma-hat) / Fbar_{m-1}(lambda2_bar/sigma-hat)
     with sigma-hat from the grid estimator (dof = m - 1 = 2N - 1)."""
-    return _one(_grid_unknown(np.atleast_1d(lambda1), np.atleast_1d(lambda2_bar_value),
-                              np.atleast_1d(var_est.value), var_est.dof, ctx))
+    _check_dof("grid_test_unknown", var_est.dof, ctx.m - 1, "grid")
+    return _one(_tail_ratio("t_grid", {"lambda1": np.atleast_1d(lambda1),
+                                       "lambda2_bar": np.atleast_1d(lambda2_bar_value)},
+                            np.sqrt(np.atleast_1d(var_est.value)), var_est.dof))

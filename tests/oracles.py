@@ -3,9 +3,10 @@
 The package computes each quantity one way.  The second ways kept here are
 independent of it: numerical quadrature of the Kac-Rice integrals g_bar and
 h_bar, the gamma-function constant of the unknown-variance density, the
-field X with its gradient and Hessian from the derivatives of Z, trigonometric
-sums on a uniform grid as one dense matrix product, the regressed field and
-the ratio g at arbitrary points of the torus, the Karhunen-Loeve variance
+Student tail of odd dof by a series in log space, the field X with its
+gradient and Hessian from the derivatives of Z, trigonometric sums on a
+uniform grid as one dense matrix product, the regressed field and the ratio
+g at arbitrary points of the torus, the Karhunen-Loeve variance
 estimators through the design correlation and its pseudo-inverse, the
 Dirichlet kernel in ratio form, the derivatives of Gamma term by term, the
 correlation rho with its derivatives, the Newton system of a LARS leg from
@@ -140,6 +141,29 @@ def normal_sf(x):
     underflows to 0 past x = 38.5."""
     out = 0.5 * np.asarray(_erfc(np.asarray(x, dtype=float) * (1.0 / math.sqrt(2.0))), dtype=float)
     return float(out) if out.ndim == 0 else out
+
+
+def student_log_sf_odd(t, dof):
+    """log Fbar_nu(t) of the Student tail for odd nu = dof and t > 0, from the
+    tail of a series: with phi = atan(sqrt(nu) / t) and
+    a_j = (2j)!! / (2j + 1)!!,
+
+        Fbar_nu(t) = (1/pi) cos(phi) sum_{j >= (nu - 1)/2} a_j sin(phi)^(2j+1),
+
+    since the terms j < (nu - 1)/2 make up the closed form of the odd-nu CDF
+    and the whole series sums to phi / cos(phi).  The terms shrink at least
+    by sin(phi)^2 each; they are summed in log space until that bound falls
+    below e^-40 of the first, so the value stays finite where the tail
+    underflows."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    log_sin = -0.5 * np.log1p(t * t / dof)           # sin(phi) = sqrt(nu / (nu + t^2))
+    log_cos = np.log(t) - 0.5 * np.log(dof + t * t)
+    n_terms = int(np.ceil(20.0 / -np.max(log_sin))) + 1
+    j = (dof - 1) // 2 + np.arange(n_terms)
+    log_a = j * math.log(4.0) + 2.0 * gammaln(j + 1.0) - gammaln(2.0 * j + 2.0)
+    log_terms = log_a + (2.0 * j + 1.0) * log_sin[:, None]
+    top = log_terms.max(axis=1)
+    return log_cos - math.log(math.pi) + top + np.log(np.exp(log_terms - top[:, None]).sum(axis=1))
 
 
 def g_bar_closed(ell, a1, a2, a3, sigma):

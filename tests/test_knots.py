@@ -244,10 +244,10 @@ def test_newton_peaks_rejects_a_convex_start():
     t = np.linspace(0.0, TWO_PI, FIRST_KNOT_GRID_FACTOR * obs.n_freq, endpoint=False)
     f = np.abs(z_eval(obs, t)) ** 2
     starts = np.array([t[np.argmin(f)], t[np.argmax(f)]])
-    _, ok = _newton_peaks(obs, starts, t[1])
+    _, ok = _newton_peaks(obs.rows([0, 0]), starts, t[1])
     assert ok.tolist() == [False, True]
     # a step out of the bracket is refused too
-    _, ok = _newton_peaks(obs, starts[1:], 1e-12)
+    _, ok = _newton_peaks(obs.rows([0]), starts[1:], 1e-12)
     assert ok.tolist() == [False]
 
 

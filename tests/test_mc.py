@@ -2,9 +2,12 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import two_spike_rejection_sample
 from scipy.stats import ks_2samp
 
@@ -179,6 +182,36 @@ def test_block_matches_rep_by_rep(f_c, seed, alternative):
             else:
                 assert report.value == table.values[name][rep], (rep, name)
     assert sorted(failures) == table.failures
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    f_c=st.integers(2, 40),
+    sigma=st.floats(1e-8, 1.0),
+    snr=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=2),
+    t1=st.floats(0.0, TWO_PI),
+    gap=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_every_statistic_returns_a_p_value_at_any_signal_to_noise_ratio(f_c, sigma, snr, t1,
+                                                                        gap, seed):
+    # one or two spikes of weight up to 1e4 sigma, the second at least
+    # 0.05 (2 pi / f_c) from the first: every statistic returns a value in
+    # [0, 1] or the message of the SrknotsError that stopped it, none
+    # reads OutOfRange, no other exception escapes, and nothing warns
+    separation = max(math.pi * gap, 0.05 * TWO_PI / f_c)
+    locations = t1 + separation * np.arange(len(snr))
+    measure = AtomicMeasure.from_atoms(list(zip(locations, sigma * np.array(snr))))
+    rng = RngStream(seed, 0).generator()
+    obs = synthesize(measure, f_c, sigma, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = mc.evaluate_statistics(obs, _ALL_NINE, sigma, rng)
+    for name, report in reports.items():
+        if isinstance(report, str):
+            assert "outside [0, 1]" not in report, (name, report)
+        else:
+            assert 0.0 <= report.value <= 1.0, (name, report.value)
 
 
 def test_exact_statistics_uniform_null(mc_table):

@@ -16,6 +16,7 @@ from oracles import (
     normal_sf,
     rng_normal,
     rng_uniform,
+    student_log_sf_odd,
 )
 from scipy.special import erfcx, log_ndtr, ndtr
 from scipy.stats import t as student_t
@@ -23,9 +24,10 @@ from scipy.stats import t as student_t
 from srknots.numerics import (
     RngStream,
     log_normal_sf,
+    log_student_sf,
     maximize_bracketed,
     mills_ratio,
-    normal_sf_ratio,
+    sf_ratio,
     student_pdf,
     student_sf,
 )
@@ -47,14 +49,20 @@ def test_normal_sf_monotone_and_values():
     assert normal_sf(10.0) == pytest.approx(7.61985302416053e-24, rel=1e-12)
 
 
-def test_normal_sf_ratio_beyond_the_underflow_of_normal_sf():
+def test_sf_ratio_beyond_the_underflow_of_the_tails():
     # both tails underflow as plain floats (normal_sf(40) is 0), the ratio does not
     assert normal_sf(40.0) == 0.0
-    value = normal_sf_ratio(45.0, 40.0)
+    value = sf_ratio(45.0, 40.0)
     assert isinstance(value, float) and math.isfinite(value) and 0.0 < value <= 1.0
     x1 = np.linspace(-2.0, 10.0, 97)
     x2 = x1 - np.linspace(0.0, 3.0, 97)
-    assert normal_sf_ratio(x1, x2) == pytest.approx(normal_sf(x1) / normal_sf(x2), rel=1e-12)
+    assert sf_ratio(x1, x2) == pytest.approx(normal_sf(x1) / normal_sf(x2), rel=1e-12)
+    # Student tails: Fbar_nu(t) = C t^-nu (1 + O(nu / t^2)), so doubling t
+    # divides it by 2^nu, to about nu / t^2 = 5e-6 relative here
+    assert student_sf(1e4, 481) == 0.0
+    assert sf_ratio(2e4, 1e4, 481) == pytest.approx(2.0 ** -481, rel=1e-4)
+    assert sf_ratio(x1, x2, 13) == pytest.approx(student_sf(x1, 13) / student_sf(x2, 13),
+                                                 rel=1e-12)
 
 
 def test_student_sf_monotone_and_symmetry():
@@ -70,7 +78,7 @@ _TINY = np.finfo(float).tiny
 
 
 def test_gaussian_tails_match_scipy():
-    # normal_sf, log_normal_sf and normal_sf_ratio against scipy.special on
+    # normal_sf, log_normal_sf and sf_ratio against scipy.special on
     # x in [-40, 1e4].  Where scipy's ndtr flushes a subnormal tail to 0,
     # normal_sf returns that subnormal.
     x = np.concatenate([np.linspace(-40.0, 40.0, 8001), np.geomspace(40.0, 1e4, 2000)])
@@ -87,7 +95,7 @@ def test_gaussian_tails_match_scipy():
         x2 = x - shift
         ratio_ref = np.exp(log_ndtr(-x) - log_ndtr(-x2))
         kept = ratio_ref >= _TINY
-        err = np.abs(normal_sf_ratio(x, x2) - ratio_ref)[kept] / ratio_ref[kept]
+        err = np.abs(sf_ratio(x, x2) - ratio_ref)[kept] / ratio_ref[kept]
         assert np.all(err <= 1e-14 * (1.0 + x[kept] ** 2))
     assert math.isinf(log_normal_sf(math.inf)) and log_normal_sf(-math.inf) == 0.0
 
@@ -104,9 +112,15 @@ def test_student_functions_match_scipy():
     # odd dof from 5 to 481 on t in [-1e4, 1e4]: sf and pdf within
     # 1e-12 max(1, dof / 40) relative, where scipy's value is a normal
     # double; where scipy flushes a subnormal sf to 0, ours is below the
-    # smallest normal double too
+    # smallest normal double too.  The log of the tail is within the same
+    # bound times max(1, |log sf|) of scipy's logsf wherever that is
+    # finite, and past scipy's underflow within 1e-14 relative of the
+    # odd-dof series (oracles.student_log_sf_odd), which is itself checked
+    # against scipy on the tail t >= 40.
     t = np.concatenate([np.linspace(-40.0, 40.0, 1601), np.geomspace(40.0, 1e4, 200),
                         -np.geomspace(40.0, 1e4, 200)])
+    tail = t >= 40.0
+    underflows = 0
     for dof in range(5, 482, 2):
         bound = 1e-12 * max(1.0, dof / 40.0)
         ref = student_t.sf(t, dof)
@@ -117,6 +131,17 @@ def test_student_functions_match_scipy():
         pdf_ref = student_t.pdf(t, dof)
         kept = pdf_ref >= _TINY
         assert np.all(np.abs(student_pdf(t, dof) - pdf_ref)[kept] <= bound * pdf_ref[kept]), dof
+        log_ref = student_t.logsf(t, dof)
+        log_sf = log_student_sf(t, dof)
+        finite = np.isfinite(log_ref)
+        assert np.all(np.abs(log_sf - log_ref)[finite]
+                      <= bound * np.maximum(1.0, np.abs(log_ref[finite]))), dof
+        series = student_log_sf_odd(t[tail], dof)
+        both = finite[tail]
+        assert np.all(np.abs(series - log_ref[tail])[both] <= 1e-14 * np.abs(series[both])), dof
+        assert np.all(np.abs(log_sf[tail] - series)[~both] <= 1e-14 * np.abs(series[~both])), dof
+        underflows += np.count_nonzero(~finite)
+    assert underflows > 10000  # scipy's underflow is reached, so the series check runs
     # several dofs in one call, scalars in and out
     two = student_sf(np.array([[2.0], [2.0]]), np.array([[5], [29]]))
     assert two[:, 0] == pytest.approx([student_sf(2.0, 5), student_sf(2.0, 29)], rel=1e-15)

@@ -395,7 +395,7 @@ def test_grid_test_unknown_dof_validation():
     assert report.aux["dof"] == 13
 
 
-@pytest.mark.parametrize("f_c", [3, 7])
+@pytest.mark.parametrize("f_c", [3, 7, 30])
 def test_grid_test_unknown_tends_to_the_kappa_power_limit(f_c):
     # One spike of weight 1e6 (sigma = 1): H ~ -Lt lambda1, so lambda2-bar
     # tends to kappa lambda1 with kappa = max_k 2 k'Lt U / k'Lt k over the
