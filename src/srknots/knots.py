@@ -16,12 +16,16 @@ profile tends to the top eigenvalue of Lt^{-1/2} R Lt^{-1/2} minus lambda1
 (_profile_limit), the value of g along its best direction out of z_hat.
 
 Every coarse sweep is one zero-padded FFT (_uniform_sums).  The maxima of
-|Z| have one route, z_peaks: that sweep, Newton on every grid-local maximum
-at once (_newton_peaks), and Newton kept inside a bracket
-(numerics.maximize_bracketed) for the starts where plain Newton fails.
-first_knot reads the global maximum from it, and the LARS continuation the
-peaks of each residual outside its merge discs.  The maxima of the profile
-take the same bracketed Newton polish, on its analytic m' and m''.
+|Z| have one route: that sweep and its grid-local maxima (_sweep_starts),
+then Newton on every start at once (_newton_peaks) and Newton kept inside a
+bracket (numerics.maximize_bracketed) for the starts where plain Newton
+fails (_polish_starts).  The LARS continuation polishes every start outside
+its merge discs (z_peaks).  first_knot polishes only the starts within a
+Bernstein margin of the sweep's top (_can_hold_max): |Z|^2 is a
+trigonometric polynomial of degree 2 f_c, so its curvature is at most
+(2 f_c)^2 max |Z|^2, and a peak exceeds the grid values beside it by at
+most (f_c h)^2 / 2 of that maximum.  The maxima of the profile take the
+same bracketed Newton polish, on its analytic m' and m''.
 """
 
 import math
@@ -122,28 +126,36 @@ def _newton_peaks(obs, t0, radius):
     return t, ok
 
 
-def z_peaks(obs, n_points, keep=None, margin=0.0):
-    """Every local maximum of |Z| of each row: returns (t, |Z(t)|, row).
-
-    |Z| is swept on n_points grid points t_j = h j (h = 2 pi / n_points) by
-    one zero-padded FFT of the stack (_uniform_sums).  The grid-local maxima
-    among the points where keep(t_j) holds (all of them when keep is None)
-    are polished together by Newton on d|Z|^2/dt = 0 (_newton_peaks), which
-    may move each up to h + margin from its start.  Newton reaches the
-    rounding floor of the gradient in two or three steps; a search on values
-    alone would stall at sqrt(eps).  The starts on which Newton meets
-    f'' >= 0, ends non-finite or moves too far go together to Newton kept
-    inside the bracket (t_j - h, t_j, t_j + h) on |Z|^2
-    (numerics.maximize_bracketed), which may end at a bracket end where |Z|
-    rises out of it.  Every peak is polished on its own row of the data, so
-    its value does not depend on the other rows of the stack.
-    """
-    h = 2.0 * math.pi / n_points
-    t_grid = h * np.arange(n_points)
+def _sweep_starts(obs, n_points, keep=None):
+    """The sweep of |Z| of each row on n_points grid points t_j = h j
+    (h = 2 pi / n_points), by one zero-padded FFT of the stack
+    (_uniform_sums), and its grid-local maxima among the points where
+    keep(t_j) holds (all of them when keep is None): returns (swept, rows,
+    cols), swept of shape (rows of the stack, n_points) and one (row, j)
+    pair per start."""
+    t_grid = 2.0 * math.pi / n_points * np.arange(n_points)
     swept = np.abs(_uniform_sums(np.atleast_2d(obs.y), n_points)) / math.sqrt(obs.n_freq)
     masked = swept if keep is None else np.where(keep(t_grid), swept, -np.inf)
     rows, cols = np.nonzero(_local_max_mask_1d(masked))
-    t0 = t_grid[cols]
+    return swept, rows, cols
+
+
+def _polish_starts(obs, rows, cols, n_points, margin=0.0):
+    """The peak of |Z| of row rows[i] polished from the grid point
+    t_j = h cols[i] (h = 2 pi / n_points): returns (t, |Z(t)|, rows).
+
+    The starts are polished together by Newton on d|Z|^2/dt = 0
+    (_newton_peaks), which may move each up to h + margin from its start.
+    Newton reaches the rounding floor of the gradient in two or three steps;
+    a search on values alone would stall at sqrt(eps).  The starts on which
+    Newton meets f'' >= 0, ends non-finite or moves too far go together to
+    Newton kept inside the bracket (t_j - h, t_j, t_j + h) on |Z|^2
+    (numerics.maximize_bracketed), which may end at a bracket end where |Z|
+    rises out of it.  Every peak is polished on its own row of the data, so
+    its value does not depend on the other rows of the stack or starts.
+    """
+    h = 2.0 * math.pi / n_points
+    t0 = h * cols
     starts = obs.rows(rows)  # a stack: one row per start
     t_star, ok = _newton_peaks(starts, t0, h + margin)
 
@@ -153,6 +165,36 @@ def z_peaks(obs, n_points, keep=None, margin=0.0):
         t_star[refused] = maximize_bracketed(lambda t: _modulus_sq(k, block, t),
                                              t0[refused] - h, t0[refused], t0[refused] + h)[0]
     return t_star, np.abs(z_eval(starts, t_star)), rows
+
+
+def z_peaks(obs, n_points, keep=None, margin=0.0):
+    """Every local maximum of |Z| of each row: returns (t, |Z(t)|, row).
+
+    The sweep's grid-local maxima among the points where keep holds
+    (_sweep_starts) are each polished (_polish_starts), up to h + margin
+    from its start.
+    """
+    _, rows, cols = _sweep_starts(obs, n_points, keep)
+    return _polish_starts(obs, rows, cols, n_points, margin)
+
+
+def _can_hold_max(swept, rows, cols, f_c):
+    """Which starts (rows, cols) of the sweep swept (_sweep_starts, keep
+    None) can polish to their row's maximum of |Z|: those with
+    swept^2 + top^2 a / (1 - a) >= top^2, where top is the row's largest
+    swept value and a = (f_c h)^2 / 2.
+
+    p = |Z|^2 is a trigonometric polynomial of degree 2 f_c, so
+    |p''| <= (2 f_c)^2 max p (Bernstein's inequality).  A peak P polished
+    from the grid-local maximum s lies within h of it, so its nearest grid
+    point is s or a neighbour of s, and p(P) <= p(s) + a max p; the same step
+    at the global maximum gives max p <= top^2 / (1 - a).  A row's top start
+    always passes, and so does every peak within 1e-9 of the maximum: with
+    f_c h <= 2 pi / 64, that takes a^2 (at least 4e-6) of max p to spare.
+    """
+    a = 0.5 * (f_c * 2.0 * math.pi / swept.shape[-1]) ** 2
+    top_sq = np.max(swept, axis=-1)[rows] ** 2
+    return swept[rows, cols] ** 2 + a / (1.0 - a) * top_sq >= top_sq
 
 
 _DEGENERATE = "|Z| is constant to within 1e-12: no isolated maximizer exists"
@@ -181,9 +223,11 @@ def _first_knots(obs):
     """(t_hat, theta_hat, lambda1, degenerate) of each row of the stack obs;
     see first_knot.  A degenerate row holds the values at t_hat = 0, which
     mean nothing."""
-    n_rows = np.atleast_2d(obs.y).shape[0]
-    t_star, vals, rows = z_peaks(obs, FIRST_KNOT_GRID_FACTOR * obs.n_freq)
-    best, t_hat, _ = _winners(rows, vals, t_star % (2.0 * math.pi), n_rows)
+    n_points = FIRST_KNOT_GRID_FACTOR * obs.n_freq
+    swept, rows, cols = _sweep_starts(obs, n_points)
+    held = _can_hold_max(swept, rows, cols, obs.f_c)
+    t_star, vals, rows = _polish_starts(obs, rows[held], cols[held], n_points)
+    best, t_hat, _ = _winners(rows, vals, t_star % (2.0 * math.pi), swept.shape[0])
     degenerate = np.isinf(best)
     t_hat[degenerate] = 0.0
     z_at = z_eval(obs, t_hat)
@@ -193,13 +237,18 @@ def _first_knots(obs):
 def first_knot(obs):
     """Locate the global maximizer of X: t_hat maximizes |Z|, theta_hat = arg Z(t_hat).
 
-    Every local maximum of |Z| comes from z_peaks on a sweep of
-    FIRST_KNOT_GRID_FACTOR * N points, which brackets each in (t0 - h, t0 + h).
-    The largest polished value wins, and ties within 1e-9 of it (relative)
-    go to the smallest t (_winners).  A sweep without a grid-local maximum (|Z|
+    The sweep of FIRST_KNOT_GRID_FACTOR * N points (_sweep_starts) starts a
+    polish (_polish_starts) from each grid-local maximum that can hold the
+    maximum of |Z| (_can_hold_max): Bernstein's inequality bounds the
+    curvature of the degree-2 f_c polynomial |Z|^2 by (2 f_c)^2 max |Z|^2,
+    so a peak exceeds the grid points beside it by at most a = (f_c h)^2 / 2
+    of that maximum, and a start whose swept |Z|^2 falls further below the
+    swept top cannot hold it.  Each polish stays in (t0 - h, t0 + h).  The
+    largest polished value wins, and ties within 1e-9 of it (relative) go
+    to the smallest t (_winners).  A sweep without a grid-local maximum (|Z|
     constant to 1e-12 of its largest value, _local_max_mask_1d) raises
-    DegenerateProcess.  It is the stacked route (_first_knots) on a stack
-    of one.
+    DegenerateProcess.  It is the stacked route (_first_knots) on a stack of
+    one.
     """
     t_hat, theta_hat, lambda1, degenerate = _first_knots(obs)
     if degenerate[0]:

@@ -5,7 +5,8 @@ independent of it: numerical quadrature of the Kac-Rice integrals g_bar and
 h_bar, the gamma-function constant of the unknown-variance density, the
 Student tail of odd dof by a series in log space, the field X with its
 gradient and Hessian from the derivatives of Z, trigonometric sums on a
-uniform grid as one dense matrix product, the regressed field and the ratio
+uniform grid as one dense matrix product, the first knot with every
+grid-local maximum of its sweep polished, the regressed field and the ratio
 g at arbitrary points of the torus, the Karhunen-Loeve variance
 estimators through the design correlation and its pseudo-inverse, the
 Dirichlet kernel in ratio form, the derivatives of Gamma term by term, the
@@ -36,6 +37,7 @@ from scipy import optimize
 from scipy.special import gammaln
 
 from srknots.errors import SrknotsError
+from srknots.knots import FIRST_KNOT_GRID_FACTOR, _winners, z_peaks
 from srknots.model import (
     TWO_PI,
     ModelContext,
@@ -259,6 +261,18 @@ def dense_uniform_sums(coef, n_points):
     n = coef.shape[-1]
     t = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
     return coef @ np.exp(1j * np.outer(np.arange(-(n // 2), n // 2 + 1), t))
+
+
+def first_knots_every_start(obs):
+    """knots._first_knots with every grid-local maximum of the sweep
+    polished (knots.z_peaks), not only those within its Bernstein margin of
+    the top: (t_hat, theta_hat, lambda1, degenerate) of each row."""
+    t_star, vals, rows = z_peaks(obs, FIRST_KNOT_GRID_FACTOR * obs.n_freq)
+    best, t_hat, _ = _winners(rows, vals, t_star % TWO_PI, np.atleast_2d(obs.y).shape[0])
+    degenerate = np.isinf(best)
+    t_hat[degenerate] = 0.0
+    z_at = z_eval(obs, t_hat)
+    return t_hat, np.arctan2(z_at.imag, z_at.real) % TWO_PI, np.abs(z_at), degenerate
 
 
 def x_grad(obs, z):

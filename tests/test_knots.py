@@ -12,6 +12,7 @@ from oracles import (
     brent_maximize,
     correlation,
     dense_uniform_sums,
+    first_knots_every_start,
     g_ratio,
     regressed_value,
     torus_delta,
@@ -31,6 +32,7 @@ from srknots.knots import (
     _theta_profile,
     _uniform_sums,
     compute_certificate,
+    compute_certificates,
     first_knot,
     hessian_and_alphas,
     second_knot,
@@ -238,6 +240,50 @@ def test_first_knot_translation_and_phase(f_c, seed, weight, pair, shift, phase)
     assert _circular_distance(z_moved.theta, z_hat.theta + phase) < 1e-9
 
 
+def _prune_stack(f_c):
+    """One stack at f_c: null, high-SNR, near-collinear-pair, tied,
+    noiseless, tiny-sigma and constant rows."""
+    sep = 0.05 * TWO_PI / f_c
+    rows = [_spiky_obs(f_c, seed, weight, pair)
+            for seed, weight, pair in ((1, 0.0, False), (2, 0.0, False), (3, 0.0, False),
+                                       (4, 50.0, False), (5, 1e5, False), (6, 1e3, True))]
+    rows += [synthesize(AtomicMeasure.from_atoms(atoms), f_c, sigma, RngStream(seed, f_c))
+             for atoms, sigma, seed in (([(2.0, 30.0), (2.0 + sep, 30.0)], 1.0, 7),
+                                        ([(1.0, 2.0), (4.0, 2.0)], 0.0, 0),
+                                        ([(1.2, 2.5)], 0.0, 0),
+                                        ([(0.7, 1.0)], 1e-6, 8))]
+    return Observation(f_c, np.stack([obs.y for obs in rows] + [np.zeros(2 * f_c + 1)]), 1.0)
+
+
+@pytest.mark.parametrize("f_c", [1, 2, 3, 7, 15, 30, 60, 120])
+def test_first_knot_prune_keeps_every_certificate(monkeypatch, f_c):
+    # The Bernstein margin drops only starts that cannot hold lambda1: the
+    # certificates match the route that polishes every grid-local maximum
+    # bit for bit, errors included, and every dropped start polishes below
+    # its row's lambda1 by more than the 1e-9 tie window
+    obs = _prune_stack(f_c)
+    n_points = FIRST_KNOT_GRID_FACTOR * obs.n_freq
+    swept, rows, cols = knots._sweep_starts(obs, n_points)
+    dropped = ~knots._can_hold_max(swept, rows, cols, f_c)
+    _, vals, peak_rows = knots.z_peaks(obs, n_points)
+    lambda1 = first_knots_every_start(obs)[2]
+    assert np.array_equal(peak_rows, rows) and dropped.any()
+    assert np.all(vals[dropped] < (1.0 - 1e-9) * lambda1[rows[dropped]])
+
+    cert, errors = compute_certificates(obs)
+    monkeypatch.setattr(knots, "_first_knots", first_knots_every_start)
+    ref, ref_errors = compute_certificates(obs)
+
+    def fields(c):
+        return (c.z_hat.t, c.z_hat.theta, c.lambda1, c.y_hat.t, c.y_hat.theta, c.lambda2, c.R,
+                c.alpha2, c.alpha3, c.grad_norm_at_zhat)
+
+    for got, want in zip(fields(cert), fields(ref)):
+        assert got.tobytes() == want.tobytes()
+    assert [(type(e), str(e)) for e in errors] == [(type(e), str(e)) for e in ref_errors]
+    assert isinstance(errors[-1], DegenerateProcess)
+
+
 def test_newton_peaks_rejects_a_convex_start():
     # from a minimum of |Z|^2 the Newton step would climb towards no maximum
     obs = _noisy_obs(77, f_c=7)
@@ -265,8 +311,9 @@ def test_first_knot_brent_fallback(monkeypatch, newton):
     # bracketed maximizer.  With its Newton steps it reaches the Newton
     # answer to rounding; with them refused too it bisects on values, and
     # its value is second-order close to the Brent oracle's on the same
-    # brackets while its location is good to about sqrt(eps)
-    obs = _spiky_obs(15, 9, 10.0, True)
+    # brackets while its location is good to about sqrt(eps).  Two equal
+    # noiseless spikes tie, so both their starts are polished
+    obs = synthesize(AtomicMeasure.from_atoms([(1.0, 2.0), (4.0, 2.0)]), 15, 0.0, RngStream(0))
     z_ref, lambda1_ref = first_knot(obs)
     real_newton, real_bracketed = knots._newton_peaks, knots.maximize_bracketed
     starts, brackets = [], []
