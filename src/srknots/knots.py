@@ -198,6 +198,12 @@ def _can_hold_max(swept, rows, cols, f_c):
 
 
 _DEGENERATE = "|Z| is constant to within 1e-12: no isolated maximizer exists"
+# x0 = X(z_hat) and lambda1 = |Z(t_hat)| agree to this many N eps sum |y_k| / sqrt N.
+# Both sum N terms of modulus |y_k| / sqrt N whose phases k t_hat - theta_hat
+# carry rounding errors up to about eps (1 + |k t_hat|), |k| <= N / 2.  Over
+# 200 draws per f_c from 1 to 1000 (null, and one spike of weight 1e3), the
+# gap read at most 0.80 of one unit (at f_c = 1) and 0.036 from f_c = 100 on.
+_KNOT_ROUNDING = 16.0
 
 
 def _winners(rows, vals, t, n_rows, scale=None):
@@ -463,12 +469,15 @@ def _local_geometry(w, lambda1, alpha1):
     alpha2 = (w.real * (k**2 - alpha1)).sum(axis=-1) / sqrt_n
     # grad X(z_hat) = (X_t, X_theta) = (-sum k Im w_k, sum Im w_k) / sqrt N
     grad_norm = np.hypot((w.imag * k).sum(axis=-1), w.imag.sum(axis=-1)) / sqrt_n
-    mismatch = max(1.0, alpha1) * np.abs(x0 - lambda1)
+    mismatch = np.abs(x0 - lambda1)
+    rounding = _KNOT_ROUNDING * w.shape[-1] * np.finfo(float).eps * np.abs(w).sum(axis=-1) / sqrt_n
     errors = row_errors(~((x0 > 0.0) & (beta * x0 > alpha3 * alpha3)), lambda i: NotAMaximum(
         "-X''(z_hat) = [[%g, %g], [%g, %g]] is not positive definite; "
         "z_hat is not a strict maximum" % (beta[i], -alpha3[i], -alpha3[i], x0[i])))
-    errors = row_errors(mismatch > 1e-9 * lambda1, lambda i: NotAMaximum(
-        "alpha formulas disagree with the analytic Hessian by %g" % (mismatch[i],)), errors)
+    errors = row_errors(mismatch > rounding, lambda i: NotAMaximum(
+        "X(z_hat) and lambda1 disagree by %g, beyond their rounding %g: the alpha "
+        "formulas miss the analytic Hessian by %g" % (mismatch[i], rounding[i],
+                                                       max(1.0, alpha1) * mismatch[i])), errors)
     return alpha2, alpha3, grad_norm, errors
 
 
@@ -489,10 +498,14 @@ def hessian_and_alphas(obs, z_hat, lambda1):
     The Hessian is read off the same coefficients: with x0 = X(z_hat) =
     sum Re(w_k) / sqrt N and beta = -X_tt(z_hat) = sum k^2 Re(w_k) / sqrt N,
     -X''(z_hat) = [[beta, -alpha3], [-alpha3, x0]].  So R equals
-    X''(z_hat) + Lambda-tilde*lambda1 up to max(1, alpha1) |x0 - lambda1|,
-    which must not exceed 1e-9 lambda1 (z_hat and lambda1 belong together),
-    and -X''(z_hat) is positive definite iff x0 > 0 and beta x0 > alpha3^2.
-    Either failure raises NotAMaximum.  It is the stacked route
+    X''(z_hat) + Lambda-tilde*lambda1 up to max(1, alpha1) |x0 - lambda1|.
+    x0 and lambda1 are two roundings of |Z(t_hat)| when z_hat and lambda1
+    belong together, so |x0 - lambda1| must not exceed their rounding,
+    _KNOT_ROUNDING N eps sum |y_k| / sqrt N (a bound that grows with N as the
+    rounding of the phases k t_hat does; one relative to lambda1 alone
+    rejected null draws from f_c = 400 on).  -X''(z_hat) is positive
+    definite iff x0 > 0 and beta x0 > alpha3^2.  Either failure raises
+    NotAMaximum.  It is the stacked route
     (_local_geometry) on a stack of one.
     """
     w = _aligned_coeffs(obs, (np.array([z_hat.t]), np.array([z_hat.theta])))

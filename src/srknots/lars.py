@@ -13,34 +13,41 @@ The active locations x(lambda) then follow the stationarity system
 
     h_j(lambda, x) = d/dt |Z(t) - sum_i a_i K(x_i, t)|^2 at t = x_j = 0,
 
-tracked by a predictor-corrector scheme: decrement lambda by a predicted
-step, half the distance to the crossing that the secant of the peak gap (the
-largest off-support peak of |Z^(lambda)| less lambda) over the last two
-solved points predicts, kept within 1% and 10% of lambda (1% on a leg's
-first step and wherever the peak gap did not rise), and re-solve h = 0 by
-Newton with the analytic Jacobian from the secant prediction, halving the
-decrement when Newton fails.  The Jacobian (_Leg.system) needs Z and the
-Gram tables G_m = [Gamma^(m)(x_i - x_j)] up to second order at the active
-points, and reads them all from one e^{ikx} table.  The next knot is the
-largest lambda at which the off-support maximum of |Z^(lambda)| reaches
-lambda.  The residual Z^(lambda) is itself the Z of the Fourier data
-y_res = y - (2 sigma^2 / sqrt N) sum_i a_i e^{-ik x_i} (_residual), so that
-maximum comes from the one route to the peaks of |Z| that the first knot
-also takes: knots.z_peaks sweeps y_res on the 64N-point event grid and
-polishes every local maximum outside the merge discs.  Every step ends with
-that sweep.  Once a step's sweep reads a gap >= 0, it brackets the
-knot, and one loop (_Leg.locate) narrows the bracket to a width of 1e-9
-lambda: by Illinois false position on the gap of the one candidate that
-crosses (a peak re-polished at each lambda, or a disc-boundary point),
-confirmed by one sweep at the final upper end, or by halving on the global
-gap where that candidate does not exist at the upper end or false position
-fails.
+tracked by a predictor-corrector scheme on the analytic path tangent.  At a
+solved point the Jacobian dh/dx (_Leg.system) also gives the tangent:
+dx/dlambda = -(dh/dx)^{-1} dh/dlambda and da/dlambda = da/dlambda|_x +
+(da/dx) dx/dlambda, from the same solve as the Newton step.  The residual
+then moves at dZ^(lambda)/dlambda = -s sum_i (da_i Gamma(t - x_i) -
+a_i Gamma'(t - x_i) dx_i) (s = 2 sigma^2), so each off-support peak t_j of
+|Z^(lambda)| has the gap rate Re(conj(Z^(lambda)) dZ^(lambda)/dlambda) /
+|Z^(lambda)| - 1 (the t-term drops out at a peak), and the tangent predicts
+where each peak's gap reaches 0.  A march step lowers lambda 10% past the
+earliest such crossing of any peak, by at most 10% of lambda, and re-solves
+h = 0 by Newton from x + (dx/dlambda) dlambda, halving the decrement when
+Newton fails.  The Jacobian needs Z and the Gram tables G_m = [Gamma^(m)(x_i
+- x_j)] up to second order at the active points, read from one e^{ikx}
+table, and M is factored once per call (eigh), which gives every M^{-1}
+product and the condition guard.  The next knot is the largest lambda at
+which the off-support maximum of |Z^(lambda)| reaches lambda.  The residual
+Z^(lambda) is itself the Z of the Fourier data y_res = y - (2 sigma^2 /
+sqrt N) sum_i a_i e^{-ik x_i} (_residual), so that maximum comes from the
+one route to the peaks of |Z| that the first knot also takes: knots.z_peaks
+sweeps y_res on the 64N-point event grid and polishes every local maximum
+outside the merge discs.  Every step ends with that sweep, whose peaks size
+the next step.  Once a step's sweep reads a gap >= 0, it brackets the knot,
+and one loop (_Leg.locate) narrows the bracket to a width of 1e-9 lambda:
+by Newton in lambda on the gap of the one candidate that crosses (the
+argmax at the lo end, a peak re-polished at each lambda or a disc-boundary
+point), with the derivative the tangent gives, confirmed by one sweep at
+the final upper end (a failed confirmation restarts it from the argmax
+there); the bracket is halved on the global gap only where the candidate
+is lost or Newton fails.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -50,7 +57,8 @@ from .model import Observation, wrap_delta, z_eval
 _MERGE_RADIUS = 1e-3
 _COND_LIMIT = 1e14
 _EDGE_SIGNS = np.array([-1.0, 1.0])
-_STEP_FLOOR = 1e-2  # a march step lowers lambda by at least 1%
+_STEP_PAST = 0.1  # a march step goes 10% past the predicted crossing
+_STEP_MIN = 1e-9  # and lowers lambda by at least the knot search's width
 _STEP_CAP = 1e-1  # and by at most 10%
 _NEWTON_TOL = 1e-10  # Newton stops at a step below this
 _EVENT_GRID_FACTOR = 64  # event grid points per frequency
@@ -103,6 +111,17 @@ def _residual(obs, two_s2, x, a):
     return Observation(f_c=obs.f_c, y=obs.y - two_s2 * shift / math.sqrt(obs.n_freq))
 
 
+class _State(NamedTuple):
+    """A solved point of a leg: h(lam, x) = 0, the weights a and the path
+    tangent dx = dx/dlambda, da = da/dlambda there."""
+
+    lam: float
+    x: np.ndarray
+    a: np.ndarray
+    dx: np.ndarray
+    da: np.ndarray
+
+
 class _Leg:
     """Continuation state for one leg of the path (fixed active cardinality)."""
 
@@ -121,49 +140,68 @@ class _Leg:
         self.track_radius = 0.5 * math.pi / obs.n_freq
 
     def system(self, lam, x):
-        """(h, dh/dx, a) of the stationarity system at (lambda, x).
+        """(h, dh/dx, a, dh/dlambda, da/dx, da/dlambda) of the stationarity
+        system at (lambda, x); the lambda-derivatives are taken at fixed x.
 
         With s = 2 sigma^2, G_m = [Gamma^(m)(x_i - x_j)], c p the scaled
-        previous residual values and W the residual, a = M^{-1}(Z(x) - c p)
-        and W'(x) = Z'(x) - s G_1 a; differentiating M a = Z(x) - c p gives
+        previous residual values (c = lambda / lambda_prev) and W the
+        residual, a = M^{-1}(Z(x) - c p) and W'(x) = Z'(x) - s G_1 a;
+        differentiating M a = Z(x) - c p gives
 
-            da/dx   = M^{-1} (diag(W') + s G_1 diag(a)),
-            dW'/dx  = diag(Z''(x) - s G_2 a) + s G_2 diag(a) - s G_1 da/dx,
+            da/dx       = M^{-1} (diag(W') + s G_1 diag(a)),
+            da/dlambda  = -M^{-1} p / lambda_prev,
+            dW'/dx      = diag(Z''(x) - s G_2 a) + s G_2 diag(a) - s G_1 da/dx,
 
-        and h = 2 Re(conj(c p) W'), since W(x_j) = c p_j for every x.  Z and
-        the G_m come from one table E = [e^{ik x_i}]: (Z, Z', Z'') is E times
-        the block y (ik)^(0, 1, 2) / sqrt N, and G_m = Re(E diag((ik)^m / N) E^H).
-        Raises _PathStop when M is not finite or its condition number
-        exceeds _COND_LIMIT.
+        and h = 2 Re(conj(c p) W'), since W(x_j) = c p_j for every x, so
+        dh/dlambda = 2 Re(conj(p / lambda_prev) W') - 2 Re(conj(c p) s G_1 da/dlambda).
+        Z and the G_m come from one table E = [e^{ik x_i}]: (Z, Z', Z'') is E
+        times the block y (ik)^(0, 1, 2) / sqrt N, and
+        G_m = Re(E diag((ik)^m / N) E^H).  M is factored once, M = V diag(w) V^T
+        (eigh), which gives every M^{-1} product and the condition guard:
+        raises _PathStop when M is not finite or w_min _COND_LIMIT < w_max.
         """
         e = np.exp(1j * np.outer(x, self.k))
         g0, g1, g2 = np.real((e * self.gamma_block[:, None, :]) @ e.conj().T)
         s = self.two_s2
-        m = s * g0
-        if not np.all(np.isfinite(m)) or np.linalg.cond(m) > _COND_LIMIT:
+        try:
+            w, v = np.linalg.eigh(s * g0)
+        except np.linalg.LinAlgError:
             raise _PathStop("path_stop_singular_gram")
-        cp = (lam / self.lam_prev) * self.prev_vals
+        if not w[0] * _COND_LIMIT >= w[-1]:  # also where M is not finite: nan eigenvalues
+            raise _PathStop("path_stop_singular_gram")
+        m_inv = (v / w) @ v.T
+        dcp = self.prev_vals / self.lam_prev
+        cp = lam * dcp
         z0, z1, z2 = (e @ self.z_block).T
-        a = np.linalg.solve(m, z0 - cp)
+        a = m_inv @ (z0 - cp)
+        da_dlam = -(m_inv @ dcp)
         w1 = z1 - s * (g1 @ a)
-        da = np.linalg.solve(m, np.diag(w1) + s * g1 * a)
-        dw1 = np.diag(z2 - s * (g2 @ a)) + s * g2 * a - s * (g1 @ da)
-        return 2.0 * np.real(np.conj(cp) * w1), 2.0 * np.real(np.conj(cp)[:, None] * dw1), a
+        da_dx = m_inv * w1 + s * (m_inv @ g1) * a
+        dw1 = np.diag(z2 - s * (g2 @ a)) + s * g2 * a - s * (g1 @ da_dx)
+        h = 2.0 * np.real(np.conj(cp) * w1)
+        dh_dlam = 2.0 * np.real(np.conj(dcp) * w1 - np.conj(cp) * (s * (g1 @ da_dlam)))
+        return h, 2.0 * np.real(np.conj(cp)[:, None] * dw1), a, dh_dlam, da_dx, da_dlam
 
     def newton(self, lam, x0):
-        """Solve h(lambda, .) = 0 from x0; returns (x, a) at the first x whose
-        Newton step is below _NEWTON_TOL, or raises ValueError."""
+        """Solve h(lambda, .) = 0 from x0, or raise ValueError.
+
+        Each step solves the Jacobian for the Newton step delta and for the
+        path tangent dx/dlambda = -(dh/dx)^{-1} dh/dlambda together.  At the
+        first x whose step is below _NEWTON_TOL the _State holds x + delta and
+        a + (da/dx) delta, both exact to O(delta^2), and the tangent there,
+        da/dlambda = (da/dlambda at fixed x) + (da/dx) dx/dlambda, to O(delta).
+        """
         x = np.array(x0, dtype=float)
         for _ in range(30):
-            h, jac, a = self.system(lam, x)
+            h, jac, a, dh_dlam, da_dx, da_dlam = self.system(lam, x)
             try:
-                delta = np.linalg.solve(jac, -h)
+                delta, dx = np.linalg.solve(jac, -np.array([h, dh_dlam]).T).T
             except np.linalg.LinAlgError:
                 raise ValueError("singular Jacobian")
             if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 0.1:
                 raise ValueError("Newton step diverged")
             if np.max(np.abs(delta)) < _NEWTON_TOL:
-                return x, a
+                return _State(lam, x + delta, a + da_dx @ delta, dx, da_dlam + da_dx @ dx)
             x = x + delta
         raise ValueError("Newton did not converge")
 
@@ -171,10 +209,15 @@ class _Leg:
         """The Observation whose Z is the residual Z^(lambda) of weights a at x."""
         return _residual(self.obs, self.two_s2, x, a)
 
+    @staticmethod
+    def off_discs(t, x):
+        """Which points of t lie outside the open merge discs around x."""
+        return np.min(np.abs(wrap_delta(t[:, None] - x[None, :])), axis=1) >= _MERGE_RADIUS
+
     def off_support_max(self, x, a):
-        """(value, location, peak) of the maximum of |Z^(lambda)| outside the
-        open merge discs around the active points; peak is the largest value
-        at a peak of |Z^(lambda)| outside them (-inf where there is none).
+        """(value, location, peaks) of the maximum of |Z^(lambda)| outside the
+        open merge discs around the active points; peaks = (t, |Z^(lambda)(t)|)
+        holds the peaks of |Z^(lambda)| outside them.
 
         The peaks are those of the residual's Fourier data (knots.z_peaks on
         the event grid), started from every grid-local maximum outside the
@@ -186,178 +229,204 @@ class _Leg:
         constrained maximum sits there when an active point is about to
         split.  Elsewhere on a leg a boundary point reads about
         lambda - O(_MERGE_RADIUS^2), so the maximum itself hardly moves until
-        the knot, and peak is what the march predicts from.
+        the knot, and the peaks are what the march predicts from.
         """
         res = self.residual(x, a)
-
-        def off_discs(t):
-            return np.min(np.abs(wrap_delta(t[:, None] - x[None, :])), axis=1) >= _MERGE_RADIUS
-
-        t_peak, peak_vals, _ = z_peaks(res, _EVENT_GRID_FACTOR * self.obs.n_freq, keep=off_discs,
-                                    margin=_MERGE_RADIUS)
-        kept = off_discs(t_peak)
+        t_peak, peak_vals, _ = z_peaks(res, _EVENT_GRID_FACTOR * self.obs.n_freq,
+                                       keep=lambda t: self.off_discs(t, x), margin=_MERGE_RADIUS)
+        kept = self.off_discs(t_peak, x)
         edges = np.concatenate([x - _MERGE_RADIUS, x + _MERGE_RADIUS])
         cand = np.concatenate([t_peak[kept], edges])
         cand_vals = np.concatenate([peak_vals[kept], np.abs(z_eval(res, edges))])
-        peak = float(np.max(peak_vals[kept], initial=-math.inf))
         best = int(np.argmax(cand_vals))
-        return float(cand_vals[best]), float(cand[best] % (2.0 * math.pi)), peak
+        return (float(cand_vals[best]), float(cand[best] % (2.0 * math.pi)),
+                (t_peak[kept], peak_vals[kept]))
 
-    def gap(self, lam, x, a):
-        val, loc, _ = self.off_support_max(x, a)
-        return val - lam, loc
+    def gap(self, state):
+        """(off-support gap, its argmax, peak locations) of off_support_max at
+        a solved state."""
+        val, loc, (t_peaks, _) = self.off_support_max(state.x, state.a)
+        return val - state.lam, loc, t_peaks
 
-    def candidate_gap(self, lam, x, a, cand):
-        """(|Z^(lambda)(t_c)| - lambda, cand) for the crossing candidate cand =
-        (t_c, edge) at the solved state (x, a), or None where it is lost.
+    def gap_rates(self, state, t, speed=0.0):
+        """(|Z^(lambda)(t)| - lambda, its lambda-derivative) at every point of t
+        at a solved state, for points that move at dt/dlambda = speed.
+
+        The residual's Fourier data y_res (_residual) move along the path by
+        dy = -(s / sqrt N) sum_i (da_i - i k a_i dx_i) e^{-ik x_i}, that is
+        dZ^(lambda)/dlambda = -s sum_i (da_i Gamma(t - x_i) - a_i Gamma'(t - x_i) dx_i)
+        at fixed t, and the rate is Re(conj(Z) (dZ/dlambda + Z' speed)) / |Z| - 1.
+        At a peak of |Z^(lambda)| the t-term drops out, so peaks take speed 0.
+        Z, Z' and dZ/dlambda are the rows y_res, ik y_res and dy times e^{ikt}.
+        """
+        y = self.residual(state.x, state.a).y
+        e = np.exp(-1j * np.outer(self.k, state.x))
+        sqrt_n = math.sqrt(self.obs.n_freq)
+        dy = -self.two_s2 * (e @ state.da - 1j * self.k * (e @ (state.a * state.dx))) / sqrt_n
+        rows = np.array([y, 1j * self.k * y, dy]) / sqrt_n
+        z, z1, dz = (np.exp(1j * np.multiply.outer(t, self.k))[..., None, :] * rows).sum(axis=-1).T
+        mod = np.abs(z)
+        return mod - state.lam, np.real(np.conj(z) * (dz + z1 * speed)) / mod - 1.0
+
+    def step(self, state, t_peaks):
+        """The next march decrement of lambda from a solved state whose
+        off-support peaks t_peaks all read below lambda: _STEP_PAST past the
+        earliest crossing of lambda that the tangent predicts for any of them
+        (a peak whose gap g < 0 rises as lambda falls, at a rate < 0, crosses
+        after a decrement g / rate; gap_rates), at least _STEP_MIN and at most
+        _STEP_CAP of lambda.
+        """
+        gap, rate = self.gap_rates(state, t_peaks)
+        rising = (gap < 0.0) & (rate < 0.0)
+        ahead = np.min(gap[rising] / rate[rising], initial=math.inf)
+        return state.lam * min(max((1.0 + _STEP_PAST) * ahead / state.lam, _STEP_MIN), _STEP_CAP)
+
+    def candidate_gap(self, state, cand):
+        """(|Z^(lambda)(t_c)| - lambda, its lambda-derivative, cand) for the
+        crossing candidate cand = (t_c, edge) at a solved state, or None where
+        it is lost.
 
         A peak (edge None) is re-polished from its last location t_c by
         Newton; it is lost when the polish fails, moves by more than
         track_radius or lands inside a merge disc.  A disc-boundary point
-        (edge (i, +-1)) is x_i +- _MERGE_RADIUS and moves with x.
+        (edge (i, +-1)) is x_i +- _MERGE_RADIUS and moves with x_i.  The
+        derivative is that of gap_rates.
         """
         t, edge = cand
-        res = self.residual(x, a)
+        speed = 0.0
         if edge is None:
+            res = self.residual(state.x, state.a)
             t_new, ok = _newton_peaks(res.rows([0]), np.array([t]), self.track_radius)
             t = float(t_new[0] % (2.0 * math.pi))
-            if not ok[0] or np.min(np.abs(wrap_delta(t - x))) < _MERGE_RADIUS:
+            if not ok[0] or not self.off_discs(np.array([t]), state.x)[0]:
                 return None
         else:
             i, sign = edge
-            t = float((x[i] + sign * _MERGE_RADIUS) % (2.0 * math.pi))
-        return abs(z_eval(res, t)) - lam, (t, edge)
+            t = float((state.x[i] + sign * _MERGE_RADIUS) % (2.0 * math.pi))
+            speed = state.dx[i]
+        gap, rate = self.gap_rates(state, np.array([t]), speed)
+        return float(gap[0]), float(rate[0]), (t, edge)
 
-    def run(self):
-        """Track the leg until the next knot; returns (lam_k, x, a, t_new)
-        or raises _PathStop.
+    def run(self, t_peaks):
+        """Track the leg until the next knot; returns (state, t_new, peaks)
+        as locate does, or raises _PathStop.
 
-        Each step starts Newton from the secant through the last two solved
-        points, scaled to the step.  Its size is a fraction of lambda: half
-        the distance to the crossing that the secant of the peak gap (the
-        largest off-support peak of |Z^(lambda)| less lambda, see
-        off_support_max) over the last two solved points predicts, within
-        [_STEP_FLOOR, _STEP_CAP], and _STEP_FLOOR on the first step and after
-        a step on which the peak gap did not rise.  Each step ends with a full
-        sweep, and the first that reads a gap >= 0 brackets the knot
-        (locate)."""
-        lam_hi = self.lam_prev
-        x_hi = self.x.copy()
-        a_hi = self.system(lam_hi, x_hi)[2]
-        lam_prev = x_prev = peak_hi = None
-        frac = _STEP_FLOOR
+        t_peaks are the off-support peaks of the last sweep at the knot the
+        leg starts from; those inside the new merge disc are dropped.  Each
+        step lowers lambda by the predicted decrement (step) and starts
+        Newton from the tangent, x + (dx/dlambda) (lambda_lo - lambda_hi);
+        a Newton failure halves the decrement.  Each step ends with a full
+        sweep, whose peaks size the next step, and the first that reads a gap
+        >= 0 brackets the knot (locate)."""
+        try:
+            hi = self.newton(self.lam_prev, self.x)
+        except ValueError:
+            raise _PathStop("path_stop_singular_jacobian")
+        step = self.step(hi, t_peaks[self.off_discs(t_peaks, hi.x)])
         while True:
-            lam_lo = lam_hi * (1.0 - frac)
+            lam_lo = hi.lam - step
             if lam_lo < self.lambda_min:
-                if lam_hi > self.lambda_min:
+                if hi.lam > self.lambda_min:
                     lam_lo = self.lambda_min
                 else:
                     raise _PathStop("reached_lambda_min")
-            x0 = x_hi
-            if x_prev is not None:
-                x0 = x_hi + (x_hi - x_prev) * (lam_lo - lam_hi) / (lam_hi - lam_prev)
             try:
-                x_lo, a_lo = self.newton(lam_lo, x0)
+                lo = self.newton(lam_lo, hi.x + hi.dx * (lam_lo - hi.lam))
             except ValueError:
-                frac *= 0.5
-                if frac < 1e-6:
+                step *= 0.5
+                if step < 1e-6 * hi.lam:
                     raise _PathStop("path_stop_singular_jacobian")
                 continue
-            val, t_lo, peak = self.off_support_max(x_lo, a_lo)
-            if val >= lam_lo:
-                return self.locate((lam_lo, x_lo, a_lo, val - lam_lo, t_lo), (lam_hi, x_hi, a_hi))
-            peak_lo = peak - lam_lo
-            frac = _STEP_FLOOR
-            if peak_hi is not None and peak_lo > peak_hi:
-                ahead = -peak_lo * (lam_hi - lam_lo) / (peak_lo - peak_hi)
-                frac = min(max(0.5 * ahead / lam_lo, _STEP_FLOOR), _STEP_CAP)
-            lam_prev, x_prev = lam_hi, x_hi
-            lam_hi, x_hi, a_hi, peak_hi = lam_lo, x_lo, a_lo, peak_lo
-            if lam_hi <= self.lambda_min:
+            gap, t_lo, t_peaks = self.gap(lo)
+            if gap >= 0.0:
+                return self.locate(lo, t_lo, hi, t_peaks)
+            hi = lo
+            if hi.lam <= self.lambda_min:
                 raise _PathStop("reached_lambda_min")
+            step = self.step(hi, t_peaks)
 
-    def locate(self, lo, hi):
-        """The knot in [lam_lo, lam_hi): returns (lam_k, x, a, t_new).
+    def locate(self, lo, t_lo, hi, t_peaks):
+        """The knot in [lam_lo, lam_hi): returns (state, t_new, peaks), the
+        solved state at the knot, the entering point and the off-support
+        peaks of the search's last sweep.
 
-        lo = (lambda, x, a, gap, t) is a solved state whose off-support gap
-        is >= 0 with argmax t, hi = (lambda, x, a) one whose gap is < 0.  The
-        global gap has a kink at the knot (above it a flat disc-boundary
-        value can lead), so while the one candidate that crosses, the argmax
-        at lo (candidate_gap), reads a gap < 0 at hi, each step is Illinois
-        false position on its smooth gap, 30 steps at most.  Newton for
-        x(lambda), and the candidate's polish, start from the linear
-        interpolation between the bracket ends.  Each point keeps 0.45 of the
-        width 1e-9 lambda from both ends, so the step that lands next to the
-        root also closes the bracket to that width.  One full off_support_max
-        at the final hi end must confirm a gap below _GAP_ROUNDING lambda
-        there (an end on the root reads +-1e-16 lambda by either route).
+        lo is a solved state whose off-support gap is >= 0 with argmax t_lo
+        (and peaks t_peaks), hi one whose gap is < 0.  The global gap has a
+        kink at the knot (above it a flat disc-boundary value can lead), so
+        the search runs on the smooth gap of the one candidate that crosses,
+        the argmax at lo (candidate_gap), by Newton in lambda with the
+        derivative the path tangent gives: each point is the root that the
+        last point's gap and derivative predict, moved 0.45 of the width
+        1e-9 lambda across it, so that the point after the one that lands
+        next to the root closes the bracket to that width from the other
+        side.  A prediction outside the bracket, one that moves more than
+        half as far as the point before did (so the search shrinks at least
+        as fast as bisection), or a derivative of the wrong sign takes the
+        bracket midpoint instead; 30 points at most.  Newton for x(lambda)
+        starts from the tangent at the last point, and the candidate's polish
+        from its last location.  One full off_support_max at the final hi end
+        must confirm a gap below _GAP_ROUNDING lambda there (an end on the
+        root reads +-1e-16 lambda by either route).  A failed confirmation
+        makes that end lo, with its argmax as the new candidate, and sends hi
+        back to the lowest confirmed end.
 
-        Every other step halves the bracket on the global gap (_midpoint).
-        Each new lo end gives a new candidate and each new hi end is
-        confirmed, and the candidate is tracked at hi again: false position
-        resumes once an entering peak born inside the bracket exists at hi.
-        A failed confirmation (its hi end becomes lo), a Newton failure, a
-        lost candidate or the 30th false-position step sends hi back to the
-        lowest confirmed end, and from there the bracket is only halved.  A
-        Newton failure while halving stops the path.
+        A Newton failure, a lost candidate (_track: also one that reads below
+        -_GAP_ROUNDING lambda at a lo end, at odds with its sweep) or the
+        30th point sends hi back to the lowest confirmed end, and from there
+        the bracket is only halved on the global gap (_midpoint), each
+        midpoint confirmed by its sweep.  A Newton failure while halving
+        stops the path.
         """
-        lam_lo, x_lo, a_lo, g_lo, t_lo = lo
-        lam_hi, x_hi, a_hi = confirmed = hi  # the lowest hi end with a gap known < 0
-        cand = self._crossing_candidate(x_lo, t_lo)
-        g_hi = None  # the candidate's gap at hi while false position runs
-        budget = 30  # false-position steps left; 0 once the search only halves
-        # The end the last step replaced (+1 lo, -1 hi): replacing the same
-        # end twice in a row halves the gap kept at the other (Illinois).
-        moved = 0
+        confirmed = hi  # the lowest hi end with a gap known < 0
+        last, tracked = lo, self._track(lo, t_lo)  # the last point the candidate was read at
+        moved = math.inf  # how far the last point moved from the one before
+        budget = 30  # points left; 0 once the search only halves
         while True:
-            if budget and g_hi is None:
-                tracked = self.candidate_gap(lam_hi, x_hi, a_hi, cand)
-                if tracked is not None and tracked[0] < 0.0:
-                    g_hi, (t_hi, edge) = tracked
-            tol = 1e-9 * lam_hi
-            if not budget or g_hi is None:
-                if lam_hi - lam_lo < tol:
-                    return lam_lo, x_lo, a_lo, t_lo
-                lam, x, a, g, t = self._midpoint(lam_lo, x_lo, lam_hi, x_hi)
+            tol = 1e-9 * hi.lam
+            if not budget or tracked is None:
+                if hi.lam - lo.lam < tol:
+                    return lo, t_lo, t_peaks
+                mid, g, t, t_peaks = self._midpoint(lo, hi)
                 if g >= 0.0:
-                    lam_lo, x_lo, a_lo, g_lo, t_lo = lam, x, a, g, t
-                    cand = self._crossing_candidate(x_lo, t_lo)
+                    lo, t_lo = mid, t
                 else:
-                    lam_hi, x_hi, a_hi = confirmed = lam, x, a
+                    hi = confirmed = mid
                 continue
-            if lam_hi - lam_lo < tol:
-                gap_hi, t_hi = self.gap(lam_hi, x_hi, a_hi)
-                if gap_hi < _GAP_ROUNDING * lam_hi:
-                    return lam_lo, x_lo, a_lo, t_lo
-                lam_lo, x_lo, a_lo, t_lo = lam_hi, x_hi, a_hi, t_hi
+            if hi.lam - lo.lam < tol:
+                gap_hi, t_hi, peaks = self.gap(hi)
+                if gap_hi < _GAP_ROUNDING * hi.lam:
+                    return lo, t_lo, peaks
+                lo, t_lo, t_peaks, hi = hi, t_hi, peaks, confirmed
+                last, tracked, moved = lo, self._track(lo, t_lo), math.inf
+                continue
+            g, rate, cand = tracked
+            lam = 0.5 * (lo.lam + hi.lam)
+            root = last.lam - g / rate + math.copysign(0.45 * tol, g) if rate < 0.0 else lam
+            if lo.lam < root < hi.lam and abs(root - last.lam) <= 0.5 * moved:
+                lam = min(max(root, lo.lam + 0.45 * tol), hi.lam - 0.45 * tol)
+            moved = abs(lam - last.lam)
+            budget -= 1
+            try:
+                state = self.newton(lam, last.x + last.dx * (lam - last.lam))
+            except ValueError:
                 tracked = None
             else:
-                lam = (lam_lo * g_hi - lam_hi * g_lo) / (g_hi - g_lo)
-                lam = min(max(lam, lam_lo + 0.45 * tol), lam_hi - 0.45 * tol)
-                w = (lam - lam_lo) / (lam_hi - lam_lo)
-                budget -= 1
-                try:
-                    x, a = self.newton(lam, x_lo + w * (x_hi - x_lo))
-                except ValueError:
-                    tracked = None
-                else:
-                    t = t_lo + w * wrap_delta(t_hi - t_lo)
-                    tracked = self.candidate_gap(lam, x, a, (t, edge))
-                if tracked is not None:
-                    g, (t, _) = tracked
-                    if g >= 0.0:
-                        lam_lo, x_lo, a_lo, g_lo, t_lo = lam, x, a, g, t
-                        if moved == 1:
-                            g_hi *= 0.5
-                        moved = 1
-                    else:
-                        lam_hi, x_hi, a_hi, g_hi, t_hi = lam, x, a, g, t
-                        if moved == -1:
-                            g_lo *= 0.5
-                        moved = -1
+                tracked = self.candidate_gap(state, cand)
             if tracked is None or not budget:
-                lam_hi, x_hi, a_hi = confirmed
-                budget = 0
+                hi = confirmed
+            elif tracked[0] >= 0.0:
+                last, lo, t_lo = state, state, tracked[2][0]
+            else:
+                last, hi = state, state
+
+    def _track(self, state, t):
+        """candidate_gap at a lo end for its off-support argmax t, or None
+        where the candidate is lost or reads below -_GAP_ROUNDING lambda
+        there, at odds with the sweep's gap >= 0."""
+        tracked = self.candidate_gap(state, self._crossing_candidate(state.x, t))
+        if tracked is None or tracked[0] < -_GAP_ROUNDING * state.lam:
+            return None
+        return tracked
 
     @staticmethod
     def _crossing_candidate(x, t):
@@ -369,16 +438,16 @@ class _Leg:
         i, j = np.argwhere(on_edge)[0]
         return t, (int(i), float(_EDGE_SIGNS[j]))
 
-    def _midpoint(self, lam_lo, x_lo, lam_hi, x_hi):
-        """(lambda, x, a, gap, t) solved at the midpoint of a bracket, Newton
-        starting from the midpoint of its ends; raises _PathStop when Newton
-        fails."""
-        lam = 0.5 * (lam_lo + lam_hi)
+    def _midpoint(self, lo, hi):
+        """(state, gap, argmax, peak locations) at the midpoint of a bracket,
+        Newton starting from the tangent at its lo end; raises _PathStop when
+        Newton fails."""
+        lam = 0.5 * (lo.lam + hi.lam)
         try:
-            x, a = self.newton(lam, 0.5 * (x_lo + x_hi))
+            state = self.newton(lam, lo.x + lo.dx * (lam - lo.lam))
         except ValueError:
             raise _PathStop("path_stop_singular_jacobian")
-        return (lam, x, a) + self.gap(lam, x, a)
+        return (state,) + self.gap(state)
 
 
 def lars_run(obs, sigma, opts=None):
@@ -405,7 +474,7 @@ def lars_run(obs, sigma, opts=None):
     leg = _Leg(obs, two_s2, [t1], [z_t1], lambda1, opts.lambda_min)
     lam_k, x_k = lambda2, np.array([t1])
     a_k = np.array([z_t1 * (1.0 - lambda2 / lambda1) / two_s2])
-    t_new = leg.off_support_max(x_k, a_k)[1]
+    _, t_new, (t_peaks, _) = leg.off_support_max(x_k, a_k)
     while True:
         knots.append(
             LarsKnot(
@@ -421,7 +490,7 @@ def lars_run(obs, sigma, opts=None):
                               z_eval(leg.residual(x_k, a_k), t_new))
         leg = _Leg(obs, two_s2, np.append(x_k, t_new), prev_vals, lam_k, opts.lambda_min)
         try:
-            lam_k, x_k, a_k, t_new = leg.run()
+            (lam_k, x_k, a_k, _, _), t_new, t_peaks = leg.run(t_peaks)
         except _PathStop as stop:
             path.status = stop.status
             return path

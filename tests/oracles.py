@@ -534,21 +534,27 @@ def design_sigma_hat_cond(obs, z):
 
 
 def lars_system(leg, lam, x):
-    """(h, dh/dx, a) of the stationarity system of a LARS leg at (lambda, x)
-    (lars._Leg.system), with G_m = [Gamma^(m)(x_i - x_j)] from kernel_gamma
-    and gamma_deriv on the pairwise differences, and Z, Z', Z'' from z_deriv."""
+    """(h, dh/dx, a, dh/dlambda, da/dx, da/dlambda) of the stationarity
+    system of a LARS leg at (lambda, x) (lars._Leg.system), with
+    G_m = [Gamma^(m)(x_i - x_j)] from kernel_gamma and gamma_deriv on the
+    pairwise differences, Z, Z', Z'' from z_deriv, and every M^{-1} product
+    by np.linalg.solve."""
     d = np.subtract.outer(x, x)
     g0 = kernel_gamma(leg.obs.f_c, d.ravel()).reshape(d.shape)
     g1, g2 = (gamma_deriv(leg.obs.f_c, d, order) for order in (1, 2))
     s = leg.two_s2
     m = s * g0
-    cp = (lam / leg.lam_prev) * leg.prev_vals
+    dcp = leg.prev_vals / leg.lam_prev
+    cp = lam * dcp
     z0, z1, z2 = (z_deriv(leg.obs, x, order) for order in range(3))
     a = np.linalg.solve(m, z0 - cp)
+    da_dlam = np.linalg.solve(m, -dcp)
     w1 = z1 - s * (g1 @ a)
     da = np.linalg.solve(m, np.diag(w1) + s * g1 * a)
     dw1 = np.diag(z2 - s * (g2 @ a)) + s * g2 * a - s * (g1 @ da)
-    return 2.0 * np.real(np.conj(cp) * w1), 2.0 * np.real(np.conj(cp)[:, None] * dw1), a
+    dh_dlam = 2.0 * np.real(np.conj(dcp) * w1) - 2.0 * np.real(np.conj(cp) * (s * (g1 @ da_dlam)))
+    return (2.0 * np.real(np.conj(cp) * w1), 2.0 * np.real(np.conj(cp)[:, None] * dw1), a,
+            dh_dlam, da, da_dlam)
 
 
 def lars_residual_kernel_sum(obs, path, k, t):

@@ -17,7 +17,6 @@ from oracles import (
     QuadratureSpec,
     correlation,
     g_bar,
-    g_ratio,
     gamma_ratio_unknown_variance,
     h_bar,
     integrate_upper,
@@ -33,6 +32,7 @@ from srknots.model import (
     AtomicMeasure,
     ModelContext,
     _aligned_coeffs,
+    kernel_gamma,
     synthesize,
     wrap_delta,
 )
@@ -156,17 +156,24 @@ def _brute_lambda1(obs, n=1_000_000):
 
 
 def _brute_lambda2(obs, cert, p=2000, chunk=50):
+    """lambda1 + max g on the p x p grid of the torus, outside the disc of
+    radius 1e-3 around z_hat, with g in closed form: at y = z_hat + (dt, dth),
+    g = (Re(e^{-i dth} a(dt)) - lambda1) / (1 - Gamma(dt) cos dth), where
+    a(dt) = sum_k w_k e^{ik dt} / sqrt N over the aligned coefficients w."""
     w = _aligned_coeffs(obs, cert.z_hat)
+    k = np.arange(-obs.f_c, obs.f_c + 1)
     nodes = np.linspace(0.0, 2.0 * math.pi, p, endpoint=False)
     dt_all = wrap_delta(nodes - cert.z_hat.t)
     dth_all = wrap_delta(nodes - cert.z_hat.theta)
+    cos_th, sin_th = np.cos(dth_all), np.sin(dth_all)
     best = -np.inf
     for lo in range(0, p, chunk):
-        rows = dt_all[lo:lo + chunk]
-        dt_c = np.repeat(rows, p)
-        dth_c = np.tile(dth_all, rows.size)
-        g = g_ratio(obs, cert.z_hat, cert.lambda1, w, dt_c, dth_c)
-        g = np.where(np.hypot(dt_c, dth_c) >= 1e-3, g, -np.inf)
+        rows = dt_all[lo:lo + chunk, None]
+        a = np.exp(1j * rows * k) @ w[:, None] / math.sqrt(obs.n_freq)
+        num = a.real * cos_th + a.imag * sin_th - cert.lambda1
+        den = 1.0 - kernel_gamma(obs.f_c, rows) * cos_th
+        keep = np.hypot(rows, dth_all) >= 1e-3
+        g = np.divide(num, den, out=np.full(keep.shape, -np.inf), where=keep)
         best = max(best, float(np.max(g)))
     return cert.lambda1 + best
 

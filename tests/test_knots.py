@@ -692,6 +692,31 @@ def test_hessian_rejects_non_maximum(obs_seed42):
         hessian_and_alphas(obs_seed42, TorusPoint.make(0.123, 4.0), lambda1)
 
 
+@pytest.mark.parametrize("f_c", [400, 700, 1000])
+def test_certificates_at_large_f_c_pass_the_hessian_check(f_c):
+    # The check compares two roundings of |Z(t_hat)|, and their gap grows
+    # with N; a bound relative to lambda1 alone rejected about 3% to 34% of
+    # null rows from f_c = 400 on.
+    rng = np.random.default_rng(np.random.SeedSequence([2027, f_c]))
+    n = 2 * f_c + 1
+    obs = Observation(f_c=f_c, y=rng.standard_normal((32, n)) + 1j * rng.standard_normal((32, n)),
+                      sigma=1.0)
+    cert, errors = compute_certificates(obs)
+    assert errors == [None] * 32
+    assert np.all(np.isfinite(cert.lambda2)) and np.all(cert.lambda2 <= cert.lambda1)
+
+
+@pytest.mark.parametrize("f_c", [3, 1000])
+def test_hessian_rejects_a_first_knot_value_off_by_1e6(f_c):
+    # z_hat and lambda1 that do not belong together: lambda1 off by 1e-6
+    # (relative) is far beyond the rounding of x0 - lambda1 at any f_c.
+    obs = _noisy_obs(5, f_c=f_c)
+    z_hat, lambda1 = first_knot(obs)
+    hessian_and_alphas(obs, z_hat, lambda1)
+    with pytest.raises(NotAMaximum, match="beyond their rounding"):
+        hessian_and_alphas(obs, z_hat, lambda1 * (1.0 + 1e-6))
+
+
 def test_hessian_rejects_aligned_minimum_of_modulus():
     # at a local minimizer t of |Z| with theta = arg Z(t) and lambda = |Z(t)|
     # the consistency check passes, but det(-X'') = -|Z| |Z|'' < 0

@@ -86,12 +86,15 @@ def test_system_matches_the_kernel_derivative_oracle(monkeypatch):
         lars_run(_gaussian_obs(seed, index), 1.0, LarsOptions(k_max=4))
     assert len(states) > 50
     for leg, lam, x in states:
-        (h, jac, a), (h_o, jac_o, a_o) = real(leg, lam, x), lars_system(leg, lam, x)
+        (h, jac, a, dh, da_dx, da_dlam) = real(leg, lam, x)
+        (h_o, jac_o, a_o, dh_o, da_dx_o, da_dlam_o) = lars_system(leg, lam, x)
         # h vanishes on the path; its scale is that of the terms 2 Re(conj(c p) Z')
-        # it sums, with |c p_j| = lambda
-        assert np.max(np.abs(h - h_o)) <= 1e-12 * 2.0 * lam * np.max(np.abs(z_deriv(leg.obs, x)))
-        assert np.max(np.abs(jac - jac_o)) <= 1e-12 * np.max(np.abs(jac_o))
-        assert np.max(np.abs(a - a_o)) <= 1e-12 * np.max(np.abs(a_o))
+        # it sums, with |c p_j| = lambda, and that of dh/dlambda the same over lambda
+        z_scale = 2.0 * np.max(np.abs(z_deriv(leg.obs, x)))
+        assert np.max(np.abs(h - h_o)) <= 1e-12 * lam * z_scale
+        assert np.max(np.abs(dh - dh_o)) <= 1e-12 * max(z_scale, np.max(np.abs(dh_o)))
+        for v, v_o in ((jac, jac_o), (a, a_o), (da_dx, da_dx_o), (da_dlam, da_dlam_o)):
+            assert np.max(np.abs(v - v_o)) <= 1e-12 * np.max(np.abs(v_o))
 
 
 def _leg_at_knot(obs, path, j):
@@ -111,9 +114,9 @@ def test_analytic_jacobian_matches_central_difference():
     for j in (2, 3, 4):
         leg = _leg_at_knot(obs, path, j)
         lam = 0.995 * leg.lam_prev
-        x_sol, _ = leg.newton(lam, leg.x)
+        x_sol = leg.newton(lam, leg.x).x
         for x in (x_sol, x_sol + 0.01 * np.cos(np.arange(j))):
-            _, jac, _ = leg.system(lam, x)
+            jac = leg.system(lam, x)[1]
             num = np.empty_like(jac)
             for i in range(j):
                 step = np.zeros(j)
@@ -122,12 +125,75 @@ def test_analytic_jacobian_matches_central_difference():
             assert np.max(np.abs(jac - num)) <= 1e-6 * np.max(np.abs(jac))
 
 
+def _polished(leg, lam, x0):
+    """(x, a) solved at lam, with two Newton steps past the one at which
+    _Leg.newton stops, so that x sits at the rounding floor."""
+    x = leg.newton(lam, x0).x
+    for _ in range(2):
+        h, jac = leg.system(lam, x)[:2]
+        x = x - np.linalg.solve(jac, h)
+    return x, leg.system(lam, x)[2]
+
+
+def test_tangent_matches_central_differences():
+    # dx/dlambda, da/dlambda and the gap rates of the off-support peaks at
+    # the middle of every leg of null f_c = 3 and f_c = 7 paths, against
+    # central differences of states re-solved at lambda +- 1e-5 lambda (each
+    # peak re-polished there from its location).
+    cases = [(_gaussian_obs(0, j), 4) for j in range(10)]
+    cases += [(_gaussian_obs(0, j, f_c=7), 5) for j in range(5)]
+    n_legs = n_peaks = 0
+    for obs, k_max in cases:
+        path = lars_run(obs, 1.0, LarsOptions(k_max=k_max))
+        assert path.status == "reached_k_max"
+        for j in range(2, k_max):
+            leg = _leg_at_knot(obs, path, j)
+            start = leg.newton(leg.lam_prev, leg.x)
+            lam = 0.5 * (path.knots[j - 1].lam + path.knots[j].lam)
+            state = leg.newton(lam, start.x + start.dx * (lam - start.lam))
+            d = 1e-5 * lam
+            (x_up, a_up), (x_dn, a_dn) = (_polished(leg, lam + sign * d, state.x)
+                                          for sign in (1.0, -1.0))
+            fd_x, fd_a = (x_up - x_dn) / (2.0 * d), (a_up - a_dn) / (2.0 * d)
+            assert np.max(np.abs(state.dx - fd_x)) <= 1e-6 * np.max(np.abs(state.dx))
+            assert np.max(np.abs(state.da - fd_a)) <= 1e-6 * np.max(np.abs(state.da))
+
+            t_peaks = leg.off_support_max(state.x, state.a)[2][0]
+            _, rate = leg.gap_rates(state, t_peaks)
+            gaps = []
+            for sign, x, a in ((1.0, x_up, a_up), (-1.0, x_dn, a_dn)):
+                res = leg.residual(x, a)
+                t, ok = knots._newton_peaks(res.rows(np.zeros(t_peaks.size, dtype=int)), t_peaks,
+                                            leg.track_radius)
+                assert ok.all()
+                gaps.append(np.abs(z_eval(res, t)) - (lam + sign * d))
+            assert np.max(np.abs(rate - (gaps[0] - gaps[1]) / (2.0 * d)), initial=0.0) <= 1e-6
+            n_legs += 1
+            n_peaks += t_peaks.size
+    assert n_legs >= 20 and n_peaks >= 20
+
+
+def test_singular_gram_stops_the_path(monkeypatch):
+    # The eigh guard against the condition of M = 2 sigma^2 [Gamma(x_i - x_j)]
+    # at the first leg's start, taken by np.linalg.cond: a limit below it
+    # stops the path there, and the normal limit does not stop it.
+    obs = _noisy_obs(42)
+    path = lars_run(obs, 1.0, LarsOptions(k_max=4))
+    assert path.status == "reached_k_max"
+    x = np.array(path.knots[1].active)
+    cond = np.linalg.cond(kernel_gamma(obs.f_c, np.subtract.outer(x, x).ravel()).reshape(2, 2))
+    monkeypatch.setattr(lars, "_COND_LIMIT", 0.5 * cond)
+    stopped = lars_run(obs, 1.0, LarsOptions(k_max=4))
+    assert stopped.status == "path_stop_singular_gram"
+    assert stopped.knots == path.knots[:2]
+
+
 def test_off_support_max_dominates_a_fine_grid(monkeypatch):
     # Every event probe along a path against an independent residual
     # (kernel sum) on 2^16 points, masked outside the merge discs: the full
-    # off_support_max sweeps with the largest peak they report, and the
-    # candidate gaps the knot search reads.  20 to 32 probes a path: four
-    # paths are spied so that more than 60 probes are checked.
+    # off_support_max sweeps with the peaks they report, and the candidate
+    # gaps the knot search reads.  About 9 sweeps and 8 candidate gaps a
+    # path: four paths are spied so that more than 60 probes are checked.
     calls, tracked = [], []
     n_checked = 0
     real = lars._Leg.off_support_max
@@ -138,10 +204,10 @@ def test_off_support_max_dominates_a_fine_grid(monkeypatch):
         calls.append((leg.two_s2, np.array(x), np.array(a), out))
         return out
 
-    def spy_candidate(leg, lam, x, a, cand):
-        out = real_candidate(leg, lam, x, a, cand)
+    def spy_candidate(leg, state, cand):
+        out = real_candidate(leg, state, cand)
         if out is not None:
-            tracked.append((leg.two_s2, np.array(x), np.array(a), out[0] + lam, out[1][0]))
+            tracked.append((leg.two_s2, state.x, state.a, out[0] + state.lam, out[2][0]))
         return out
 
     monkeypatch.setattr(lars._Leg, "off_support_max", spy)
@@ -160,7 +226,8 @@ def test_off_support_max_dominates_a_fine_grid(monkeypatch):
             gam = kernel_gamma(obs.f_c, np.subtract.outer(u, x).ravel())
             return two_s2 * (gam.reshape(u.size, x.size) @ a)
 
-        for two_s2, x, a, (val, loc, peak) in calls:
+        for two_s2, x, a, (val, loc, (t_peaks, peak_vals)) in calls:
+            peak = np.max(peak_vals, initial=-np.inf)
             dist = np.min(np.abs(wrap_delta(np.subtract.outer(t, x))), axis=1)
             vals = np.abs(z_t - fit(t, two_s2, x, a))
             masked = np.where(dist >= lars._MERGE_RADIUS, vals, -np.inf)
@@ -169,6 +236,8 @@ def test_off_support_max_dominates_a_fine_grid(monkeypatch):
             is_peak = (masked >= np.roll(masked, 1)) & (masked >= np.roll(masked, -1))
             is_peak &= np.isfinite(np.roll(masked, 1)) & np.isfinite(np.roll(masked, -1))
             assert np.max(masked[is_peak], initial=-np.inf) - 1e-12 <= peak <= val
+            assert np.max(np.abs(np.abs(z_eval(obs, t_peaks) - fit(t_peaks, two_s2, x, a))
+                                 - peak_vals), initial=0.0) < 1e-12
             assert abs(abs(z_eval(obs, loc) - fit(np.array([loc]), two_s2, x, a)[0]) - val) < 1e-12
             assert np.min(np.abs(wrap_delta(loc - x))) >= lars._MERGE_RADIUS - 1e-12
         for two_s2, x, a, val, loc in tracked:
@@ -182,7 +251,8 @@ def test_off_support_max_brent_fallback(monkeypatch):
     # bracketed maximizer (knots.z_peaks), which must find the same maximum.
     obs = _gaussian_obs(*_EXHIBITS[0])
     leg = _leg_at_knot(obs, lars_run(obs, 1.0, LarsOptions(k_max=4)), 3)
-    x, a = leg.newton(0.995 * leg.lam_prev, leg.x)
+    state = leg.newton(0.995 * leg.lam_prev, leg.x)
+    x, a = state.x, state.a
     real_peaks = lars.z_peaks
     peaks = []
 
@@ -192,7 +262,7 @@ def test_off_support_max_brent_fallback(monkeypatch):
         return out
 
     monkeypatch.setattr(lars, "z_peaks", spy)
-    ref_val, ref_loc, ref_peak = leg.off_support_max(x, a)
+    ref_val, ref_loc, (ref_t, ref_peaks) = leg.off_support_max(x, a)
     real_newton, real_bracketed = knots._newton_peaks, knots.maximize_bracketed
     starts, brackets = [], []
 
@@ -207,10 +277,11 @@ def test_off_support_max_brent_fallback(monkeypatch):
 
     monkeypatch.setattr(knots, "_newton_peaks", refuse_sweep)
     monkeypatch.setattr(knots, "maximize_bracketed", bracketed)
-    val, loc, peak = leg.off_support_max(x, a)
+    val, loc, (t_peaks, peak_vals) = leg.off_support_max(x, a)
     assert len(brackets) == starts[0] >= 2 and len(starts) == 1
     assert val == pytest.approx(ref_val, rel=1e-12)
-    assert peak == pytest.approx(ref_peak, rel=1e-12)
+    assert peak_vals == pytest.approx(ref_peaks, rel=1e-12)
+    assert np.max(np.abs(wrap_delta(t_peaks - ref_t))) < 1e-14
     assert abs(wrap_delta(loc - ref_loc)) < 1e-14
     # every peak, inside the merge discs too, as Newton alone places it
     assert np.max(np.abs(wrap_delta(peaks[1] - peaks[0]))) < 1e-14
@@ -227,9 +298,10 @@ def _agreement_obs():
 def _spy_event_search(monkeypatch):
     """Per call of _Leg.locate, the number of full off_support_max probes,
     of candidate_gap evaluations and of midpoint solves (halvings of the
-    bracket on the global gap, each with one probe) it makes, and the order
-    of its Newton solves: "h" for a halving, "f" for a false-position step."""
-    probes, evals, halvings, solves = [], [], [], []
+    bracket on the global gap, each with one probe) it makes, the order of
+    its Newton solves ("h" for a halving, "n" for a Newton point on the
+    tangent) and the width of its initial bracket relative to its hi end."""
+    probes, evals, halvings, solves, widths = [], [], [], [], []
     real_locate = lars._Leg.locate
     real_probe = lars._Leg.off_support_max
     real_candidate = lars._Leg.candidate_gap
@@ -237,14 +309,15 @@ def _spy_event_search(monkeypatch):
     real_newton = lars._Leg.newton
     inside, halving = [False], [False]
 
-    def locate(leg, lo, hi):
+    def locate(leg, lo, t_lo, hi, t_peaks):
         probes.append(0)
         evals.append(0)
         halvings.append(0)
         solves.append("")
+        widths.append((hi.lam - lo.lam) / hi.lam)
         inside[0] = True
         try:
-            return real_locate(leg, lo, hi)
+            return real_locate(leg, lo, t_lo, hi, t_peaks)
         finally:
             inside[0] = False
 
@@ -253,9 +326,9 @@ def _spy_event_search(monkeypatch):
             probes[-1] += 1
         return real_probe(leg, x, a)
 
-    def candidate(leg, lam, x, a, cand):
+    def candidate(leg, state, cand):
         evals[-1] += 1
-        return real_candidate(leg, lam, x, a, cand)
+        return real_candidate(leg, state, cand)
 
     def midpoint(leg, *bracket):
         halvings[-1] += 1
@@ -268,7 +341,7 @@ def _spy_event_search(monkeypatch):
 
     def newton(leg, lam, x0):
         if inside[0] and not halving[0]:
-            solves[-1] += "f"
+            solves[-1] += "n"
         return real_newton(leg, lam, x0)
 
     monkeypatch.setattr(lars._Leg, "locate", locate)
@@ -276,7 +349,7 @@ def _spy_event_search(monkeypatch):
     monkeypatch.setattr(lars._Leg, "candidate_gap", candidate)
     monkeypatch.setattr(lars._Leg, "_midpoint", midpoint)
     monkeypatch.setattr(lars._Leg, "newton", newton)
-    return probes, evals, halvings, solves
+    return probes, evals, halvings, solves, widths
 
 
 def _assert_same_knots(paths, reference, rel=2e-9, loc=1e-7):
@@ -290,34 +363,39 @@ def _assert_same_knots(paths, reference, rel=2e-9, loc=1e-7):
 
 
 def test_event_search_matches_bisection(monkeypatch):
-    # The false-position search on the crossing candidate against plain
-    # bisection on the global gap, forced by losing the candidate at once.
+    # The Newton search on the crossing candidate against plain bisection
+    # on the global gap, forced by losing the candidate at once.
     observations = _agreement_obs()
     opts = LarsOptions(k_max=4)
-    probes, _, halvings, _ = _spy_event_search(monkeypatch)
+    probes, evals, halvings, _, widths = _spy_event_search(monkeypatch)
     fast = [lars_run(obs, 1.0, opts) for obs in observations]
-    # One probe per knot confirms the search.  Where the entering peak is
-    # born inside the bracket, as on (5220, 0), a few halvings of the global
-    # gap, one probe each, precede false position; no search falls back.
+    # One probe per knot confirms the search, which reads its candidate at
+    # the lo end and at a few Newton points; no search halves.
     assert len(probes) == 32
-    assert all(n == 1 + h for n, h in zip(probes, halvings))
-    resumed = max(halvings)
+    assert probes == [1] * 32 and halvings == [0] * 32
+    assert max(evals) <= 10
 
     probes.clear()
     halvings.clear()
-    monkeypatch.setattr(lars._Leg, "candidate_gap", lambda leg, lam, x, a, cand: None)
+    widths.clear()
+    monkeypatch.setattr(lars._Leg, "candidate_gap", lambda leg, state, cand: None)
     slow = [lars_run(obs, 1.0, opts) for obs in observations]
     assert probes == halvings
-    assert min(probes) >= 20 > resumed
+    assert all(_bisections(w) <= n <= _bisections(w) + 1 for n, w in zip(probes, widths))
     _assert_same_knots(fast, slow)
+
+
+def _bisections(width):
+    """Halvings that take a bracket of relative width `width` below 1e-9."""
+    return math.ceil(math.log2(width / 1e-9))
 
 
 @pytest.mark.parametrize("route", ["refused_polish", "failed_confirmation"])
 def test_event_search_falls_back_to_bisection(monkeypatch, route):
     observations = [_gaussian_obs(seed, index) for seed, index in _EXHIBITS] + [_noisy_obs(42)]
-    probes, _, _, _ = _spy_event_search(monkeypatch)
+    probes, _, halvings, _, widths = _spy_event_search(monkeypatch)
     if route == "refused_polish":
-        # Every Newton polish refused: the candidate is lost at the hi end,
+        # Every Newton polish refused: the candidate is lost at the lo end,
         # and off_support_max polishes its peaks by Brent search alone.
         real_newton = knots._newton_peaks
 
@@ -332,61 +410,79 @@ def test_event_search_falls_back_to_bisection(monkeypatch, route):
         # the global gap is still >= 0: the confirmation must catch it.
         spied = lars._Leg.candidate_gap
 
-        def low(leg, lam, x, a, cand):
-            out = spied(leg, lam, x, a, cand)
-            return None if out is None else (out[0] - 1e-4, out[1])
+        def low(leg, state, cand):
+            out = spied(leg, state, cand)
+            return None if out is None else (out[0] - 1e-4, out[1], out[2])
 
         monkeypatch.setattr(lars._Leg, "candidate_gap", low)
     for obs in observations:
         path = lars_run(obs, 1.0, LarsOptions(k_max=4))
         assert path.status == "reached_k_max"
         _path_invariants(obs, path)
-    # about log2(w / 1e-9) bisection probes per knot on a bracket of w
-    # lambda: 24 after a 1% march step, 27 after a 10% one
+    # One bisection probe per halving of the march's last step, w of lambda:
+    # ceil(log2(w / 1e-9)), 24 after a 1% step and 27 after a 10% one.  A
+    # failed confirmation costs one more probe, and the halving then starts
+    # from the false root, inside the step, so it may take fewer.
     assert len(probes) == 6
-    assert all(18 <= n <= 30 for n in probes)
+    for h, w in zip(halvings, widths):
+        assert 20 <= h <= _bisections(w) + 1
+        assert route == "failed_confirmation" or _bisections(w) <= h
+    assert probes == [h + (route == "failed_confirmation") for h in halvings]
 
 
 def test_event_search_converges_on_a_curved_gap(monkeypatch):
-    # A sign-preserving concave transform of the candidate gap keeps every
-    # knot but flattens the gap on the lo side: plain false position then
-    # creeps from that end, and only the Illinois halving of the retained
-    # end's value gets the search to the bisection width in a few steps.
+    # A sign-preserving concave transform of the candidate gap, its
+    # derivative carried by the chain rule, keeps every knot but flattens
+    # the gap on the lo side, where the search starts: Newton from there
+    # overshoots the bracket, so bisection steps of the candidate gap lead
+    # until Newton takes over.  At most one search loses its candidate at
+    # such a step and halves the global gap instead.
     observations = _agreement_obs()
     opts = LarsOptions(k_max=4)
     reference = [lars_run(obs, 1.0, opts) for obs in observations]
-    probes, evals, halvings, _ = _spy_event_search(monkeypatch)
+    probes, evals, halvings, _, _ = _spy_event_search(monkeypatch)
     spied = lars._Leg.candidate_gap
 
-    def curved(leg, lam, x, a, cand):
-        out = spied(leg, lam, x, a, cand)
-        return None if out is None else (-math.expm1(-300.0 * out[0]) / 300.0, out[1])
+    def curved(leg, state, cand):
+        out = spied(leg, state, cand)
+        if out is None:
+            return None
+        gap, rate, cand = out
+        return -math.expm1(-300.0 * gap) / 300.0, math.exp(-300.0 * gap) * rate, cand
 
     monkeypatch.setattr(lars._Leg, "candidate_gap", curved)
     paths = [lars_run(obs, 1.0, opts) for obs in observations]
-    assert all(n == 1 + h for n, h in zip(probes, halvings))
+    assert all(n == (h if h else 1) for n, h in zip(probes, halvings))
+    assert sum(h > 0 for h in halvings) <= 1
     assert sum(evals) <= 12 * len(evals)
     _assert_same_knots(paths, reference)
 
 
-def test_event_search_resumes_false_position_after_a_birth(monkeypatch):
+def test_event_search_runs_from_a_birth_inside_the_bracket(monkeypatch):
     # On (5220, 0) the peak that enters at the fourth knot is born inside
     # the bracket of the last march step: the argmax at the lo end does not
-    # exist at the hi end.  A few halvings of the global gap find a hi end
-    # where it does, and false position goes on from there, within the one
-    # locate call of the knot, with no halving after its first step.
+    # exist at the hi end.  The Newton search needs it only at the lo end
+    # and at points between it and the knot, so it runs without a halving.
     obs = _gaussian_obs(5220, 0)
     opts = LarsOptions(k_max=4)
-    probes, _, halvings, solves = _spy_event_search(monkeypatch)
+    real_candidate = lars._Leg.candidate_gap
+    probes, _, halvings, solves, _ = _spy_event_search(monkeypatch)
+    ends = []
+    real_locate = lars._Leg.locate
+
+    def locate(leg, lo, t_lo, hi, t_peaks):
+        ends.append(real_candidate(leg, hi, leg._crossing_candidate(lo.x, t_lo)))
+        return real_locate(leg, lo, t_lo, hi, t_peaks)
+
+    monkeypatch.setattr(lars._Leg, "locate", locate)
     fast = lars_run(obs, 1.0, opts)
-    assert len(probes) == 2
-    assert halvings[0] == 0 < halvings[1]
-    assert "f" in solves[1] and "fh" not in solves[1]
-    assert probes[1] == halvings[1] + 1
+    assert ends[0] is not None and ends[1] is None
+    assert probes == [1, 1] and halvings == [0, 0]
+    assert "h" not in solves[1]
 
     fast_probes = list(probes)
     probes.clear()
-    monkeypatch.setattr(lars._Leg, "candidate_gap", lambda leg, lam, x, a, cand: None)
+    monkeypatch.setattr(lars._Leg, "candidate_gap", lambda leg, state, cand: None)
     slow = lars_run(obs, 1.0, opts)
     assert len(probes) == 2
     assert fast_probes[1] < probes[1]
@@ -394,13 +490,12 @@ def test_event_search_resumes_false_position_after_a_birth(monkeypatch):
 
 
 def test_fine_march_finds_the_same_knots(monkeypatch):
-    # The march with steps fixed at 0.1% of lambda, ten times below the
-    # floor of the predicted steps, as an oracle for knots skipped by a
-    # long step: a peak that crosses lambda and falls back within one step.
+    # The march with steps of at most 0.1% of lambda, a hundredth of the
+    # cap of the predicted steps, as an oracle for knots skipped by a long
+    # step: a peak that crosses lambda and falls back within one step.
     observations = _agreement_obs()
     opts = LarsOptions(k_max=4)
     predicted = [lars_run(obs, 1.0, opts) for obs in observations]
-    monkeypatch.setattr(lars, "_STEP_FLOOR", 1e-3)
     monkeypatch.setattr(lars, "_STEP_CAP", 1e-3)
     fine = [lars_run(obs, 1.0, opts) for obs in observations]
     _assert_same_knots(predicted, fine)

@@ -12,12 +12,18 @@ line with:
 
 - locate: calls of _Leg.locate (one per knot after the second);
 - halving_first: locate calls whose first candidate_gap (the crossing
-  candidate at the upper end of the bracket) is lost or reads a gap >= 0;
+  candidate at the lo end of the bracket) is lost, so that the search
+  only halves;
 - halving_after_false_position: locate calls that solve a bracket
-  midpoint after their first false-position step (the fallback);
+  midpoint after their first Newton point (the fallback);
 - sweeps, midpoints, systems: off_support_max sweeps, _midpoint solves
   and _Leg.system calls made inside locate;
 - systems_total: every _Leg.system call;
+- sweeps_total, newton_total, march_steps: totals over all paths;
+- per_path: per path, full off_support_max sweeps (sweeps), _Leg.newton
+  calls (newton), _Leg.system calls (systems), march steps (Newton solves
+  outside locate) and locate halvings (_midpoint solves); these counts are
+  deterministic, so they show a change that host noise hides in timings;
 - z_peaks_fallback: starts that knots.z_peaks sends to the bracketed
   maximizer (numerics.maximize_bracketed) after Newton refused them;
 - digest: SHA-256 over every path's status and every knot's lambda,
@@ -76,10 +82,14 @@ def instrument(counts):
             state["fallback"] = True
 
     def count_newton():
-        if state["locate"] and not state["midpoint"]:
+        counts["newton_total"] += 1
+        if not state["locate"]:
+            counts["march_steps"] += 1
+        elif not state["midpoint"]:
             state["steps"] += 1
 
     def count_sweep():
+        counts["sweeps_total"] += 1
         if state["locate"]:
             counts["sweeps"] += 1
 
@@ -91,7 +101,7 @@ def instrument(counts):
     def first_candidate(out):
         if state["locate"] and not state["tracked"]:
             state["tracked"] = True
-            counts["halving_first"] += out is None or not out[0] < 0.0
+            counts["halving_first"] += out is None
         return out
 
     def count_fallback(out):
@@ -124,7 +134,8 @@ def main(argv=None):
     observations += [lars_observation(1000 + i, 0, args.fc) for i in range(args.paths)]
     counts = Counter({key: 0 for key in (
         "locate", "halving_first", "halving_after_false_position", "sweeps",
-        "midpoints", "systems", "systems_total", "z_peaks_fallback")})
+        "midpoints", "systems", "systems_total", "z_peaks_fallback", "sweeps_total",
+        "newton_total", "march_steps")})
     instrument(counts)
     digest = hashlib.sha256()
     statuses = Counter()
@@ -138,7 +149,11 @@ def main(argv=None):
             for w in knot.weights:
                 values += [w.real, w.imag]
             digest.update(" ".join(float(v).hex() for v in values).encode() + b";")
-    print(json.dumps({"paths": len(observations), "statuses": dict(statuses), **counts,
+    n = len(observations)
+    per_path = {key: round(counts[total] / n, 2) for key, total in (
+        ("sweeps", "sweeps_total"), ("newton", "newton_total"), ("systems", "systems_total"),
+        ("march_steps", "march_steps"), ("halvings", "midpoints"))}
+    print(json.dumps({"paths": n, "statuses": dict(statuses), **counts, "per_path": per_path,
                       "digest": digest.hexdigest()}))
 
 
